@@ -265,7 +265,7 @@ def extend_to_inflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
         raise ConditionError("preenvelope-conflation", cat.obj_label(x), reason or "")
     alpha = up.incl
     q0 = cat.dst(alpha)
-    total, (iy, iq), _ = _sum2(cat, y, q0)
+    _, (iy, iq), _ = cat.direct_sum([y, q0])
     m = cat.add(cat.compose(iy, f), cat.neg(cat.compose(iq, alpha)))
     assert cat.is_inflation(m)
     z_obj, c = cat.cokernel(m)
@@ -284,7 +284,7 @@ def extend_to_deflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
         raise ConditionError("precover-conflation", cat.obj_label(z), reason or "")
     beta = down.defl
     p0 = cat.src(beta)
-    total, (iy, ip), (py, pp) = _sum2(cat, y, p0)
+    _, (iy, ip), (py, pp) = cat.direct_sum([y, p0])
     d = cat.add(cat.compose(f, py), cat.compose(beta, pp))
     assert cat.is_deflation(d)
     k_obj, k = cat.kernel(d)
@@ -292,11 +292,6 @@ def extend_to_deflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
     cat.check_conflation(confl)
     assert sub.is_hom_exact(confl, "covariant")
     return confl, iy
-
-
-def _sum2(cat: Category, a, b):
-    total, injs, projs = cat.direct_sum([a, b])
-    return total, injs, projs
 
 
 @dataclass

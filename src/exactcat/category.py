@@ -155,6 +155,14 @@ class Category(ABC):
     def sub(self, f, g):
         return self.add(f, self.neg(g))
 
+    def compose_flat(self, g, fs: Sequence, x, y) -> FpMatrix:
+        """Matrix whose columns are flatten(g o f) for the morphisms f: x -> y in fs."""
+        return span_matrix(self, [self.compose(g, f) for f in fs], x, self.dst(g))
+
+    def precompose_flat(self, fs: Sequence, m, x, y) -> FpMatrix:
+        """Matrix whose columns are flatten(f o m) for the morphisms f: x -> y in fs."""
+        return span_matrix(self, [self.compose(f, m) for f in fs], self.src(m), y)
+
     def mor_eq(self, f, g) -> bool:
         return bool(np.array_equal(self.flatten(f), self.flatten(g)))
 
@@ -266,16 +274,26 @@ def span_matrix(cat: Category, mors: Sequence, x, y) -> FpMatrix:
     if not mors:
         return FpMatrix.zeros(cat.p, n, 0)
     cols = np.stack([cat.flatten(f) for f in mors], axis=1)
-    return FpMatrix(cat.p, cols)
+    return ff.from_reduced(cat.p, cols)
+
+
+def flat_column(cat: Category, f) -> FpMatrix:
+    """flatten(f) as a one-column matrix."""
+    return ff.from_reduced(cat.p, cat.flatten(f).reshape(-1, 1))
 
 
 def in_span(cat: Category, f, mors: Sequence) -> Optional[np.ndarray]:
     """Coefficients expressing f in the span of mors, or None."""
-    x, y = cat.src(f), cat.dst(f)
-    m = span_matrix(cat, mors, x, y)
-    b = FpMatrix(cat.p, cat.flatten(f).reshape(-1, 1))
-    sol = ff.solve_right(m, b)
+    sol = ff.solve_right(span_matrix(cat, mors, cat.src(f), cat.dst(f)), flat_column(cat, f))
     return None if sol is None else sol.a[:, 0]
+
+
+def _solve_combination(cat: Category, cols: FpMatrix, basis: Sequence, g, x, y) -> Optional[Any]:
+    """sum c_i basis_i: x -> y for a solution c of cols @ c = flatten(g), or None."""
+    sol = ff.solve_right(cols, flat_column(cat, g))
+    if sol is None:
+        return None
+    return cat.combine(basis, sol.a[:, 0], x, y)
 
 
 def span_basis(cat: Category, mors: Sequence, x, y) -> list:
@@ -292,27 +310,16 @@ def solve_precompose(cat: Category, e, g) -> Optional[Any]:
     """u with e o u = g, where e: Y -> Z, g: X -> Z; None if impossible."""
     x, y = cat.src(g), cat.src(e)
     basis = cat.hom_basis(x, y)
-    cols = [cat.compose(e, h) for h in basis]
-    coeffs = in_span(cat, g, cols) if cols else (None if cat.flatten(g).any() else np.zeros(0, dtype=np.int64))
-    if coeffs is None:
-        return None
-    return cat.combine(basis, coeffs, x, y)
+    return _solve_combination(cat, cat.compose_flat(e, basis, x, y), basis, g, x, y)
 
 
 def solve_precompose_pair(cat: Category, e1, g1, e2, g2) -> Optional[Any]:
     """u with e1 o u = g1 and e2 o u = g2 simultaneously, or None."""
     x, y = cat.src(g1), cat.src(e1)
     basis = cat.hom_basis(x, y)
-    cols = [
-        np.concatenate([cat.flatten(cat.compose(e1, h)), cat.flatten(cat.compose(e2, h))])
-        for h in basis
-    ]
-    rhs = np.concatenate([cat.flatten(g1), cat.flatten(g2)])
-    if not cols:
-        return None if rhs.any() else cat.zero_mor(x, y)
-    sol = ff.solve_right(
-        FpMatrix(cat.p, np.stack(cols, axis=1)), FpMatrix(cat.p, rhs.reshape(-1, 1))
-    )
+    cols = ff.vstack([cat.compose_flat(e1, basis, x, y), cat.compose_flat(e2, basis, x, y)])
+    rhs = ff.vstack([flat_column(cat, g1), flat_column(cat, g2)])
+    sol = ff.solve_right(cols, rhs)
     if sol is None:
         return None
     return cat.combine(basis, sol.a[:, 0], x, y)
@@ -322,11 +329,7 @@ def solve_postcompose(cat: Category, m, g) -> Optional[Any]:
     """u with u o m = g, where m: X -> Y, g: X -> Z; None if impossible."""
     y, z = cat.dst(m), cat.dst(g)
     basis = cat.hom_basis(y, z)
-    cols = [cat.compose(h, m) for h in basis]
-    coeffs = in_span(cat, g, cols) if cols else (None if cat.flatten(g).any() else np.zeros(0, dtype=np.int64))
-    if coeffs is None:
-        return None
-    return cat.combine(basis, coeffs, y, z)
+    return _solve_combination(cat, cat.precompose_flat(basis, m, y, z), basis, g, y, z)
 
 
 def conflation_split(cat: Category, c: Conflation) -> Optional[tuple[Any, Any]]:
@@ -353,16 +356,14 @@ def hom_exact(cat: Category, c: Conflation, t, side: str) -> bool:
     a, b, z = c.terms(cat)
     if side == "covariant":
         dom_basis = cat.hom_basis(t, b)
-        image = [cat.compose(c.defl, u) for u in dom_basis]
         target_dim = len(cat.hom_basis(t, z))
-        rank = span_matrix(cat, image, t, z).rank() if image else 0
+        rank = cat.compose_flat(c.defl, dom_basis, t, b).rank()
         assert len(cat.hom_basis(t, a)) == len(dom_basis) - rank
         return rank == target_dim
     if side == "contravariant":
         dom_basis = cat.hom_basis(b, t)
-        image = [cat.compose(u, c.incl) for u in dom_basis]
         target_dim = len(cat.hom_basis(a, t))
-        rank = span_matrix(cat, image, a, t).rank() if image else 0
+        rank = cat.precompose_flat(dom_basis, c.incl, b, t).rank()
         assert len(cat.hom_basis(z, t)) == len(dom_basis) - rank
         return rank == target_dim
     raise ValueError(f"unknown side {side!r}")

@@ -26,6 +26,7 @@ from .category import (
     conflation_split,
     hom_exact,
     span_basis,
+    span_matrix,
 )
 from .fflinalg import FpMatrix
 from .repcat import RepCategory, RepMor, RepObj
@@ -98,13 +99,9 @@ class ConflMor:
         self.f2 = f2
         self.f3 = f3
         if check:
-            left = _rep_compose(f2, src.d1)
-            right = _rep_compose(dst.d1, f1)
-            if left.flatten().tobytes() != right.flatten().tobytes():
+            if not _commutes(f2, src.d1, dst.d1, f1):
                 raise ValueError("first square of the chain map does not commute")
-            left = _rep_compose(f3, src.d2)
-            right = _rep_compose(dst.d2, f2)
-            if left.flatten().tobytes() != right.flatten().tobytes():
+            if not _commutes(f3, src.d2, dst.d2, f2):
                 raise ValueError("second square of the chain map does not commute")
 
     def components(self) -> tuple[RepMor, RepMor, RepMor]:
@@ -117,9 +114,10 @@ class ConflMor:
         return f"<ConflMor {self.src.label} -> {self.dst.label}>"
 
 
-def _rep_compose(g: RepMor, f: RepMor) -> RepMor:
-    comps = {v: g.comps[v] @ f.comps[v] for v in f.src.quiver.vertices}
-    return RepMor(f.src, g.dst, comps, check=False)
+def _commutes(g1: RepMor, f1: RepMor, g2: RepMor, f2: RepMor) -> bool:
+    """g1 o f1 == g2 o f2, for two composites with the same endpoints."""
+    left, right = RepCategory.compose(g1, f1), RepCategory.compose(g2, f2)
+    return all(m == right.comps[v] for v, m in left.comps.items())
 
 
 class SubstructureTag(Enum):
@@ -366,6 +364,22 @@ class ConflCategory(Category):
         b = self.base
         return ConflMor(f.src, f.dst, b.scale(f.f1, c), b.scale(f.f2, c), b.scale(f.f3, c), check=False)
 
+    def compose_flat(self, g: ConflMor, fs: Sequence[ConflMor], x: ConflObj, y: ConflObj) -> FpMatrix:
+        b = self.base
+        return ff.vstack([
+            b.compose_flat(g.f1, [f.f1 for f in fs], x.t1, y.t1),
+            b.compose_flat(g.f2, [f.f2 for f in fs], x.t2, y.t2),
+            b.compose_flat(g.f3, [f.f3 for f in fs], x.t3, y.t3),
+        ])
+
+    def precompose_flat(self, fs: Sequence[ConflMor], m: ConflMor, x: ConflObj, y: ConflObj) -> FpMatrix:
+        b = self.base
+        return ff.vstack([
+            b.precompose_flat([f.f1 for f in fs], m.f1, x.t1, y.t1),
+            b.precompose_flat([f.f2 for f in fs], m.f2, x.t2, y.t2),
+            b.precompose_flat([f.f3 for f in fs], m.f3, x.t3, y.t3),
+        ])
+
     def src(self, f: ConflMor) -> ConflObj:
         return f.src
 
@@ -474,8 +488,8 @@ class ConflCategory(Category):
         out = []
         for u2 in b.enumerate_subobjects(x.t2, bound):
             w, w1, w2 = b.pullback(x.d1, u2)  # w1: preimage -> t1
-            im, m = b.image(_rep_compose(x.d2, u2))
-            delta2 = _factor_through_mono(b, m, _rep_compose(x.d2, u2))
+            im, m = b.image(b.compose(x.d2, u2))
+            delta2 = _factor_through_mono(b, m, b.compose(x.d2, u2))
             sub = self.make_obj(Conflation(w2, delta2))
             out.append(ConflMor(sub, x, w1, u2, m))
         out.sort(key=lambda f: (self.obj_dim(f.src), f.flatten().tobytes()))
@@ -1059,39 +1073,6 @@ def verify_splitting_pseudo_cluster_tilting(
     objs = ecat.enumerate_objects(bound)
     report = SplitPctReport(passed=True, objects_checked=len(objs), lift_tests=0)
 
-    def batched_lifts(through, targets_basis, x, s):
-        """Solve lift coefficients for every basis morphism at once."""
-        cols = [ecat.flatten(ecat.compose(through, h)) for h in ecat.hom_basis(s, through.src)]
-        width = ecat.flat_dim(s, x)
-        m = (
-            FpMatrix(ecat.p, np.stack(cols, axis=1))
-            if cols
-            else FpMatrix.zeros(ecat.p, width, 0)
-        )
-        rhs_cols = [ecat.flatten(g) for g in targets_basis]
-        rhs = (
-            FpMatrix(ecat.p, np.stack(rhs_cols, axis=1))
-            if rhs_cols
-            else FpMatrix.zeros(ecat.p, width, 0)
-        )
-        return ff.solve_right(m, rhs)
-
-    def batched_extensions(through, targets_basis, x, s):
-        cols = [ecat.flatten(ecat.compose(h, through)) for h in ecat.hom_basis(through.dst, s)]
-        width = ecat.flat_dim(x, s)
-        m = (
-            FpMatrix(ecat.p, np.stack(cols, axis=1))
-            if cols
-            else FpMatrix.zeros(ecat.p, width, 0)
-        )
-        rhs_cols = [ecat.flatten(g) for g in targets_basis]
-        rhs = (
-            FpMatrix(ecat.p, np.stack(rhs_cols, axis=1))
-            if rhs_cols
-            else FpMatrix.zeros(ecat.p, width, 0)
-        )
-        return ff.solve_right(m, rhs)
-
     def check(x: ConflObj):
         failures = []
         lifts = 0
@@ -1102,15 +1083,18 @@ def verify_splitting_pseudo_cluster_tilting(
         if not substructure_member(ecat, env.dses, SubstructureTag.SPLIT01):
             failures.append(f"{x.label}: preenvelope conflation not in degree(0,1)-splitting structure")
         for s in samples:
+            # every basis morphism at once: one solve per sample object
             incoming = ecat.hom_basis(s, x)
-            if batched_lifts(pre.alpha, incoming, x, s) is None:
+            through = ecat.compose_flat(pre.alpha, ecat.hom_basis(s, pre.p0), s, pre.p0)
+            if ff.solve_right(through, span_matrix(ecat, incoming, s, x)) is None:
                 failures.append(f"{x.label}: precover lift fails against {s.label}")
             else:
                 for g in incoming:
                     split_precover_lift(ecat, pre, g)
                     lifts += 1
             outgoing = ecat.hom_basis(x, s)
-            if batched_extensions(env.beta, outgoing, x, s) is None:
+            through = ecat.precompose_flat(ecat.hom_basis(env.q0, s), env.beta, env.q0, s)
+            if ff.solve_right(through, span_matrix(ecat, outgoing, x, s)) is None:
                 failures.append(f"{x.label}: preenvelope lift fails against {s.label}")
             else:
                 for g in outgoing:

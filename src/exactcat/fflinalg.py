@@ -4,6 +4,25 @@ Everything else in the engine reduces to the four primitives here:
 reduced row echelon form, deterministic linear solving, kernel bases and
 quotient-space splittings.  All arithmetic is integer arithmetic mod p on
 int64 arrays; there is no floating point anywhere.
+
+Nearly every matrix the engine builds is tiny (most have at most four
+entries), so the kernel keeps per-matrix overhead low:
+
+* Trusted construction.  The public `FpMatrix(p, data)` copies its input,
+  reduces it mod p and checks p.  Results computed here from matrices that
+  are already valid (products, sums, eliminations, stacks, zeros and
+  identities) go through `from_reduced(p, arr)`, which does none of that.
+  The invariant its callers keep: they hand over a fresh 2-D int64 array
+  with entries in [0, p), for a supported p, and never mutate it
+  afterwards.  The array is made read-only on the way in.
+* Small elimination.  A matrix with at most SMALL_ELIM_ENTRIES entries is
+  eliminated on Python int lists; a larger one on an int64 array, with one
+  vectorised row update per pivot.  `array_rank` counts pivots by forward
+  elimination alone and builds no reduced matrix.  The threshold is the
+  largest entry count at which the list path was faster on every square,
+  wide and tall shape timed by `scripts/elim_threshold.py`, for p = 2 and
+  p = 3: 144 entries.  Between 144 and about 300 entries the faster path
+  depends on the shape and on p; from 400 entries on, arrays win.
 """
 from __future__ import annotations
 
@@ -81,11 +100,13 @@ class FpMatrix:
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
+        _check_modulus(p)
+        return from_reduced(p, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
+        _check_modulus(p)
+        return from_reduced(p, np.eye(n, dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -106,7 +127,7 @@ class FpMatrix:
             isinstance(other, FpMatrix)
             and self.p == other.p
             and self.a.shape == other.a.shape
-            and np.array_equal(self.a, other.a)
+            and self.key == other.key
         )
 
     def __hash__(self):
@@ -116,40 +137,71 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, {self.a.tolist()})"
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        return FpMatrix(self.p, self.a + other.a)
+        r = self.a + other.a
+        r %= self.p
+        return from_reduced(self.p, r)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        return FpMatrix(self.p, self.a - other.a)
+        r = self.a - other.a
+        r %= self.p
+        return from_reduced(self.p, r)
 
     def __neg__(self) -> "FpMatrix":
-        return FpMatrix(self.p, -self.a)
+        r = -self.a
+        r %= self.p
+        return from_reduced(self.p, r)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        return FpMatrix(self.p, self.a @ other.a)
+        a, b = self.a, other.a
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+        if a.size == 0 or b.size == 0:
+            # an empty result or an empty inner dimension: the zero matrix,
+            # at a fraction of the cost of numpy's matmul set-up
+            return from_reduced(self.p, np.zeros((a.shape[0], b.shape[1]), dtype=np.int64))
+        r = a @ b
+        r %= self.p
+        return from_reduced(self.p, r)
 
     def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.p, self.a * (int(c) % self.p))
+        r = self.a * (int(c) % self.p)
+        r %= self.p
+        return from_reduced(self.p, r)
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T)
+        return from_reduced(self.p, self.a.T.copy())
 
     def is_zero(self) -> bool:
         return not self.a.any()
 
     def rank(self) -> int:
-        return rref(self)[2]
+        return array_rank(self.a, self.p)
+
+
+_new_object = object.__new__
+
+
+def from_reduced(p: int, arr: np.ndarray) -> FpMatrix:
+    """Trusted FpMatrix constructor: no copy, no reduction, no modulus check.
+
+    The caller hands over a fresh 2-D int64 array with entries in [0, p),
+    for a supported p, and never mutates it afterwards; the array is made
+    read-only here.
+    """
+    m = _new_object(FpMatrix)
+    arr.setflags(write=False)
+    m.p = p
+    m.a = arr
+    m._key = None
+    return m
 
 
 def hstack(mats: Sequence[FpMatrix]) -> FpMatrix:
-    p = mats[0].p
-    return FpMatrix(p, np.hstack([m.a for m in mats]))
+    return from_reduced(mats[0].p, np.hstack([m.a for m in mats]))
 
 
 def vstack(mats: Sequence[FpMatrix]) -> FpMatrix:
-    p = mats[0].p
-    return FpMatrix(p, np.vstack([m.a for m in mats]))
+    return from_reduced(mats[0].p, np.vstack([m.a for m in mats]))
 
 
 def block_diag(mats: Sequence[FpMatrix], p: int) -> FpMatrix:
@@ -161,42 +213,118 @@ def block_diag(mats: Sequence[FpMatrix], p: int) -> FpMatrix:
         out[r : r + m.rows, c : c + m.cols] = m.a
         r += m.rows
         c += m.cols
-    return FpMatrix(p, out)
+    return from_reduced(p, out)
 
 
-def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+# Matrices with at most this many entries are eliminated on Python int
+# lists, larger ones on int64 arrays; measured, see the module docstring.
+SMALL_ELIM_ENTRIES = 144
+
+_INVERSES = {p: (0,) + tuple(pow(v, p - 2, p) for v in range(1, p)) for p in SUPPORTED_PRIMES}
+
+
+def _rref_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[int, ...]:
+    """Reduce rows (entries in [0, p)) in place to RREF; return the pivot columns."""
+    inv = _INVERSES[p]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        row = rows[i]
+        rows[i] = rows[r]
+        if row[c] != 1:
+            s = inv[row[c]]
+            row = [x * s % p for x in row]
+        rows[r] = row
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
+        pivots.append(c)
+        r += 1
+    return tuple(pivots)
+
+
+def _rank_rows(rows: list[list[int]], ncols: int, p: int) -> int:
+    """Rank of rows (entries in [0, p)) by forward elimination, destroying rows."""
+    inv = _INVERSES[p]
+    nrows = len(rows)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        row = rows[i]
+        rows[i] = rows[r]
+        s = inv[row[c]]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                f = f * s % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
+        r += 1
+    return r
+
+
+def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """RREF on an int64 copy of a, one vectorised row update per pivot."""
     m = a % p
-    m = m.copy()
     rows, cols = m.shape
+    inv = _INVERSES[p]
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pivot = -1
-        for i in range(r, rows):
-            if m[i, c] % p:
-                pivot = i
-                break
-        if pivot < 0:
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
             continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        nz = np.nonzero(m[:, c])[0]
-        for i in nz:
-            if i != r:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        v = int(m[r, c])
+        if v != 1:
+            m[r] = m[r] * inv[v] % p
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        if others.size:
+            m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, tuple(pivots)
 
 
+def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """RREF (a fresh array) and pivot columns of a 2-D array with entries in [0, p)."""
+    if a.size <= SMALL_ELIM_ENTRIES:
+        rows = a.tolist()
+        pivots = _rref_rows(rows, a.shape[1], p)
+        return np.array(rows, dtype=np.int64).reshape(a.shape), pivots
+    return _rref_numpy(a, p)
+
+
+def array_rank(a: np.ndarray, p: int) -> int:
+    """Rank over F_p of a 2-D array with entries in [0, p); builds no reduced matrix."""
+    if a.size <= SMALL_ELIM_ENTRIES:
+        return _rank_rows(a.tolist(), a.shape[1], p)
+    return len(_rref_numpy(a, p)[1])
+
+
 def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...], int]:
     """Unique reduced row echelon form, pivot columns (ascending), rank."""
     red, pivots = _rref_array(m.a, m.p)
-    return FpMatrix(m.p, red), pivots, len(pivots)
+    return from_reduced(m.p, red), pivots, len(pivots)
 
 
 def solve_right(a: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
@@ -216,7 +344,7 @@ def solve_right(a: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
     x = np.zeros((a.cols, b.cols), dtype=np.int64)
     for r, c in enumerate(pivots_a):
         x[c] = red[r, a.cols :]
-    return FpMatrix(p, x)
+    return from_reduced(p, x)
 
 
 def kernel_basis(a: FpMatrix) -> FpMatrix:
@@ -231,13 +359,13 @@ def kernel_basis(a: FpMatrix) -> FpMatrix:
         out[fc, j] = 1
         for r, pc in enumerate(pivots):
             out[pc, j] = (-red[r, fc]) % p
-    return FpMatrix(p, out)
+    return from_reduced(p, out)
 
 
 def column_space_basis(a: FpMatrix) -> FpMatrix:
     """Columns of a restricted to a basis of the column space (pivot columns)."""
     _, pivots = _rref_array(a.a, a.p)
-    return FpMatrix(a.p, a.a[:, list(pivots)])
+    return from_reduced(a.p, a.a[:, list(pivots)])
 
 
 def quotient_space(p: int, ambient_dim: int, sub_basis: FpMatrix) -> tuple[FpMatrix, FpMatrix]:
@@ -255,25 +383,26 @@ def quotient_space(p: int, ambient_dim: int, sub_basis: FpMatrix) -> tuple[FpMat
     for i in range(ambient_dim):
         e = np.zeros((ambient_dim, 1), dtype=np.int64)
         e[i, 0] = 1
-        cand = FpMatrix(p, np.hstack([cur.a, e]))
+        cand = from_reduced(p, np.hstack([cur.a, e]))
         r = cand.rank()
         if r > rank:
             chosen.append(i)
             cur = cand
             rank = r
     q = len(chosen)
-    lift = np.zeros((ambient_dim, q), dtype=np.int64)
+    lift_a = np.zeros((ambient_dim, q), dtype=np.int64)
     for j, i in enumerate(chosen):
-        lift[i, j] = 1
+        lift_a[i, j] = 1
+    lift = from_reduced(p, lift_a)
     full = cur  # [base | lift], invertible square matrix of size ambient_dim
     assert full.rows == full.cols == ambient_dim or ambient_dim == 0
     inv = solve_right(full, FpMatrix.identity(p, ambient_dim))
     assert inv is not None
-    proj = FpMatrix(p, inv.a[base.cols :, :])
+    proj = from_reduced(p, inv.a[base.cols :, :].copy())
     # sanity: kills the subspace, splits the quotient
     assert (proj @ sub_basis).is_zero()
-    assert proj @ FpMatrix(p, lift) == FpMatrix.identity(p, q)
-    return proj, FpMatrix(p, lift)
+    assert proj @ lift == FpMatrix.identity(p, q)
+    return proj, lift
 
 
 def invert(a: FpMatrix) -> Optional[FpMatrix]:
@@ -328,7 +457,7 @@ def all_subspaces(p: int, n: int) -> list[FpMatrix]:
                     m[r, pivots[r]] = 1
                 for (r, c), v in zip(free_positions, vals):
                     m[r, c] = v
-                out.append(FpMatrix(p, m.T))
+                out.append(from_reduced(p, m.T))
     return out
 
 

@@ -21,6 +21,7 @@ from .category import (
     ConditionError,
     Subcategory,
     enumerate_hom,
+    flat_column,
     span_matrix,
 )
 from .fflinalg import FpMatrix
@@ -68,7 +69,7 @@ def qhom(sub: Subcategory, x, y) -> QHomSpace:
     rank = cur.rank()
     ideal_dim = rank
     for h in hom:
-        cand = ff.hstack([cur, FpMatrix(cat.p, cat.flatten(h).reshape(-1, 1))])
+        cand = ff.hstack([cur, flat_column(cat, h)])
         r = cand.rank()
         if r > rank:
             reps.append(h)
@@ -100,7 +101,7 @@ def _coset_projection(sub: Subcategory, x, y):
     hmat = span_matrix(cat, hom, x, y)
     icoords = []
     for i in sub.ideal_spanning(x, y):
-        c = ff.solve_right(hmat, FpMatrix(cat.p, cat.flatten(i).reshape(-1, 1)))
+        c = ff.solve_right(hmat, flat_column(cat, i))
         assert c is not None
         icoords.append(c.a[:, 0])
     if icoords:
@@ -117,7 +118,7 @@ def q_class_key(f: QMor) -> bytes:
     """Canonical key of the ideal coset of f (for memoizing class-invariant verdicts)."""
     cat = f.cat
     hom, hmat, proj = _coset_projection(f.sub, f.src, f.dst)
-    coords = ff.solve_right(hmat, FpMatrix(cat.p, cat.flatten(f.rep).reshape(-1, 1)))
+    coords = ff.solve_right(hmat, flat_column(cat, f.rep))
     assert coords is not None
     return (proj @ coords).key
 
@@ -131,21 +132,15 @@ def q_is_iso(f: QMor) -> Optional[QMor]:
     cat, sub = f.cat, f.sub
     x, y = f.src, f.dst
     basis = cat.hom_basis(y, x)
-    ix = sub.ideal_spanning(x, x)
-    iy = sub.ideal_spanning(y, y)
-    cols = []
-    for h in basis:
-        cols.append(np.concatenate([cat.flatten(cat.compose(h, f.rep)), cat.flatten(cat.compose(f.rep, h))]))
-    for s in ix:
-        cols.append(np.concatenate([cat.flatten(s), np.zeros(cat.flat_dim(y, y), dtype=np.int64)]))
-    for t in iy:
-        cols.append(np.concatenate([np.zeros(cat.flat_dim(x, x), dtype=np.int64), cat.flatten(t)]))
-    rhs = np.concatenate([cat.flatten(cat.identity(x)), cat.flatten(cat.identity(y))])
-    if not cols:
-        if rhs.any():
-            return None
-        return QMor(sub, cat.zero_mor(y, x))
-    sol = ff.solve_right(FpMatrix(cat.p, np.stack(cols, axis=1)), FpMatrix(cat.p, rhs.reshape(-1, 1)))
+    # columns (flatten(h o f); flatten(f o h)) for h in the basis, then the
+    # ideal spanning sets of End(x) and End(y) in their own blocks
+    hom_cols = ff.vstack([cat.precompose_flat(basis, f.rep, y, x), cat.compose_flat(f.rep, basis, y, x)])
+    ideal_cols = ff.block_diag(
+        [span_matrix(cat, sub.ideal_spanning(x, x), x, x), span_matrix(cat, sub.ideal_spanning(y, y), y, y)],
+        cat.p,
+    )
+    rhs = ff.vstack([flat_column(cat, cat.identity(x)), flat_column(cat, cat.identity(y))])
+    sol = ff.solve_right(ff.hstack([hom_cols, ideal_cols]), rhs)
     if sol is None:
         return None
     g = cat.combine(basis, sol.a[: len(basis), 0], y, x)
@@ -191,9 +186,9 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
         return out
 
     def dim_profile(obj_list):
-        if not obj_list:
-            return cat.dim_profile(cat.zero_obj())
-        return cat.dim_profile(cat.direct_sum(obj_list)[0])
+        # dimension profiles are additive over direct sums
+        zero = cat.dim_profile(cat.zero_obj())
+        return tuple(map(sum, zip(zero, *(cat.dim_profile(o) for o in obj_list))))
 
     px = cat.dim_profile(x)
     py = cat.dim_profile(y)
@@ -221,8 +216,8 @@ def _try_block_completion(f: QMor, p_objs, q_objs, combo_cap) -> Optional[BlockW
     x, y = f.src, f.dst
     p_obj = cat.direct_sum(p_objs)[0] if p_objs else cat.zero_obj()
     q_obj = cat.direct_sum(q_objs)[0] if q_objs else cat.zero_obj()
-    src_total, (ix, ip), (prx, prp) = _sum_pair(cat, x, p_obj)
-    dst_total, (iy, iq), (pry, prq) = _sum_pair(cat, y, q_obj)
+    _, (ix, ip), (prx, prp) = cat.direct_sum([x, p_obj])
+    _, (iy, iq), (pry, prq) = cat.direct_sum([y, q_obj])
     base = cat.compose(iy, cat.compose(f.rep, prx))
     lifted = []
     for h in cat.hom_basis(p_obj, y):
@@ -244,27 +239,22 @@ def _try_block_completion(f: QMor, p_objs, q_objs, combo_cap) -> Optional[BlockW
             return None
         if rows == 0:
             continue
-        cols_all = np.hstack([bc] + [lc[k] for lc in lift_comps]) if n else bc
-        if len(ff._rref_array(cols_all, p)[1]) < rows:
+        if ff.array_rank(np.hstack([bc] + [lc[k] for lc in lift_comps]), p) < rows:
             return None
-        rows_all = np.vstack([bc] + [lc[k] for lc in lift_comps]) if n else bc
-        if len(ff._rref_array(rows_all.T, p)[1]) < cols:
+        if ff.array_rank(np.vstack([bc] + [lc[k] for lc in lift_comps]), p) < cols:
             return None
-    stacks = [
-        np.stack([lc[k] for lc in lift_comps]) if n else None
-        for k in range(len(base_comps))
-    ]
-    for coeffs in product(range(p), repeat=n):
-        cvec = np.array(coeffs, dtype=np.int64)
-        ok = True
-        for k, bc in enumerate(base_comps):
-            if bc.shape[0] == 0:
-                continue
-            m = bc if not n else (bc + np.tensordot(cvec, stacks[k], axes=1)) % p
-            if len(ff._rref_array(m, p)[1]) < bc.shape[0]:
-                ok = False
-                break
-        if not ok:
+    coeff_list = list(product(range(p), repeat=n))
+    coeff_mat = np.array(coeff_list, dtype=np.int64).reshape(len(coeff_list), n)
+    # component k of every completion at once, one row per coefficient tuple
+    completions = []
+    for k, bc in enumerate(base_comps):
+        if bc.shape[0] == 0:
+            continue
+        lifts_k = np.array([lc[k].reshape(-1) for lc in lift_comps], dtype=np.int64).reshape(n, bc.size)
+        all_k = (coeff_mat @ lifts_k + bc.reshape(-1)) % p
+        completions.append((bc.shape[0], all_k.reshape(len(coeff_list), *bc.shape)))
+    for j, coeffs in enumerate(coeff_list):
+        if any(ff.array_rank(all_k[j], p) < rows for rows, all_k in completions):
             continue
         total = base
         for c, m in zip(coeffs, lifted):
@@ -274,11 +264,6 @@ def _try_block_completion(f: QMor, p_objs, q_objs, combo_cap) -> Optional[BlockW
         assert inv is not None  # componentwise invertibility implies iso
         return BlockWitness(p_obj, q_obj, total, inv)
     return None
-
-
-def _sum_pair(cat: Category, a, b):
-    total, injs, projs = cat.direct_sum([a, b])
-    return total, injs, projs
 
 
 def _two_sided_inverse(cat: Category, f) -> Optional[Any]:

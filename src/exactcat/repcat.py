@@ -107,6 +107,13 @@ class RepObj:
         return f"<RepObj {self.label}>"
 
 
+_new_object = object.__new__
+
+# Morphisms batched per matmul in compose_flat/precompose_flat; bounds the
+# temporaries of one batch whatever the hom-space dimension.
+FLAT_CHUNK = 256
+
+
 class RepMor:
     """A morphism of representations: one matrix per vertex, squares commute."""
 
@@ -134,6 +141,20 @@ class RepMor:
     def flatten(self) -> np.ndarray:
         parts = [self.comps[v].a.reshape(-1) for v in self.src.quiver.vertices]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+    @classmethod
+    def _trusted(cls, src: RepObj, dst: RepObj, comps: dict[str, FpMatrix]) -> "RepMor":
+        """Trusted constructor for results of compose/add/neg/scale.
+
+        comps has one correctly shaped component per vertex, in vertex
+        order, and the arrow squares commute; nothing is checked or filled.
+        """
+        f = _new_object(cls)
+        f.src = src
+        f.dst = dst
+        f.comps = comps
+        f._key = None
+        return f
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.comps.values())
@@ -250,19 +271,45 @@ class RepCategory(Category):
     def zero_mor(self, x: RepObj, y: RepObj) -> RepMor:
         return RepMor(x, y, {}, check=False)
 
-    def compose(self, g: RepMor, f: RepMor) -> RepMor:
-        comps = {v: g.comps[v] @ f.comps[v] for v in self.quiver.vertices}
-        return RepMor(f.src, g.dst, comps, check=False)
+    @staticmethod
+    def compose(g: RepMor, f: RepMor) -> RepMor:
+        """g o f; static, so that chain-map checks can compose without a category."""
+        gc = g.comps
+        return RepMor._trusted(f.src, g.dst, {v: gc[v] @ m for v, m in f.comps.items()})
 
     def add(self, f: RepMor, g: RepMor) -> RepMor:
-        comps = {v: f.comps[v] + g.comps[v] for v in self.quiver.vertices}
-        return RepMor(f.src, f.dst, comps, check=False)
+        gc = g.comps
+        return RepMor._trusted(f.src, f.dst, {v: m + gc[v] for v, m in f.comps.items()})
 
     def neg(self, f: RepMor) -> RepMor:
-        return RepMor(f.src, f.dst, {v: -f.comps[v] for v in self.quiver.vertices}, check=False)
+        return RepMor._trusted(f.src, f.dst, {v: -m for v, m in f.comps.items()})
 
     def scale(self, f: RepMor, c: int) -> RepMor:
-        return RepMor(f.src, f.dst, {v: f.comps[v].scale(c) for v in self.quiver.vertices}, check=False)
+        return RepMor._trusted(f.src, f.dst, {v: m.scale(c) for v, m in f.comps.items()})
+
+    def compose_flat(self, g: RepMor, fs: Sequence[RepMor], x: RepObj, y: RepObj) -> FpMatrix:
+        # one batched matmul per vertex: (e_v x y_v) @ (k x y_v x x_v)
+        return self._batched_flat(fs, x, g.dst, lambda v, stack: g.comps[v].a @ stack)
+
+    def precompose_flat(self, fs: Sequence[RepMor], m: RepMor, x: RepObj, y: RepObj) -> FpMatrix:
+        return self._batched_flat(fs, m.src, y, lambda v, stack: stack @ m.comps[v].a)
+
+    def _batched_flat(self, fs, src: RepObj, dst: RepObj, apply) -> FpMatrix:
+        """Column i is flatten(h_i) for h_i: src -> dst, where the vertex-v
+        components of all h_i are apply(v, vertex-v components of fs stacked)."""
+        out = np.empty((self.flat_dim(src, dst), len(fs)), dtype=np.int64)
+        for lo in range(0, len(fs), FLAT_CHUNK):
+            chunk = fs[lo : lo + FLAT_CHUNK]
+            hi = lo + len(chunk)
+            o = 0
+            for v in self.quiver.vertices:
+                size = dst.dims[v] * src.dims[v]
+                if size:
+                    block = apply(v, np.array([f.comps[v].a for f in chunk]))
+                    out[o : o + size, lo:hi] = block.reshape(len(chunk), size).T
+                o += size
+        out %= self.p
+        return ff.from_reduced(self.p, out)
 
     def src(self, f: RepMor) -> RepObj:
         return f.src

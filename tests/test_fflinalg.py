@@ -1,9 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactcat import fflinalg as ff
+from exactcat import repcat
+from exactcat.conflcat import ConflCategory
 from exactcat.fflinalg import FpMatrix, FpScalar
+from exactcat.repcat import RepCategory, a_n
 
 
 def mat(p, rows):
@@ -187,3 +192,134 @@ def test_all_subspaces_counts():
         red, _, _ = ff.rref(inc.transpose())
         seen.add(red.key)
     assert len(seen) == 16
+
+
+# -- the small-matrix kernel against the array kernel -------------------------
+
+@st.composite
+def reduced_array(draw, max_dim=24):
+    """(p, a): a random int64 array over F_p, up to 24 x 24, often of low rank.
+
+    Low-rank products make pivots skip columns; the sizes reach both sides
+    of SMALL_ELIM_ENTRIES, and 0 x n and n x 0 shapes occur.
+    """
+    p = draw(st.sampled_from(ff.SUPPORTED_PRIMES))
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    inner = draw(st.integers(0, max(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, p, size=(rows, inner)) @ rng.integers(0, p, size=(inner, cols))
+    return p, (a % p).astype(np.int64)
+
+
+@given(reduced_array())
+@settings(max_examples=200, deadline=None)
+def test_list_elimination_matches_array_elimination(pa):
+    p, a = pa
+    rows = a.tolist()
+    pivots = ff._rref_rows(rows, a.shape[1], p)
+    red, pivots_np = ff._rref_numpy(a, p)
+    assert pivots == pivots_np
+    assert np.array_equal(np.array(rows, dtype=np.int64).reshape(a.shape), red)
+    red_dispatch, pivots_dispatch = ff._rref_array(a, p)
+    assert pivots_dispatch == pivots and np.array_equal(red_dispatch, red)
+
+
+@given(reduced_array())
+@settings(max_examples=200, deadline=None)
+def test_rank_only_path_matches_pivot_count(pa):
+    p, a = pa
+    pivots = ff._rref_numpy(a, p)[1]
+    assert ff._rank_rows(a.tolist(), a.shape[1], p) == len(pivots)
+    assert ff.array_rank(a, p) == len(pivots)
+    assert FpMatrix(p, a).rank() == len(pivots)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (300, 0), (0, 300)])
+@pytest.mark.parametrize("p", ff.SUPPORTED_PRIMES)
+def test_elimination_of_empty_shapes(shape, p):
+    a = np.zeros(shape, dtype=np.int64)
+    for red, pivots in (ff._rref_array(a, p), ff._rref_numpy(a, p)):
+        assert red.shape == shape and pivots == ()
+    assert ff.array_rank(a, p) == 0
+
+
+def test_threshold_sits_between_tested_sizes():
+    # reduced_array reaches 24 x 24 = 576 entries, so both paths are exercised
+    assert 0 < ff.SMALL_ELIM_ENTRIES < 24 * 24
+
+
+def test_trusted_results_are_read_only_and_zeros_identity_check_p():
+    m = FpMatrix(3, [[1, 2], [0, 1]])
+    for r in (m @ m, m + m, m - m, -m, m.scale(2), ff.rref(m)[0], FpMatrix.zeros(3, 2, 2)):
+        assert not r.a.flags.writeable
+    with pytest.raises(ValueError):
+        FpMatrix.identity(4, 2)
+
+
+# -- batched composition against one composite per morphism --------------------
+
+def _flat_columns(cat, mors, x, y):
+    """The reference: flatten every composite separately."""
+    if not mors:
+        return np.zeros((cat.flat_dim(x, y), 0), dtype=np.int64)
+    return np.stack([cat.flatten(m) for m in mors], axis=1)
+
+
+def _combination(cat, basis, x, y, rng):
+    return cat.combine(basis, rng.integers(0, cat.p, size=len(basis)), x, y)
+
+
+@st.composite
+def rep_triple(draw):
+    """(cat, x, y, z, rng): random A3 representations, zero vertices included."""
+    p = draw(st.sampled_from(ff.SUPPORTED_PRIMES))
+    cat = RepCategory(a_n(3), p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    objs = []
+    for _ in range(3):
+        dims = {v: draw(st.integers(0, 2)) for v in cat.quiver.vertices}
+        maps = {
+            a.name: FpMatrix(p, rng.integers(0, p, size=(dims[a.dst], dims[a.src])))
+            for a in cat.quiver.arrows
+        }
+        objs.append(cat.obj(dims, maps))
+    return (cat, *objs, rng)
+
+
+def _check_flat_composition(cat, x, y, z, rng, repeat=1):
+    # fs: x -> y; compose with g: y -> z, and precompose fs' : y -> z with f: x -> y
+    fs = cat.hom_basis(x, y) * repeat
+    gs = cat.hom_basis(y, z) * repeat
+    g = _combination(cat, cat.hom_basis(y, z), y, z, rng)
+    f = _combination(cat, cat.hom_basis(x, y), x, y, rng)
+    got = cat.compose_flat(g, fs, x, y)
+    assert np.array_equal(got.a, _flat_columns(cat, [cat.compose(g, h) for h in fs], x, z))
+    got = cat.precompose_flat(gs, f, y, z)
+    assert np.array_equal(got.a, _flat_columns(cat, [cat.compose(h, f) for h in gs], x, z))
+    # empty lists keep the row count of the target hom-space
+    assert cat.compose_flat(g, [], x, y).a.shape == (cat.flat_dim(x, z), 0)
+    assert cat.precompose_flat([], f, y, z).a.shape == (cat.flat_dim(x, z), 0)
+
+
+@given(rep_triple())
+@settings(max_examples=60, deadline=None)
+def test_rep_flat_composition_matches_per_morphism(triple):
+    _check_flat_composition(*triple)
+
+
+def test_rep_flat_composition_across_chunks():
+    # more morphisms than one batch holds
+    cat = RepCategory(a_n(2), 3)
+    x = cat.obj({"1": 2, "2": 2}, {"a1": FpMatrix(3, [[1, 0], [0, 0]])})
+    repeat = repcat.FLAT_CHUNK // len(cat.hom_basis(x, x)) + 1
+    _check_flat_composition(cat, x, x, x, np.random.default_rng(0), repeat=repeat)
+
+
+def test_confl_flat_composition_matches_per_morphism():
+    cat = RepCategory(a_n(2), 2)
+    ecat = ConflCategory(cat)
+    objs = ecat.enumerate_objects(1)
+    rng = np.random.default_rng(1)
+    for x, y, z in product(objs[:6], repeat=3):
+        _check_flat_composition(ecat, x, y, z, rng)
