@@ -1,7 +1,7 @@
 """Exact-category quotient engine over quiver representations on prime fields."""
 
 from .category import Category, ConditionError, Conflation, EnumerationBound, Subcategory
-from .fflinalg import FpMatrix, FpScalar
+from .fflinalg import FpMatrix
 from .repcat import Arrow, Quiver, RepCategory, RepMor, RepObj, a_n
 from .approx import AddSubcat, IdealWitness
 from .conflcat import ConflCategory, ConflMor, ConflObj, SplitConflationSubcat, SubstructureTag
@@ -18,7 +18,6 @@ __all__ = [
     "Conflation",
     "EnumerationBound",
     "FpMatrix",
-    "FpScalar",
     "IdealWitness",
     "QMor",
     "Quiver",

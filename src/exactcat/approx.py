@@ -224,34 +224,6 @@ class AddSubcat(Subcategory):
 # module-level operations (generic over Subcategory)
 # ---------------------------------------------------------------------------
 
-def ideal_basis(x, y, sub: Subcategory) -> list:
-    return sub.ideal_basis(x, y)
-
-
-def factors_through(f, sub: AddSubcat) -> Optional[IdealWitness]:
-    return sub.factors_through(f)
-
-
-def in_add(x, sub: Subcategory) -> bool:
-    return sub.contains(x)
-
-
-def precover(x, sub: Subcategory):
-    return sub.precover(x)
-
-
-def preenvelope(x, sub: Subcategory):
-    return sub.preenvelope(x)
-
-
-def condition_down(x, sub: Subcategory) -> Optional[Conflation]:
-    return sub.precover_conflation(x)[0]
-
-
-def condition_up(x, sub: Subcategory) -> Optional[Conflation]:
-    return sub.preenvelope_conflation(x)[0]
-
-
 def extend_to_inflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
     """Conflation 0 -> X -> Y (+) Q -> Z -> 0 around f: X -> Y, Hom(-,sub)-exact.
 

@@ -297,13 +297,10 @@ def _solve_combination(cat: Category, cols: FpMatrix, basis: Sequence, g, x, y) 
 
 
 def span_basis(cat: Category, mors: Sequence, x, y) -> list:
-    """Subset of mors forming a basis of their span (deterministic)."""
-    out = []
-    tracker = ff.IncrementalSpan(cat.p, cat.flat_dim(x, y))
-    for f in mors:
-        if tracker.add(cat.flatten(f)):
-            out.append(f)
-    return out
+    """Subset of mors forming a basis of their span: the left-to-right greedy
+    choice, which is the set of pivot columns of their coordinate matrix."""
+    _, pivots, _ = ff.rref(span_matrix(cat, mors, x, y))
+    return [mors[c] for c in pivots]
 
 
 def solve_precompose(cat: Category, e, g) -> Optional[Any]:

@@ -67,18 +67,55 @@ def parse_spec(path: str) -> SpecDocument:
     return build_spec(raw, path)
 
 
+def _typed(node: dict, key: str, kind: type, where: str, errors: list[str]):
+    """node[key] if it is a JSON object (kind dict) or array (kind list), else
+    an error and an empty one."""
+    val = node.get(key, kind())
+    if isinstance(val, kind):
+        return val
+    errors.append(f"{where}{key} must be a JSON {'object' if kind is dict else 'array'}, got {type(val).__name__}")
+    return kind()
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _matrix(char: int, rows, want: tuple[int, int], where: str, errors: list[str]) -> Optional[FpMatrix]:
+    """A rectangular list of integer rows of shape want as a matrix over F_char,
+    or None and an error."""
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(r, list) for r in rows)
+        and len({len(r) for r in rows}) <= 1
+        and all(_is_int(e) for r in rows for e in r)
+    ):
+        errors.append(f"{where}: matrix must be a rectangular list of integer rows")
+        return None
+    m = FpMatrix(char, [[e % char for e in r] for r in rows]) if rows else FpMatrix.zeros(char, 0, 0)
+    if m.a.shape != want:
+        errors.append(f"{where}: matrix shape {m.a.shape} does not match {want}")
+        return None
+    return m
+
+
 def build_spec(raw: dict, path: str = "<memory>") -> SpecDocument:
+    if not isinstance(raw, dict):
+        raise SpecValidationError([f"spec must be a JSON object, got {type(raw).__name__}"])
     errors: list[str] = []
     if raw.get("schema") != SPEC_SCHEMA:
         errors.append(f"schema must be {SPEC_SCHEMA!r}, got {raw.get('schema')!r}")
-    char = raw.get("field", {}).get("char", 2)
-    if char not in SUPPORTED_PRIMES:
+    char = _typed(raw, "field", dict, "", errors).get("char", 2)
+    if not _is_int(char) or char not in SUPPORTED_PRIMES:
         errors.append(f"unsupported characteristic {char}; supported: {list(SUPPORTED_PRIMES)}")
         char = 2
-    qspec = raw.get("quiver", {})
-    vertices = [str(v) for v in qspec.get("vertices", [])]
+    qspec = _typed(raw, "quiver", dict, "", errors)
+    vertices = [str(v) for v in _typed(qspec, "vertices", list, "quiver.", errors)]
     arrows = []
-    for a in qspec.get("arrows", []):
+    for a in _typed(qspec, "arrows", list, "quiver.", errors):
+        if not isinstance(a, dict):
+            errors.append(f"quiver.arrows: entry {a!r} is not a JSON object")
+            continue
         name, src, dst = str(a.get("name")), str(a.get("from")), str(a.get("to"))
         if src not in vertices or dst not in vertices:
             errors.append(f"arrow {name}: endpoint not a declared vertex")
@@ -88,30 +125,34 @@ def build_spec(raw: dict, path: str = "<memory>") -> SpecDocument:
         quiver = Quiver(tuple(vertices), tuple(arrows))
     except ValueError as exc:
         errors.append(str(exc))
-        quiver = Quiver(tuple(vertices), ())
+        quiver = Quiver(tuple(dict.fromkeys(vertices)), ())
     cat = RepCategory(quiver, char)
 
     objects: dict[str, RepObj] = {}
-    for name, spec in sorted(raw.get("objects", {}).items()):
-        dims = {str(v): int(d) for v, d in spec.get("dims", {}).items()}
+    for name, spec in sorted(_typed(raw, "objects", dict, "", errors).items()):
+        if not isinstance(spec, dict):
+            errors.append(f"object {name}: must be a JSON object")
+            continue
+        dims = _typed(spec, "dims", dict, f"object {name}: ", errors)
+        bad_dims = sorted(v for v, d in dims.items() if not _is_int(d) or d < 0)
+        if bad_dims:
+            errors.append(f"object {name}: dims at {bad_dims} must be non-negative integers")
+            continue
         unknown = [v for v in dims if v not in vertices]
         if unknown:
             errors.append(f"object {name}: unknown vertices {unknown}")
             continue
         maps = {}
         bad = False
-        for aname, rows in spec.get("maps", {}).items():
+        for aname, rows in _typed(spec, "maps", dict, f"object {name}: ", errors).items():
             arrow = next((a for a in arrows if a.name == aname), None)
             if arrow is None:
                 errors.append(f"object {name}: unknown arrow {aname}")
                 bad = True
                 continue
-            m = FpMatrix(char, rows)
             want = (dims.get(arrow.dst, 0), dims.get(arrow.src, 0))
-            if m.a.shape != want:
-                errors.append(
-                    f"object {name}, arrow {aname}: matrix shape {m.a.shape} does not match {want}"
-                )
+            m = _matrix(char, rows, want, f"object {name}, arrow {aname}", errors)
+            if m is None:
                 bad = True
                 continue
             maps[aname] = m
@@ -123,40 +164,45 @@ def build_spec(raw: dict, path: str = "<memory>") -> SpecDocument:
             errors.append(f"object {name}: {exc}")
 
     subcategories: dict[str, AddSubcat] = {}
-    for name, gens in sorted(raw.get("subcategories", {}).items()):
+    for name, gens in sorted(_typed(raw, "subcategories", dict, "", errors).items()):
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            errors.append(f"subcategory {name}: generators must be a list of object names")
+            continue
         missing = [g for g in gens if g not in objects]
         if missing:
             errors.append(f"subcategory {name}: unknown objects {missing}")
             continue
         subcategories[name] = AddSubcat(cat, [objects[g] for g in gens], label=name)
 
-    def parse_mor(cname: str, part: str, spec: dict) -> Optional[RepMor]:
-        src_name, dst_name = spec.get("src"), spec.get("dst")
-        if src_name not in objects or dst_name not in objects:
-            errors.append(f"conflation {cname}.{part}: unknown src/dst object")
+    def parse_mor(cname: str, part: str, spec) -> Optional[RepMor]:
+        where = f"conflation {cname}.{part}"
+        if not isinstance(spec, dict):
+            errors.append(f"{where}: must be a JSON object")
             return None
-        src, dst = objects[src_name], objects[dst_name]
+        ends = [spec.get("src"), spec.get("dst")]
+        if not all(isinstance(e, str) and e in objects for e in ends):
+            errors.append(f"{where}: unknown src/dst object")
+            return None
+        src, dst = objects[ends[0]], objects[ends[1]]
         comps = {}
-        for v, rows in spec.get("comps", {}).items():
+        for v, rows in _typed(spec, "comps", dict, f"{where}: ", errors).items():
             if v not in vertices:
-                errors.append(f"conflation {cname}.{part}: unknown vertex {v}")
+                errors.append(f"{where}: unknown vertex {v}")
                 return None
-            m = FpMatrix(char, rows)
-            want = (dst.dims[v], src.dims[v])
-            if m.a.shape != want:
-                errors.append(
-                    f"conflation {cname}.{part}, vertex {v}: component shape {m.a.shape} does not match {want}"
-                )
+            comps[v] = _matrix(char, rows, (dst.dims[v], src.dims[v]), f"{where}, vertex {v}", errors)
+            if comps[v] is None:
                 return None
-            comps[v] = m
         try:
             return RepMor(src, dst, comps)
         except ValueError as exc:
-            errors.append(f"conflation {cname}.{part}: {exc}")
+            errors.append(f"{where}: {exc}")
             return None
 
     conflations: dict[str, Conflation] = {}
-    for name, spec in sorted(raw.get("conflations", {}).items()):
+    for name, spec in sorted(_typed(raw, "conflations", dict, "", errors).items()):
+        if not isinstance(spec, dict):
+            errors.append(f"conflation {name}: must be a JSON object")
+            continue
         incl = parse_mor(name, "incl", spec.get("incl", {}))
         proj = parse_mor(name, "proj", spec.get("proj", {}))
         if incl is None or proj is None:
@@ -166,7 +212,11 @@ def build_spec(raw: dict, path: str = "<memory>") -> SpecDocument:
         except ValueError as exc:
             errors.append(f"conflation {name}: {exc}")
 
-    tasks = list(raw.get("tasks", []))
+    tasks = list(_typed(raw, "tasks", list, "", errors))
+    for t in tasks:
+        ok = isinstance(t, dict) and isinstance(t.get("subcategory", ""), str)
+        if not ok or not all(_is_int(t.get(k, 0)) and t.get(k, 0) >= 0 for k in ("bound", "test_bound", "harness_bound")):
+            errors.append(f"task {t!r}: must be a JSON object with a string subcategory and non-negative integer bounds")
     if errors:
         raise SpecValidationError(errors)
     return SpecDocument(

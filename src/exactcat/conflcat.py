@@ -29,7 +29,7 @@ from .category import (
     span_matrix,
 )
 from .fflinalg import FpMatrix
-from .repcat import RepCategory, RepMor, RepObj
+from .repcat import RepCategory, RepMor, RepObj, block_triangular, glued_middle
 
 
 class ConflObj:
@@ -217,30 +217,16 @@ class ConflCategory(Category):
 
     def _is_canonical_split_obj(self, x: ConflObj) -> bool:
         hit = self._split_form_cache.get(x.key)
-        if hit is not None:
-            return hit
-        d1, d3 = x.t1.dims, x.t3.dims
-        ok = all(x.t2.dims[v] == d1[v] + d3[v] for v in self.base.quiver.vertices)
-        if ok:
-            for v in self.base.quiver.vertices:
-                inc = np.zeros((d1[v] + d3[v], d1[v]), dtype=np.int64)
-                inc[: d1[v], :] = np.eye(d1[v], dtype=np.int64)
-                prj = np.zeros((d3[v], d1[v] + d3[v]), dtype=np.int64)
-                prj[:, d1[v] :] = np.eye(d3[v], dtype=np.int64)
-                if not (
-                    np.array_equal(x.d1.comps[v].a, inc) and np.array_equal(x.d2.comps[v].a, prj)
-                ):
-                    ok = False
-                    break
-            # the middle must be the plain biproduct (block-diagonal arrows)
-            if ok:
-                for a in self.base.quiver.arrows:
-                    m = x.t2.maps[a.name].a
-                    if m[: d1[a.dst], d1[a.src] :].any() or m[d1[a.dst] :, : d1[a.src]].any():
-                        ok = False
-                        break
-        self._split_form_cache[x.key] = ok
-        return ok
+        if hit is None:
+            # the plain biproduct middle with its canonical inclusion and projection
+            mid, inc, prj = glued_middle(x.t1, x.t3, {}, check=False)
+            hit = (
+                x.t2.key == mid.key
+                and np.array_equal(x.d1.flatten(), inc.flatten())
+                and np.array_equal(x.d2.flatten(), prj.flatten())
+            )
+            self._split_form_cache[x.key] = hit
+        return hit
 
     def _hom_from_split(self, s: ConflObj, y: ConflObj) -> list[ConflMor]:
         # a chain map out of a -> a(+)c -> c is freely determined by its
@@ -278,63 +264,21 @@ class ConflCategory(Category):
             return self._hom_to_split(x, y)
         quiver = self.base.quiver
         degrees = [(x.t1, y.t1), (x.t2, y.t2), (x.t3, y.t3)]
-        offs: dict = {}
-        n = 0
+        system = ff.BlockSystem(self.p)
         for t, (xt, yt) in enumerate(degrees, start=1):
-            for v in quiver.vertices:
-                offs[(t, v)] = (n, yt.dims[v] * xt.dims[v])
-                n += yt.dims[v] * xt.dims[v]
-        rows = []
-
-        def add_rep_constraints(t, xt, yt):
-            for a in quiver.arrows:
-                i, j = a.src, a.dst
-                di, dj = xt.dims[i], xt.dims[j]
-                ei, ej = yt.dims[i], yt.dims[j]
-                block = np.zeros((ej * di, n), dtype=np.int64)
-                oj, sj = offs[(t, j)]
-                oi, si = offs[(t, i)]
-                if sj:
-                    block[:, oj : oj + sj] = np.kron(np.eye(ej, dtype=np.int64), xt.maps[a.name].a.T)
-                if si:
-                    block[:, oi : oi + si] -= np.kron(yt.maps[a.name].a, np.eye(di, dtype=np.int64))
-                rows.append(block)
-
-        def add_square_constraints(t, xdiff: RepMor, ydiff: RepMor):
+            self.base.hom_equations(system, xt, yt, key=lambda v, t=t: (t, v))
+        for t, xdiff, ydiff in ((1, x.d1, y.d1), (2, x.d2, y.d2)):
             # ydiff o f_t = f_{t+1} o xdiff, per vertex
             for v in quiver.vertices:
-                a_mat = ydiff.comps[v].a  # Y_{t+1}(v) x Y_t(v)
-                b_mat = xdiff.comps[v].a  # X_{t+1}(v) x X_t(v)
-                rows_out = a_mat.shape[0] * b_mat.shape[1]
-                if rows_out == 0:
-                    continue
-                block = np.zeros((rows_out, n), dtype=np.int64)
-                o1, s1 = offs[(t, v)]
-                o2, s2 = offs[(t + 1, v)]
-                if s1:
-                    block[:, o1 : o1 + s1] = np.kron(a_mat, np.eye(b_mat.shape[1], dtype=np.int64))
-                if s2:
-                    block[:, o2 : o2 + s2] -= np.kron(
-                        np.eye(a_mat.shape[0], dtype=np.int64), b_mat.T
-                    )
-                rows.append(block)
-
-        for t, (xt, yt) in enumerate(degrees, start=1):
-            add_rep_constraints(t, xt, yt)
-        add_square_constraints(1, x.d1, y.d1)
-        add_square_constraints(2, x.d2, y.d2)
-        system = FpMatrix(self.p, np.vstack(rows)) if rows else FpMatrix.zeros(self.p, 0, n)
-        null = ff.kernel_basis(system)
+                system.equation((1, ydiff.comps[v].a, (t, v), None), (-1, None, (t + 1, v), xdiff.comps[v].a))
+        null = system.kernel()
         basis = []
         for c in range(null.cols):
-            vec = null.a[:, c]
-            comps = []
-            for t, (xt, yt) in enumerate(degrees, start=1):
-                m = {}
-                for v in quiver.vertices:
-                    o, s = offs[(t, v)]
-                    m[v] = FpMatrix(self.p, vec[o : o + s].reshape(yt.dims[v], xt.dims[v]))
-                comps.append(RepMor(xt, yt, m))
+            blocks = system.blocks(null.a[:, c])
+            comps = [
+                RepMor(xt, yt, {v: FpMatrix(self.p, blocks[(t, v)]) for v in quiver.vertices})
+                for t, (xt, yt) in enumerate(degrees, start=1)
+            ]
             basis.append(ConflMor(x, y, *comps))
         return basis
 
@@ -505,110 +449,55 @@ class ConflCategory(Category):
         """
         quiver = self.base.quiver
         p = self.p
-        xt = x.terms()
-        zt = z.terms()
-        offs: dict = {}
-        n = 0
+        xt, zt = x.terms(), z.terms()
+        xd, zd = {1: x.d1, 2: x.d2}, {1: z.d1, 2: z.d2}
+        system = ff.BlockSystem(p)
         for t in (1, 2, 3):
             for a in quiver.arrows:
-                size = xt[t - 1].dims[a.dst] * zt[t - 1].dims[a.src]
-                offs[("e", t, a.name)] = (n, size)
-                n += size
+                system.unknown(("e", t, a.name), xt[t - 1].dims[a.dst], zt[t - 1].dims[a.src])
         for t in (1, 2):
             for v in quiver.vertices:
-                size = xt[t].dims[v] * zt[t - 1].dims[v]
-                offs[("c", t, v)] = (n, size)
-                n += size
-        xd = {1: x.d1, 2: x.d2}
-        zd = {1: z.d1, 2: z.d2}
-        rows = []
-        # chain-map-compatible representation structure, degrees t -> t+1
+                system.unknown(("c", t, v), xt[t].dims[v], zt[t - 1].dims[v])
+        # chain-map-compatible representation structure, degrees t -> t+1:
+        # X_{t+1}^a c_t(i) + e_{t+1}^a zdiff_t(i) - xdiff_t(j) e_t^a - c_t(j) Z_t^a = 0
         for t in (1, 2):
             for a in quiver.arrows:
                 i, j = a.src, a.dst
-                r = xt[t].dims[j] * zt[t - 1].dims[i]
-                if r == 0:
-                    continue
-                block = np.zeros((r, n), dtype=np.int64)
-                o, s = offs[("c", t, i)]
-                if s:  # X_{t+1}^a c_t(i)
-                    block[:, o : o + s] += np.kron(xt[t].maps[a.name].a, np.eye(zt[t - 1].dims[i], dtype=np.int64))
-                o, s = offs[("e", t + 1, a.name)]
-                if s:  # e_{t+1}^a zdiff_t(i)
-                    block[:, o : o + s] += np.kron(np.eye(xt[t].dims[j], dtype=np.int64), zd[t].comps[i].a.T)
-                o, s = offs[("e", t, a.name)]
-                if s:  # - xdiff_t(j) e_t^a
-                    block[:, o : o + s] -= np.kron(xd[t].comps[j].a, np.eye(zt[t - 1].dims[i], dtype=np.int64))
-                o, s = offs[("c", t, j)]
-                if s:  # - c_t(j) Z_t^a
-                    block[:, o : o + s] -= np.kron(np.eye(xt[t].dims[j], dtype=np.int64), zt[t - 1].maps[a.name].a.T)
-                rows.append(block)
+                system.equation(
+                    (1, xt[t].maps[a.name].a, ("c", t, i), None),
+                    (1, None, ("e", t + 1, a.name), zd[t].comps[i].a),
+                    (-1, xd[t].comps[j].a, ("e", t, a.name), None),
+                    (-1, None, ("c", t, j), zt[t - 1].maps[a.name].a),
+                )
         # composite of the two middle differentials vanishes
         for v in quiver.vertices:
-            r = xt[2].dims[v] * zt[0].dims[v]
-            if r == 0:
-                continue
-            block = np.zeros((r, n), dtype=np.int64)
-            o, s = offs[("c", 1, v)]
-            if s:
-                block[:, o : o + s] += np.kron(xd[2].comps[v].a, np.eye(zt[0].dims[v], dtype=np.int64))
-            o, s = offs[("c", 2, v)]
-            if s:
-                block[:, o : o + s] += np.kron(np.eye(xt[2].dims[v], dtype=np.int64), zd[1].comps[v].a.T)
-            rows.append(block)
-        system = FpMatrix(p, np.vstack(rows)) if rows else FpMatrix.zeros(p, 0, n)
-        null = ff.kernel_basis(system)
+            system.equation((1, xd[2].comps[v].a, ("c", 1, v), None), (1, None, ("c", 2, v), zd[1].comps[v].a))
+        null = system.kernel()
         count = p**null.cols
         if count > cap:
             raise EnumerationBound(f"extension enumeration needs cap >= {count}", count)
         out = []
         for coeffs in product(range(p), repeat=null.cols):
-            vec = (null.a @ np.array(coeffs, dtype=np.int64)) % p if null.cols else np.zeros(n, dtype=np.int64)
-            out.append(self._assemble_extension(z, x, vec, offs))
+            vec = (null.a @ np.array(coeffs, dtype=np.int64)) % p if null.cols else np.zeros(system.n, dtype=np.int64)
+            out.append(self._assemble_extension(z, x, system.blocks(vec)))
         return out
 
-    def _assemble_extension(self, z: ConflObj, x: ConflObj, vec: np.ndarray, offs: dict) -> Conflation:
+    def _assemble_extension(self, z: ConflObj, x: ConflObj, blocks: dict) -> Conflation:
         quiver = self.base.quiver
-        p = self.p
-        xt = x.terms()
-        zt = z.terms()
+        xt, zt = x.terms(), z.terms()
         mids, incs, prjs = [], [], []
         for t in (1, 2, 3):
-            dims = {v: xt[t - 1].dims[v] + zt[t - 1].dims[v] for v in quiver.vertices}
-            maps = {}
-            for a in quiver.arrows:
-                o, s = offs[("e", t, a.name)]
-                glue = vec[o : o + s].reshape(xt[t - 1].dims[a.dst], zt[t - 1].dims[a.src])
-                xa, za = xt[t - 1].maps[a.name].a, zt[t - 1].maps[a.name].a
-                top = np.hstack([xa, glue])
-                bot = np.hstack([np.zeros((zt[t - 1].dims[a.dst], xt[t - 1].dims[a.src]), dtype=np.int64), za])
-                maps[a.name] = FpMatrix(p, np.vstack([top, bot]))
-            mid = RepObj(quiver, p, dims, maps)
+            glue = {a.name: blocks[("e", t, a.name)] for a in quiver.arrows}
+            mid, inc, prj = glued_middle(xt[t - 1], zt[t - 1], glue, check=False)
             mids.append(mid)
-            inc_c, prj_c = {}, {}
-            for v in quiver.vertices:
-                dx, dz = xt[t - 1].dims[v], zt[t - 1].dims[v]
-                inc = np.zeros((dx + dz, dx), dtype=np.int64)
-                inc[:dx, :] = np.eye(dx, dtype=np.int64)
-                prj = np.zeros((dz, dx + dz), dtype=np.int64)
-                prj[:, dx:] = np.eye(dz, dtype=np.int64)
-                inc_c[v] = FpMatrix(p, inc)
-                prj_c[v] = FpMatrix(p, prj)
-            incs.append(RepMor(xt[t - 1], mid, inc_c, check=False))
-            prjs.append(RepMor(mid, zt[t - 1], prj_c, check=False))
-        xd = {1: x.d1, 2: x.d2}
-        zd = {1: z.d1, 2: z.d2}
+            incs.append(inc)
+            prjs.append(prj)
         diffs = []
-        for t in (1, 2):
-            comps = {}
-            for v in quiver.vertices:
-                o, s = offs[("c", t, v)]
-                cblk = vec[o : o + s].reshape(xt[t].dims[v], zt[t - 1].dims[v])
-                top = np.hstack([xd[t].comps[v].a, cblk])
-                bot = np.hstack(
-                    [np.zeros((zt[t].dims[v], xt[t - 1].dims[v]), dtype=np.int64), zd[t].comps[v].a]
-                )
-                comps[v] = FpMatrix(p, np.vstack([top, bot]))
+        for t, xdiff, zdiff in ((1, x.d1, z.d1), (2, x.d2, z.d2)):
+            comps = {
+                v: FpMatrix(self.p, block_triangular(xdiff.comps[v].a, blocks[("c", t, v)], zdiff.comps[v].a))
+                for v in quiver.vertices
+            }
             diffs.append(RepMor(mids[t - 1], mids[t], comps))
         mid_obj = self.make_obj(Conflation(diffs[0], diffs[1]))
         incl = ConflMor(x, mid_obj, incs[0], incs[1], incs[2])
@@ -959,7 +848,7 @@ def _verify_deflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
     s1 = conflation_split(b, ecat.degree_component(dses, 1))[1]
     s2 = conflation_split(b, ecat.degree_component(dses, 2))[1]
     for t_obj in test_objects:
-        if not _is_canonical_split(ecat, t_obj):
+        if not ecat._is_canonical_split_obj(t_obj):
             continue
         _, (j1, j2), (p1, p2) = _pair(b, t_obj.t1, t_obj.t3)
         for h in ecat.hom_basis(t_obj, z_obj):
@@ -982,7 +871,7 @@ def _verify_inflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
     r2 = conflation_split(b, ecat.degree_component(dses, 2))[0]
     r3 = conflation_split(b, ecat.degree_component(dses, 3))[0]
     for t_obj in test_objects:
-        if not _is_canonical_split(ecat, t_obj):
+        if not ecat._is_canonical_split_obj(t_obj):
             continue
         _, (j1, j2), (p1, p2) = _pair(b, t_obj.t1, t_obj.t3)
         for h in ecat.hom_basis(x_obj, t_obj):
@@ -995,10 +884,6 @@ def _verify_inflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
             u1 = b.compose(b.compose(h2a, r2), y_obj.d1)
             u = ConflMor(y_obj, t_obj, u1, u2, u3)
             assert ecat.mor_eq(ecat.compose(u, f), h)
-
-
-def _is_canonical_split(ecat: ConflCategory, x: ConflObj) -> bool:
-    return ecat._is_canonical_split_obj(x)
 
 
 def factor_split0_conflation(

@@ -23,10 +23,23 @@ entries), so the kernel keeps per-matrix overhead low:
   wide and tall shape timed by `scripts/elim_threshold.py`, for p = 2 and
   p = 3: 144 entries.  Between 144 and about 300 entries the faster path
   depends on the shape and on p; from 400 entries on, arrays win.
+
+Two shared patterns sit on top of the primitives:
+
+* One block-equation builder.  `BlockSystem` declares matrix unknowns in
+  order (row-major, one after another), takes each equation as signed
+  terms A·X_k·B (a missing A or B is the identity), assembles it with
+  vec(AXB) = (A ⊗ Bᵀ)·vec(X), returns the kernel through `kernel_basis`
+  and splits a kernel vector back into blocks.  Hom-spaces on both hosts
+  and conflation extensions are all solved through it.
+* Pivot-greedy spans.  The pivot columns of rref([S | c_1 ... c_k]) are
+  exactly the candidates a left-to-right greedy pass keeps (each one not
+  in the span of S and the kept ones before it), so one elimination
+  chooses a basis of a span (`category.span_basis`), coset
+  representatives (`quotient.qhom`) and a complement (`quotient_space`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
@@ -38,48 +51,6 @@ SUPPORTED_PRIMES = (2, 3, 5, 7)
 def _check_modulus(p: int) -> None:
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported characteristic {p}; supported: {SUPPORTED_PRIMES}")
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """A residue in [0, p) for a small prime p."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _lift(self, other) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        return FpScalar(int(other), self.modulus)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return FpScalar(self.value + o.value, self.modulus)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return FpScalar(self.value - o.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return FpScalar(self.value * o.value, self.modulus)
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.modulus)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FpScalar(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
 
 
 class FpMatrix:
@@ -376,33 +347,77 @@ def quotient_space(p: int, ambient_dim: int, sub_basis: FpMatrix) -> tuple[FpMat
     """
     if sub_basis.rows != ambient_dim:
         raise ValueError("sub_basis rows must equal ambient dimension")
-    base = column_space_basis(sub_basis)
-    chosen = []
-    rank = base.rank()
-    cur = base
-    for i in range(ambient_dim):
-        e = np.zeros((ambient_dim, 1), dtype=np.int64)
-        e[i, 0] = 1
-        cand = from_reduced(p, np.hstack([cur.a, e]))
-        r = cand.rank()
-        if r > rank:
-            chosen.append(i)
-            cur = cand
-            rank = r
-    q = len(chosen)
-    lift_a = np.zeros((ambient_dim, q), dtype=np.int64)
-    for j, i in enumerate(chosen):
-        lift_a[i, j] = 1
-    lift = from_reduced(p, lift_a)
-    full = cur  # [base | lift], invertible square matrix of size ambient_dim
+    # pivot-greedy: a basis of the span, then the unit vectors that extend it
+    aug = np.hstack([sub_basis.a, np.eye(ambient_dim, dtype=np.int64)])
+    _, pivots, _ = rref(from_reduced(p, aug))
+    base_cols = sum(1 for c in pivots if c < sub_basis.cols)
+    lift = from_reduced(p, aug[:, list(pivots[base_cols:])])
+    full = from_reduced(p, aug[:, list(pivots)])  # [base | lift], invertible
     assert full.rows == full.cols == ambient_dim or ambient_dim == 0
     inv = solve_right(full, FpMatrix.identity(p, ambient_dim))
     assert inv is not None
-    proj = from_reduced(p, inv.a[base.cols :, :].copy())
+    proj = from_reduced(p, inv.a[base_cols:, :].copy())
     # sanity: kills the subspace, splits the quotient
     assert (proj @ sub_basis).is_zero()
-    assert proj @ lift == FpMatrix.identity(p, q)
+    assert proj @ lift == FpMatrix.identity(p, lift.cols)
     return proj, lift
+
+
+class BlockSystem:
+    """Homogeneous linear equations in matrix unknowns over F_p.
+
+    Unknowns are declared in order, each under a key with its shape; the
+    flat unknown vector holds them one after another, each row-major.  An
+    equation is a sum of signed terms sign * A @ X_key @ B = 0, where an A
+    or B of None is the identity, assembled as vec(A X B) = (A ⊗ Bᵀ) vec(X).
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.layout: dict = {}  # key -> (offset, rows, cols)
+        self.n = 0
+        self._equations: list = []  # (row count, [(offset, coefficient block)])
+        self._rows = 0
+
+    def unknown(self, key, rows: int, cols: int) -> None:
+        self.layout[key] = (self.n, rows, cols)
+        self.n += rows * cols
+
+    def equation(self, *terms) -> None:
+        """Add sum(sign * A @ X_key @ B) = 0, one term (sign, A, key, B) each."""
+        shapes = set()
+        for _, a, key, b in terms:
+            _, r, c = self.layout[key]
+            shapes.add((r if a is None else a.shape[0], c if b is None else b.shape[1]))
+        if len(shapes) != 1:
+            raise ValueError(f"equation terms disagree in shape: {sorted(shapes)}")
+        r, c = shapes.pop()
+        if r * c == 0:
+            return
+        parts = []
+        for sign, a, key, b in terms:
+            o, xr, xc = self.layout[key]
+            if xr * xc:
+                left = np.eye(xr, dtype=np.int64) if a is None else a
+                right = np.eye(xc, dtype=np.int64) if b is None else b
+                parts.append((o, sign * np.kron(left, right.T)))
+        self._equations.append((r * c, parts))
+        self._rows += r * c
+
+    def kernel(self) -> FpMatrix:
+        """Columns: the canonical basis of the solution space (see kernel_basis)."""
+        system = np.zeros((self._rows, self.n), dtype=np.int64)
+        r0 = 0
+        for rows, parts in self._equations:
+            for o, block in parts:
+                system[r0 : r0 + rows, o : o + block.shape[1]] += block
+            r0 += rows
+        system %= self.p
+        return kernel_basis(from_reduced(self.p, system))
+
+    def blocks(self, vec: np.ndarray) -> dict:
+        """A flat unknown vector split into its matrix blocks, by key."""
+        return {key: vec[o : o + r * c].reshape(r, c) for key, (o, r, c) in self.layout.items()}
 
 
 def invert(a: FpMatrix) -> Optional[FpMatrix]:
@@ -417,11 +432,6 @@ def invert(a: FpMatrix) -> Optional[FpMatrix]:
 def all_vectors(p: int, n: int) -> Iterator[np.ndarray]:
     for tup in product(range(p), repeat=n):
         yield np.array(tup, dtype=np.int64)
-
-
-def all_matrices(p: int, rows: int, cols: int) -> Iterator[FpMatrix]:
-    for tup in product(range(p), repeat=rows * cols):
-        yield FpMatrix(p, np.array(tup, dtype=np.int64).reshape(rows, cols))
 
 
 def count_subspaces(p: int, n: int) -> int:
@@ -459,51 +469,6 @@ def all_subspaces(p: int, n: int) -> list[FpMatrix]:
                     m[r, c] = v
                 out.append(from_reduced(p, m.T))
     return out
-
-
-class IncrementalSpan:
-    """Streaming row-reduced span tracker over F_p.
-
-    add(vec) reduces vec against the current basis and reports whether it
-    enlarged the span; O(rank * width) per vector.
-    """
-
-    def __init__(self, p: int, width: int):
-        self.p = p
-        self.width = width
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        v = vec.astype(np.int64) % self.p
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                v = (v - c * row) % self.p
-        return v
-
-    def add(self, vec: np.ndarray) -> bool:
-        v = self.reduce(vec)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        inv = pow(int(v[piv]), self.p - 2, self.p)
-        v = (v * inv) % self.p
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[i] = (row - c * v) % self.p
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    def contains(self, vec: np.ndarray) -> bool:
-        return not self.reduce(vec).any()
 
 
 def linear_combinations(p: int, basis: list, cap: int) -> tuple[list, bool]:

@@ -64,16 +64,11 @@ def qhom(sub: Subcategory, x, y) -> QHomSpace:
     ideal = sub.ideal_basis(x, y)
     if not hom:
         return QHomSpace(0, 0, 0, [])
-    reps = []
-    cur = span_matrix(cat, ideal, x, y)
-    rank = cur.rank()
-    ideal_dim = rank
-    for h in hom:
-        cand = ff.hstack([cur, flat_column(cat, h)])
-        r = cand.rank()
-        if r > rank:
-            reps.append(h)
-            cur, rank = cand, r
+    # pivot-greedy: each hom basis element not in the span of the ideal and
+    # of the representatives chosen before it
+    _, pivots, _ = ff.rref(span_matrix(cat, list(ideal) + list(hom), x, y))
+    ideal_dim = sum(1 for c in pivots if c < len(ideal))
+    reps = [hom[c - len(ideal)] for c in pivots[ideal_dim:]]
     assert len(hom) == ideal_dim + len(reps)
     return QHomSpace(len(reps), len(hom), ideal_dim, reps)
 
@@ -384,41 +379,48 @@ class VerifyReport:
         return "sampled-pass" if self.sampled else "pass"
 
 
-def _sweep_morphisms(sub: Subcategory, sample: Sequence, cap: int, seed: Optional[int]):
-    """Yield one QMor per enumerated host morphism between sample objects."""
+def _sweep_classes(sub: Subcategory, sample: Sequence, cap: int, seed: Optional[int], decide) -> VerifyReport:
+    """Enumerate the morphisms between sample objects and decide each quotient class once.
+
+    decide(qf) returns a failure message or None; verdicts are
+    coset-invariant, so a class already decided is only counted.
+    """
     cat = sub.cat
     rng = np.random.default_rng(seed) if seed is not None else None
-    sampled = False
+    report = VerifyReport(passed=True, checked=0, sampled=False, pair_count=len(sample) ** 2)
+    seen: set = set()
     for x in sample:
         for y in sample:
             mors, exhaustive = enumerate_hom(cat, x, y, cap, rng)
-            sampled = sampled or not exhaustive
+            report.sampled = report.sampled or not exhaustive
             for m in mors:
-                yield QMor(sub, m), sampled
+                qf = QMor(sub, m)
+                report.checked += 1
+                key = (cat.obj_key(x), cat.obj_key(y), q_class_key(qf))
+                if key in seen:
+                    continue
+                seen.add(key)
+                failure = decide(qf)
+                if failure is not None:
+                    report.passed = False
+                    report.failures.append(failure)
+    return report
+
+
+def _mor_label(f: QMor) -> str:
+    return f"{f.cat.obj_label(f.src)} -> {f.cat.obj_label(f.dst)}"
 
 
 def verify_semiabelian(sub: Subcategory, sample: Sequence, cap: int = ENUM_CAP, seed: Optional[int] = None) -> VerifyReport:
-    """Every mediating class over the sample is both monic and epic.
+    """Every mediating class over the sample is both monic and epic."""
 
-    Verdicts are coset-invariant, so each quotient class is decided once.
-    """
-    report = VerifyReport(passed=True, checked=0, sampled=False, pair_count=len(sample) ** 2)
-    seen: dict = {}
-    for qf, sampled in _sweep_morphisms(sub, sample, cap, seed):
-        report.sampled = report.sampled or sampled
-        report.checked += 1
-        key = (sub.cat.obj_key(qf.src), sub.cat.obj_key(qf.dst), q_class_key(qf))
-        if key in seen:
-            continue
+    def decide(qf: QMor) -> Optional[str]:
         data = q_coim_im(qf)
-        ok = data.unique and q_is_mono(data.hat) and q_is_epi(data.hat)
-        seen[key] = ok
-        if not ok:
-            report.passed = False
-            report.failures.append(
-                f"mediating class of {sub.cat.obj_label(qf.src)} -> {sub.cat.obj_label(qf.dst)} is not regular"
-            )
-    return report
+        if data.unique and q_is_mono(data.hat) and q_is_epi(data.hat):
+            return None
+        return f"mediating class of {_mor_label(qf)} is not regular"
+
+    return _sweep_classes(sub, sample, cap, seed, decide)
 
 
 def iso_agreement_sweep(sub: Subcategory, sample: Sequence, cap: int = ENUM_CAP, seed: Optional[int] = None) -> VerifyReport:
@@ -427,43 +429,23 @@ def iso_agreement_sweep(sub: Subcategory, sample: Sequence, cap: int = ENUM_CAP,
     The two isomorphism tests are independent decision paths; they must
     agree on the whole enumerated hom-space of every sample pair.
     """
-    report = VerifyReport(passed=True, checked=0, sampled=False, pair_count=len(sample) ** 2)
-    seen: dict = {}
-    for qf, sampled in _sweep_morphisms(sub, sample, cap, seed):
-        report.sampled = report.sampled or sampled
-        report.checked += 1
-        key = (sub.cat.obj_key(qf.src), sub.cat.obj_key(qf.dst), q_class_key(qf))
-        if key in seen:
-            continue
+
+    def decide(qf: QMor) -> Optional[str]:
         solved = q_is_iso(qf) is not None
         searched = q_is_iso_blocksearch(qf) is not None
-        seen[key] = solved == searched
-        if solved != searched:
-            report.passed = False
-            report.failures.append(
-                f"iso tests disagree on {sub.cat.obj_label(qf.src)} -> {sub.cat.obj_label(qf.dst)}"
-                f" (solver {solved}, block search {searched})"
-            )
-    return report
+        if solved == searched:
+            return None
+        return f"iso tests disagree on {_mor_label(qf)} (solver {solved}, block search {searched})"
+
+    return _sweep_classes(sub, sample, cap, seed, decide)
 
 
 def verify_abelian(sub: Subcategory, sample: Sequence, cap: int = ENUM_CAP, seed: Optional[int] = None) -> VerifyReport:
-    """Every regular class over the sample is invertible (first failure reported)."""
-    report = VerifyReport(passed=True, checked=0, sampled=False, pair_count=len(sample) ** 2)
-    seen: dict = {}
-    for qf, sampled in _sweep_morphisms(sub, sample, cap, seed):
-        report.sampled = report.sampled or sampled
-        report.checked += 1
-        key = (sub.cat.obj_key(qf.src), sub.cat.obj_key(qf.dst), q_class_key(qf))
-        if key in seen:
-            continue
-        verdict = True
-        if q_is_mono(qf) and q_is_epi(qf):
-            verdict = q_is_iso(qf) is not None
-        seen[key] = verdict
-        if not verdict:
-            report.passed = False
-            report.failures.append(
-                f"regular non-invertible class {sub.cat.obj_label(qf.src)} -> {sub.cat.obj_label(qf.dst)}"
-            )
-    return report
+    """Every regular class over the sample is invertible."""
+
+    def decide(qf: QMor) -> Optional[str]:
+        if not (q_is_mono(qf) and q_is_epi(qf)) or q_is_iso(qf) is not None:
+            return None
+        return f"regular non-invertible class {_mor_label(qf)}"
+
+    return _sweep_classes(sub, sample, cap, seed, decide)

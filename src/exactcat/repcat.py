@@ -163,14 +163,36 @@ class RepMor:
         return f"<RepMor {self.src.label} -> {self.dst.label}>"
 
 
-def _vec_unknown_layout(quiver: Quiver, src_dims, dst_dims):
-    """Offsets of the per-vertex component blocks in the flat unknown vector."""
-    offs, n = {}, 0
-    for v in quiver.vertices:
-        size = dst_dims[v] * src_dims[v]
-        offs[v] = (n, size)
-        n += size
-    return offs, n
+def block_triangular(a: np.ndarray, b, d: np.ndarray) -> np.ndarray:
+    """[[a, b], [0, d]] as a fresh int64 array; b None is the zero block."""
+    out = np.zeros((a.shape[0] + d.shape[0], a.shape[1] + d.shape[1]), dtype=np.int64)
+    out[: a.shape[0], : a.shape[1]] = a
+    if b is not None:
+        out[: a.shape[0], a.shape[1] :] = b
+    out[a.shape[0] :, a.shape[1] :] = d
+    return out
+
+
+def glued_middle(x: RepObj, z: RepObj, glue: dict, check: bool = True) -> tuple[RepObj, RepMor, RepMor]:
+    """x -> Y -> z on the coordinates x (+) z, Y_a = [[x_a, glue_a], [0, z_a]].
+
+    glue maps an arrow name to its x.dims[dst] x z.dims[src] block (absent:
+    zero, the plain biproduct); returns Y with the canonical inclusion and
+    projection.
+    """
+    q, p = x.quiver, x.p
+    dims = {v: x.dims[v] + z.dims[v] for v in q.vertices}
+    maps = {
+        a.name: FpMatrix(p, block_triangular(x.maps[a.name].a, glue.get(a.name), z.maps[a.name].a))
+        for a in q.arrows
+    }
+    mid = RepObj(q, p, dims, maps)
+    inc, prj = {}, {}
+    for v in q.vertices:
+        eye = np.eye(dims[v], dtype=np.int64)
+        inc[v] = FpMatrix(p, eye[:, : x.dims[v]])
+        prj[v] = FpMatrix(p, eye[x.dims[v] :, :])
+    return mid, RepMor(x, mid, inc, check=check), RepMor(mid, z, prj, check=check)
 
 
 class RepCategory(Category):
@@ -232,37 +254,22 @@ class RepCategory(Category):
     def flatten(self, f: RepMor) -> np.ndarray:
         return f.flatten()
 
-    def _solve_hom_basis(self, x: RepObj, y: RepObj) -> list[RepMor]:
-        offs, n = _vec_unknown_layout(self.quiver, x.dims, y.dims)
-        rows = []
+    def hom_equations(self, system: ff.BlockSystem, x: RepObj, y: RepObj, key=lambda v: v) -> None:
+        """Declare one unknown block y_v x x_v per vertex v, under key(v), and
+        the commuting square X_j x_a = y_a X_i of every arrow a: i -> j."""
+        for v in self.quiver.vertices:
+            system.unknown(key(v), y.dims[v], x.dims[v])
         for a in self.quiver.arrows:
-            i, j = a.src, a.dst
-            di, dj = x.dims[i], x.dims[j]
-            ei, ej = y.dims[i], y.dims[j]
-            # constraint F_j X_a - Y_a F_i = 0, vectorized row-major:
-            # vec(F_j X_a) = (I_ej ⊗ X_aᵀ)ᵀ ... use kron identities on row-major vec.
-            block = np.zeros((ej * di, n), dtype=np.int64)
-            oj, sj = offs[j]
-            oi, si = offs[i]
-            if sj:
-                block[:, oj : oj + sj] = np.kron(np.eye(ej, dtype=np.int64), x.maps[a.name].a.T)
-            if si:
-                block[:, oi : oi + si] -= np.kron(y.maps[a.name].a, np.eye(di, dtype=np.int64))
-            rows.append(block)
-        if rows:
-            system = FpMatrix(self.p, np.vstack(rows))
-        else:
-            system = FpMatrix.zeros(self.p, 0, n)
-        null = ff.kernel_basis(system)
-        basis = []
-        for c in range(null.cols):
-            vec = null.a[:, c]
-            comps = {}
-            for v in self.quiver.vertices:
-                o, s = offs[v]
-                comps[v] = FpMatrix(self.p, vec[o : o + s].reshape(y.dims[v], x.dims[v]))
-            basis.append(RepMor(x, y, comps))
-        return basis
+            system.equation((1, None, key(a.dst), x.maps[a.name].a), (-1, y.maps[a.name].a, key(a.src), None))
+
+    def _solve_hom_basis(self, x: RepObj, y: RepObj) -> list[RepMor]:
+        system = ff.BlockSystem(self.p)
+        self.hom_equations(system, x, y)
+        null = system.kernel()
+        return [
+            RepMor(x, y, {v: FpMatrix(self.p, m) for v, m in system.blocks(null.a[:, c]).items()})
+            for c in range(null.cols)
+        ]
 
     def identity(self, x: RepObj) -> RepMor:
         comps = {v: FpMatrix.identity(self.p, x.dims[v]) for v in self.quiver.vertices}
@@ -457,20 +464,15 @@ class RepCategory(Category):
         vs = list(self.quiver.vertices)
         for combo in product(*(per_vertex[v] for v in vs)):
             incl = dict(zip(vs, combo))
-            ok = True
-            for a in self.quiver.arrows:
-                moved = x.maps[a.name] @ incl[a.src]
-                if ff.solve_right(incl[a.dst], moved) is None:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            dims = {v: incl[v].cols for v in vs}
             maps = {}
             for a in self.quiver.arrows:
+                # the restricted arrow map; None when the subspaces are not arrow-stable
                 maps[a.name] = ff.solve_right(incl[a.dst], x.maps[a.name] @ incl[a.src])
-            sub = RepObj(self.quiver, self.p, dims, maps)
-            out.append(RepMor(sub, x, incl))
+                if maps[a.name] is None:
+                    break
+            else:
+                sub = RepObj(self.quiver, self.p, {v: incl[v].cols for v in vs}, maps)
+                out.append(RepMor(sub, x, incl))
         out.sort(key=lambda m: (m.src.total_dim, m.src.key, m.flatten().tobytes()))
         return out
 
@@ -481,33 +483,15 @@ class RepCategory(Category):
         equivalent to one with canonical inclusion/projection and a glue
         block per arrow); the split one is the all-zero glue.
         """
-        glue_sizes = [(a, x.dims[a.dst] * z.dims[a.src]) for a in self.quiver.arrows]
-        total = sum(s for _, s in glue_sizes)
-        if self.p**total > cap:
-            raise EnumerationBound(f"extension enumeration needs cap >= {self.p ** total}", self.p**total)
+        layout = ff.BlockSystem(self.p)  # one glue block per arrow, no equations
+        for a in self.quiver.arrows:
+            layout.unknown(a.name, x.dims[a.dst], z.dims[a.src])
+        if self.p**layout.n > cap:
+            raise EnumerationBound(f"extension enumeration needs cap >= {self.p ** layout.n}", self.p**layout.n)
         out = []
-        for vals in product(range(self.p), repeat=total):
-            vec = np.array(vals, dtype=np.int64)
-            maps = {}
-            off = 0
-            for a, size in glue_sizes:
-                glue = vec[off : off + size].reshape(x.dims[a.dst], z.dims[a.src])
-                off += size
-                xa, za = x.maps[a.name].a, z.maps[a.name].a
-                top = np.hstack([xa, glue])
-                bot = np.hstack([np.zeros((z.dims[a.dst], x.dims[a.src]), dtype=np.int64), za])
-                maps[a.name] = FpMatrix(self.p, np.vstack([top, bot]))
-            dims = {v: x.dims[v] + z.dims[v] for v in self.quiver.vertices}
-            mid = RepObj(self.quiver, self.p, dims, maps)
-            inc_c, prj_c = {}, {}
-            for v in self.quiver.vertices:
-                inc = np.zeros((dims[v], x.dims[v]), dtype=np.int64)
-                inc[: x.dims[v], :] = np.eye(x.dims[v], dtype=np.int64)
-                prj = np.zeros((z.dims[v], dims[v]), dtype=np.int64)
-                prj[:, x.dims[v] :] = np.eye(z.dims[v], dtype=np.int64)
-                inc_c[v] = FpMatrix(self.p, inc)
-                prj_c[v] = FpMatrix(self.p, prj)
-            out.append(Conflation(RepMor(x, mid, inc_c), RepMor(mid, z, prj_c)))
+        for vals in product(range(self.p), repeat=layout.n):
+            _, inc, prj = glued_middle(x, z, layout.blocks(np.array(vals, dtype=np.int64)))
+            out.append(Conflation(inc, prj))
         return out
 
     def enumerate_objects(self, max_dim: int, cap: int = 100_000) -> list[RepObj]:
@@ -516,18 +500,14 @@ class RepCategory(Category):
         out = []
         for dims_tuple in product(range(max_dim + 1), repeat=len(vs)):
             dims = dict(zip(vs, dims_tuple))
-            entry_count = sum(dims[a.dst] * dims[a.src] for a in self.quiver.arrows)
-            if self.p**entry_count > cap:
-                raise EnumerationBound("object enumeration cap exceeded", self.p**entry_count)
-            for vals in product(range(self.p), repeat=entry_count):
-                vec = np.array(vals, dtype=np.int64)
-                maps = {}
-                off = 0
-                for a in self.quiver.arrows:
-                    size = dims[a.dst] * dims[a.src]
-                    maps[a.name] = FpMatrix(self.p, vec[off : off + size].reshape(dims[a.dst], dims[a.src]))
-                    off += size
-                out.append(RepObj(self.quiver, self.p, dims, maps))
+            layout = ff.BlockSystem(self.p)  # one map block per arrow, no equations
+            for a in self.quiver.arrows:
+                layout.unknown(a.name, dims[a.dst], dims[a.src])
+            if self.p**layout.n > cap:
+                raise EnumerationBound("object enumeration cap exceeded", self.p**layout.n)
+            for vals in product(range(self.p), repeat=layout.n):
+                blocks = layout.blocks(np.array(vals, dtype=np.int64))
+                out.append(RepObj(self.quiver, self.p, dims, {a: FpMatrix(self.p, m) for a, m in blocks.items()}))
                 if len(out) > cap:
                     raise EnumerationBound("object enumeration cap exceeded", len(out))
         return out

@@ -4,8 +4,6 @@ import pytest
 
 from exactcat.approx import (
     AddSubcat,
-    condition_down,
-    condition_up,
     extend_to_deflation,
     extend_to_inflation,
     is_pseudo_cluster_tilting,
@@ -107,7 +105,7 @@ def test_preenvelope_postcondition(a3, a3_sub):
 def test_condition_down_example(a3, a3_sub):
     cat, o = a3
     P = a3_sub
-    down = condition_down(o["S2"], P)
+    down = P.precover_conflation(o["S2"])[0]
     assert down is not None
     k, p0, x = down.terms(cat)
     assert P.contains(k) and P.contains(p0)
@@ -121,7 +119,7 @@ def test_condition_down_example(a3, a3_sub):
 def test_condition_up_example(a3, a3_sub):
     cat, o = a3
     P = a3_sub
-    up = condition_up(o["S2"], P)
+    up = P.preenvelope_conflation(o["S2"])[0]
     assert up is not None
     x, q0, q1 = up.terms(cat)
     assert x.key == o["S2"].key
@@ -134,7 +132,7 @@ def test_condition_up_example(a3, a3_sub):
 def test_condition_down_member_object(a3, a3_sub):
     cat, o = a3
     P = a3_sub
-    down = condition_down(o["P1"], P)
+    down = P.precover_conflation(o["P1"])[0]
     assert down is not None
     assert conflation_split(cat, down) is not None  # member objects get split resolutions
 
@@ -146,7 +144,7 @@ def test_schanuel_crosscheck(a3, a3_sub):
     # must not change whether the kernel lies in the subcategory
     for x in (o["S2"], o["S1"], o["P2"]):
         beta = P.precover(x)
-        canonical = condition_down(x, P)
+        canonical = P.precover_conflation(x)[0]
         for extra in P.generators[:2]:
             total, (i1, i2), (p1, p2) = _pair(cat, beta.src, extra)
             beta2 = cat.compose(beta, p1)
@@ -167,7 +165,7 @@ def test_extend_to_inflation_postconditions(a3, a3_sub):
     zero = cat.zero_mor(o["S2"], cat.zero_obj())
     confl, _ = extend_to_inflation(zero, P)
     x, mid, z = confl.terms(cat)
-    up = condition_up(o["S2"], P)
+    up = P.preenvelope_conflation(o["S2"])[0]
     assert cat.dim_profile(mid) == cat.dim_profile(cat.dst(up.incl))
     for g in P.generators:
         assert hom_exact(cat, confl, g, "contravariant")

@@ -1,7 +1,7 @@
 import pytest
 
 from exactcat import classes as cl
-from exactcat.approx import AddSubcat, condition_down, condition_up
+from exactcat.approx import AddSubcat
 from exactcat.category import EnumerationBound
 from exactcat.conflcat import ConflCategory, SplitConflationSubcat
 from exactcat.repcat import op_conflation, opposite
@@ -20,8 +20,8 @@ def test_split_conflations_are_members(a3, a3_sub):
 def test_hom_exact_conflations_are_members(a3, a3_sub):
     cat, o = a3
     for x in (o["S2"], o["S1"], o["I2"]):
-        down = condition_down(x, a3_sub)
-        up = condition_up(x, a3_sub)
+        down = a3_sub.precover_conflation(x)[0]
+        up = a3_sub.preenvelope_conflation(x)[0]
         cl.crosscheck_sufficiency(down, a3_sub)
         cl.crosscheck_sufficiency(up, a3_sub)
         cov, contra = cl.hom_exactness_sufficient(down, a3_sub)
@@ -52,7 +52,7 @@ def test_duality_consistency(a3, a3_sub, a3_nonsplit):
     conflations = [a3_nonsplit]
     total, injs, projs = cat.direct_sum([o["P2"], o["S1"]])
     conflations.append(cat.conflation(injs[0], projs[1]))
-    conflations.append(condition_down(o["S2"], a3_sub))
+    conflations.append(a3_sub.precover_conflation(o["S2"])[0])
     for s in conflations:
         op_s = op_conflation(opcat, s)
         assert cl.in_class_t(s, a3_sub).is_member == cl.in_class_s(op_s, op_sub).is_member

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from exactcat import cli
 from exactcat.cli import SpecValidationError, build_spec, parse_spec, serialize_spec
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "exactcat" / "fixtures"
@@ -134,3 +137,121 @@ def test_exit_codes_match_verdicts():
         "fail": 1,
         "refused-bound": 2,
     }
+
+
+def test_fixture_reports_match_golden_sha256(tmp_path):
+    """Five fixture reports, regenerated in-process, keep their recorded bytes."""
+    golden = json.loads((Path(__file__).parent / "golden" / "fixture_report_sha256.json").read_text())
+    for name, case in golden.items():
+        command, spec, *rest = case["argv"]
+        out = tmp_path / f"{name}.json"
+        assert cli.main([command, str(FIXTURES / spec), *rest, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"], name
+
+
+def _a2_spec():
+    return {
+        "schema": "exactcat/1",
+        "field": {"char": 2},
+        "quiver": {"vertices": ["1", "2"], "arrows": [{"name": "a1", "from": "1", "to": "2"}]},
+        "objects": {
+            "P1": {"dims": {"1": 1, "2": 1}, "maps": {"a1": [[1]]}},
+            "S1": {"dims": {"1": 1}},
+            "S2": {"dims": {"2": 1}},
+        },
+        "subcategories": {"P": ["P1"]},
+        "conflations": {
+            "ext": {
+                "incl": {"src": "S2", "dst": "P1", "comps": {"2": [[1]]}},
+                "proj": {"src": "P1", "dst": "S1", "comps": {"1": [[1]]}},
+            }
+        },
+        "tasks": [{"command": "classes", "subcategory": "P", "bound": 2}],
+    }
+
+
+def _with(path, value):
+    """A copy of the A2 spec with the entry at path (a key list) replaced."""
+
+    def make():
+        spec = _a2_spec()
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return spec
+
+    return make
+
+
+MALFORMED_SPECS = {
+    "non-integer dims": (_with(["objects", "S1", "dims"], {"1": "a"}), "S1"),
+    "fractional dims": (_with(["objects", "S1", "dims"], {"1": 1.5}), "S1"),
+    "negative dims": (_with(["objects", "S1", "dims"], {"1": -1}), "S1"),
+    "ragged matrix": (_with(["objects", "P1", "maps", "a1"], [[1, 0], [1]]), "a1"),
+    "non-object top level": (lambda: [_a2_spec()], "JSON object"),
+    "objects as a list": (_with(["objects"], ["P1", "S1"]), "objects"),
+    "arrow entry not an object": (_with(["quiver", "arrows"], ["a1"]), "arrows"),
+    "generator string": (_with(["subcategories", "P"], "P1"), "subcategory P"),
+    "conflation not an object": (_with(["conflations", "ext"], "P1"), "conflation ext"),
+    "ragged component": (_with(["conflations", "ext", "incl", "comps", "2"], [[1], []]), "ext.incl"),
+    "task bound not an integer": (_with(["tasks", 0, "bound"], "5"), "task"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_spec_is_a_validation_error(case):
+    make, needle = MALFORMED_SPECS[case]
+    with pytest.raises(SpecValidationError) as exc:
+        build_spec(make())
+    assert any(needle in e for e in exc.value.errors), exc.value.errors
+
+
+def test_malformed_spec_lists_every_problem():
+    spec = _a2_spec()
+    spec["objects"]["S1"]["dims"] = {"1": 1.5}
+    spec["objects"]["P1"]["maps"]["a1"] = [[1, 0], [1]]
+    spec["subcategories"]["P"] = "P1"
+    spec["quiver"]["arrows"].append("a2")
+    with pytest.raises(SpecValidationError) as exc:
+        build_spec(spec)
+    for needle in ("object S1", "arrow a1", "subcategory P", "quiver.arrows"):
+        assert any(needle in e for e in exc.value.errors), (needle, exc.value.errors)
+
+
+def test_malformed_spec_cli_reports_without_traceback(tmp_path):
+    path = tmp_path / "bad.json"
+    spec = _a2_spec()
+    spec["objects"]["S1"]["dims"] = {"1": "a"}
+    path.write_text(json.dumps(spec))
+    res = run_cli("quotient", str(path))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["verdict"] == "fail"
+    assert any("S1" in e for e in payload["report"]["errors"])
+
+
+def _paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False, width=16) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(st.sampled_from(list(_paths(_a2_spec()))), JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_spec_parses_or_is_a_validation_error(path, value):
+    """Any JSON value anywhere in a valid spec: a document or a SpecValidationError, nothing else."""
+    try:
+        build_spec(_with(list(path), value)())
+    except SpecValidationError:
+        pass

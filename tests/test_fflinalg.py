@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from exactcat import fflinalg as ff
 from exactcat import repcat
 from exactcat.conflcat import ConflCategory
-from exactcat.fflinalg import FpMatrix, FpScalar
+from exactcat.fflinalg import FpMatrix
 from exactcat.repcat import RepCategory, a_n
 
 
@@ -153,33 +153,35 @@ def test_quotient_space_properties(m):
     assert proj.rank() == proj.rows
 
 
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
-@settings(max_examples=60, deadline=None)
-def test_scalar_field_axioms(p, a, b, c):
-    x, y, z = FpScalar(a, p), FpScalar(b, p), FpScalar(c, p)
-    assert (x + y) + z == x + (y + z)
-    assert x + y == y + x
-    assert x * (y + z) == x * y + x * z
-    assert (x * y) * z == x * (y * z)
-    if x.value:
-        assert x * x.inverse() == FpScalar(1, p)
-
-
 def test_scalar_rejects_composite_modulus():
+    # a 1x1 matrix is the engine's scalar; a composite or unsupported modulus is refused
     with pytest.raises(ValueError):
-        FpScalar(1, 6)
+        FpMatrix(6, [[1]])
     with pytest.raises(ValueError):
         FpMatrix(11, [[1]])
 
 
-@given(fp_matrix(max_dim=5))
-@settings(max_examples=50, deadline=None)
-def test_incremental_span_matches_rank(m):
-    tracker = ff.IncrementalSpan(m.p, m.rows)
-    added = sum(tracker.add(m.a[:, j]) for j in range(m.cols))
-    assert added == tracker.rank == m.rank()
-    for j in range(m.cols):
-        assert tracker.contains(m.a[:, j])
+def _greedy_by_rank(s, cands):
+    """The rank-per-candidate greedy loop the pivot rule replaced: the
+    indices of the candidates that enlarge the span of s and those kept."""
+    cur, rank, kept = s, s.rank(), []
+    for j in range(cands.cols):
+        cand = ff.hstack([cur, FpMatrix(s.p, cands.a[:, j : j + 1])])
+        if cand.rank() > rank:
+            kept.append(j)
+            cur, rank = cand, cand.rank()
+    return kept
+
+
+@given(fp_matrix(max_dim=5, primes=(2, 3, 5)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pivot_greedy_matches_rank_loop(s, data):
+    k = data.draw(st.integers(0, 6))
+    entries = data.draw(st.lists(st.integers(0, s.p - 1), min_size=s.rows * k, max_size=s.rows * k))
+    cands = FpMatrix(s.p, np.array(entries, dtype=np.int64).reshape(s.rows, k))
+    _, pivots, _ = ff.rref(ff.hstack([s, cands]))
+    assert [c - s.cols for c in pivots if c >= s.cols] == _greedy_by_rank(s, cands)
+    assert sum(1 for c in pivots if c < s.cols) == s.rank()
 
 
 def test_all_subspaces_counts():
@@ -323,3 +325,44 @@ def test_confl_flat_composition_matches_per_morphism():
     rng = np.random.default_rng(1)
     for x, y, z in product(objs[:6], repeat=3):
         _check_flat_composition(ecat, x, y, z, rng)
+
+
+@st.composite
+def small_square_pair(draw):
+    p = draw(st.sampled_from([2, 3]))
+    r, c = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    a = np.array(draw(st.lists(st.integers(0, p - 1), min_size=r * r, max_size=r * r)), dtype=np.int64)
+    b = np.array(draw(st.lists(st.integers(0, p - 1), min_size=c * c, max_size=c * c)), dtype=np.int64)
+    return p, a.reshape(r, r), b.reshape(c, c)
+
+
+@given(small_square_pair())
+@settings(max_examples=60, deadline=None)
+def test_block_system_kernel_matches_brute_force(case):
+    # unknowns X, Y (r x c): A X = X B and Y = A X B, against every (X, Y) over F_p
+    p, a, b = case
+    r, c = a.shape[0], b.shape[0]
+    system = ff.BlockSystem(p)
+    system.unknown("X", r, c)
+    system.unknown("Y", r, c)
+    system.equation((1, a, "X", None), (-1, None, "X", b))
+    system.equation((1, None, "Y", None), (-1, a, "X", b))
+    null = system.kernel()
+    assert null.rows == system.n == 2 * r * c
+    span = {tuple(null.a @ np.array(t, dtype=np.int64) % p) for t in product(range(p), repeat=null.cols)}
+    solutions = set()
+    for vals in product(range(p), repeat=2 * r * c):
+        vec = np.array(vals, dtype=np.int64)
+        blk = system.blocks(vec)
+        x, y = blk["X"], blk["Y"]
+        if not ((a @ x - x @ b) % p).any() and np.array_equal(y, a @ x @ b % p):
+            solutions.add(tuple(vals))
+    assert span == solutions
+    assert len(solutions) == p**null.cols  # the kernel columns are independent
+
+
+def test_block_system_rejects_mismatched_terms():
+    system = ff.BlockSystem(2)
+    system.unknown("X", 2, 1)
+    with pytest.raises(ValueError):
+        system.equation((1, None, "X", None), (1, np.eye(3, dtype=np.int64), "X", None))

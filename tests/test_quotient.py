@@ -218,3 +218,25 @@ def test_enumeration_cap_marks_sampled(a3, a3_sub):
     rep = qt.verify_semiabelian(a3_sub, [big], cap=8, seed=1)
     assert rep.sampled
     assert rep.verdict == "sampled-pass"
+
+
+def test_sweep_classes_decides_each_class_once(a2, a3, a3_sub):
+    """An always-failing decision on an exhaustive sample: every enumerated
+    morphism is checked and every quotient class fails exactly once."""
+    cat2, o2 = a2
+    cat3, o3 = a3
+    for sub, sample in ((a3_sub, list(o3.values())), (AddSubcat(cat2, [], label="0"), list(o2.values()))):
+        cat = sub.cat
+        decided = []
+
+        def decide(qf):
+            decided.append(qf)
+            return f"class {len(decided)}"
+
+        report = qt._sweep_classes(sub, sample, qt.ENUM_CAP, 0, decide)
+        pairs = [(x, y) for x in sample for y in sample]
+        assert not report.sampled and not report.passed
+        assert report.pair_count == len(pairs)
+        assert report.checked == sum(cat.p ** len(cat.hom_basis(x, y)) for x, y in pairs)
+        assert len(report.failures) == sum(cat.p ** qt.qhom(sub, x, y).dim for x, y in pairs)
+        assert report.failures == [f"class {i}" for i in range(1, len(decided) + 1)]
