@@ -36,9 +36,8 @@ class AddSubcat(Subcategory):
     """add(G) for a finite generator list G_1,...,G_k of any host category."""
 
     def __init__(self, cat: Category, generators: Sequence, label: str = "P"):
-        self.cat = cat
+        super().__init__(cat, label)
         self.generators = list(generators)
-        self.label = label
         sums = self.generators if self.generators else [cat.zero_obj()]
         self.sum, self._sum_injs, self._sum_projs = cat.direct_sum(sums)
         self._ideal_cache: dict = {}
@@ -121,9 +120,7 @@ class AddSubcat(Subcategory):
         cached = self._ideal_cache.get(ck)
         if cached is not None:
             return cached
-        beta = self.precover(y)
-        spanning = [cat.compose(beta, u) for u in cat.hom_basis(x, cat.src(beta))]
-        basis = span_basis(cat, spanning, x, y)
+        basis = span_basis(cat, self.ideal_spanning(x, y), x, y)
         self._ideal_cache[ck] = basis
         return basis
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class Conflation:
 
     def terms(self, cat: "Category"):
         return cat.src(self.incl), cat.dst(self.incl), cat.dst(self.defl)
-
-    def key(self, cat: "Category"):
-        return (cat.mor_key(self.incl), cat.mor_key(self.defl))
 
 
 class Category(ABC):
@@ -166,15 +163,9 @@ class Category(ABC):
     def mor_eq(self, f, g) -> bool:
         return bool(np.array_equal(self.flatten(f), self.flatten(g)))
 
-    def mor_key(self, f):
-        return (self.obj_key(self.src(f)), self.obj_key(self.dst(f)), self.flatten(f).tobytes())
-
     @abstractmethod
     def mor_components(self, f) -> list[np.ndarray]:
         """Component matrices; f is invertible iff every component is."""
-
-    def is_zero_mor(self, f) -> bool:
-        return not self.flatten(f).any()
 
     def combine(self, basis: Sequence, coeffs: np.ndarray, x, y):
         out = self.zero_mor(x, y)
@@ -223,8 +214,12 @@ class Subcategory(ABC):
     a precover (preenvelope).
     """
 
-    cat: Category
-    label: str
+    def __init__(self, cat: Category, label: str):
+        self.cat = cat
+        self.label = label
+        # (x key, y key) -> hom basis, its coordinate matrix and the coset
+        # projection, filled by quotient._coset_projection
+        self._coset_cache: dict = {}
 
     @property
     def is_trivial(self) -> bool:
@@ -238,9 +233,9 @@ class Subcategory(ABC):
         """A spanning set of the ideal; may be redundant but cheap."""
         return self.ideal_basis(x, y)
 
+    @abstractmethod
     def is_ideal_member(self, f) -> bool:
         """Does f factor through the subcategory?"""
-        return in_span(self.cat, f, self.ideal_basis(self.cat.src(f), self.cat.dst(f))) is not None
 
     @abstractmethod
     def contains(self, x) -> bool: ...
@@ -280,12 +275,6 @@ def span_matrix(cat: Category, mors: Sequence, x, y) -> FpMatrix:
 def flat_column(cat: Category, f) -> FpMatrix:
     """flatten(f) as a one-column matrix."""
     return ff.from_reduced(cat.p, cat.flatten(f).reshape(-1, 1))
-
-
-def in_span(cat: Category, f, mors: Sequence) -> Optional[np.ndarray]:
-    """Coefficients expressing f in the span of mors, or None."""
-    sol = ff.solve_right(span_matrix(cat, mors, cat.src(f), cat.dst(f)), flat_column(cat, f))
-    return None if sol is None else sol.a[:, 0]
 
 
 def _solve_combination(cat: Category, cols: FpMatrix, basis: Sequence, g, x, y) -> Optional[Any]:
@@ -393,14 +382,3 @@ def find_iso(cat: Category, x, y, cap: int = 4096) -> Optional[Any]:
     if not exhaustive:
         raise EnumerationBound("iso search not exhaustive", cap)
     return None
-
-
-def pmap(fn, items: Iterable, jobs: int = 1) -> list:
-    """Order-preserving map, optionally on a thread pool; results deterministic."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))

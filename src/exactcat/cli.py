@@ -2,9 +2,9 @@
 
 Spec files are JSON documents with schema "exactcat/1"; reports are JSON
 with schema "exactcat-report/1".  Reports are byte-deterministic across
-runs and across --jobs settings: enumeration orders are canonical and
-wall-clock timing goes to stderr only.  Exit codes: 0 all verdicts pass,
-1 a verification failed, 2 an enumeration bound was refused.
+runs: enumeration orders are canonical and wall-clock timing goes to
+stderr only.  Exit codes: 0 all verdicts pass, 1 a verification failed,
+2 an enumeration bound was refused.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .approx import AddSubcat, is_pseudo_cluster_tilting, is_self_orthogonal
 from .category import Conflation, EnumerationBound, conflation_split
 from .conflcat import (
     ConflCategory,
-    SplitConflationSubcat,
     SubstructureTag,
     cluster_quotient_harness,
     factor_split0_conflation,
@@ -302,10 +301,11 @@ def _resolve_sub(doc: SpecDocument, name: Optional[str], command: str) -> AddSub
 
 def cmd_check_pct(doc: SpecDocument, args) -> dict:
     sub = _resolve_sub(doc, args.subcategory, "check-pct")
-    if args.testset:
-        testset = [doc.objects[n] for n in args.testset.split(",")]
-    else:
-        testset = [doc.objects[n] for n in sorted(doc.objects)]
+    names = args.testset.split(",") if args.testset else sorted(doc.objects)
+    unknown = [n for n in names if n not in doc.objects]
+    if unknown:
+        raise SpecValidationError([f"check-pct: unknown testset objects {unknown}"])
+    testset = [doc.objects[n] for n in names]
     report = is_pseudo_cluster_tilting(sub, testset)
     confls = list(doc.conflations.values())
     orth = is_self_orthogonal(sub, confls)
@@ -427,10 +427,10 @@ def cmd_confl(doc: SpecDocument, args) -> dict:
         else _task_default(doc, "confl", "test_bound", min(bound, 1))
     )
     harness_bound = _task_default(doc, "confl", "harness_bound", min(bound, 1))
-    pct = verify_splitting_pseudo_cluster_tilting(ecat, bound=bound, test_bound=test_bound, jobs=args.jobs)
-    bic = sweep_hom_exactness_biconditional(ecat, bound=bound, test_bound=test_bound, jobs=args.jobs)
+    pct = verify_splitting_pseudo_cluster_tilting(ecat, bound=bound, test_bound=test_bound)
+    bic = sweep_hom_exactness_biconditional(ecat, bound=bound, test_bound=test_bound)
     harness = cluster_quotient_harness(ecat, bound=harness_bound, cap=args.cap, seed=args.seed)
-    sub = SplitConflationSubcat(ecat)
+    sub = ecat.split_sub
     factored = 0
     for x in ecat.enumerate_objects(min(bound, 1)):
         dses = sub._precover_data(x).dses
@@ -591,7 +591,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--subobject-bound", dest="subobject_bound", type=int, default=8)
         p.add_argument("--cap", type=int, default=4096, help="hom-space enumeration cap")
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
 

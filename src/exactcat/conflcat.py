@@ -161,6 +161,9 @@ class ConflCategory(Category):
         )
         self._split_cache: dict = {}
         self._split_form_cache: dict = {}
+        self._pair_cache: dict = {}
+        # the one subcategory of split conflations, shared by every harness
+        self.split_sub = SplitConflationSubcat(self)
 
     # -- object constructors ----------------------------------------------
     def make_obj(self, ses: Conflation, name: str = "") -> ConflObj:
@@ -171,6 +174,15 @@ class ConflCategory(Category):
         """The canonical split conflation a -> a (+) b -> b."""
         total, injs, projs = self.base.direct_sum([a, b])
         return ConflObj(Conflation(injs[0], projs[1]), name)
+
+    def _pair(self, x: RepObj, y: RepObj):
+        """The base biproduct x (+) y with its injections and projections, built once."""
+        ck = (x.key, y.key)
+        hit = self._pair_cache.get(ck)
+        if hit is None:
+            hit = self.base.direct_sum([x, y])
+            self._pair_cache[ck] = hit
+        return hit
 
     # -- Category interface -------------------------------------------------
     def obj_key(self, x: ConflObj):
@@ -233,7 +245,7 @@ class ConflCategory(Category):
         # restriction a -> Y1 and its middle component c -> Y2
         b = self.base
         a_obj, c_obj = s.t1, s.t3
-        _, _, (pa, pc) = _pair(b, a_obj, c_obj)
+        _, _, (pa, pc) = self._pair(a_obj, c_obj)
         out = []
         for h in b.hom_basis(a_obj, y.t1):
             f2 = b.compose(b.compose(y.d1, h), pa)
@@ -247,7 +259,7 @@ class ConflCategory(Category):
         # dually: freely determined by X2 -> a and X3 -> c
         b = self.base
         a_obj, c_obj = s.t1, s.t3
-        _, (ja, jc), _ = _pair(b, a_obj, c_obj)
+        _, (ja, jc), _ = self._pair(a_obj, c_obj)
         out = []
         for u in b.hom_basis(x.t2, a_obj):
             f2 = b.compose(ja, u)
@@ -372,8 +384,8 @@ class ConflCategory(Category):
         b = self.base
         parts = [b.kernel(c) for c in f.components()]
         (k1, m1), (k2, m2), (k3, m3) = parts
-        d1 = _factor_through_mono(b, m2, b.compose(f.src.d1, m1))
-        d2 = _factor_through_mono(b, m3, b.compose(f.src.d2, m2))
+        d1 = _factor_mono(b, [m2], [b.compose(f.src.d1, m1)])
+        d2 = _factor_mono(b, [m3], [b.compose(f.src.d2, m2)])
         obj = self.make_obj(Conflation(d1, d2))
         return obj, ConflMor(obj, f.src, m1, m2, m3)
 
@@ -381,8 +393,8 @@ class ConflCategory(Category):
         b = self.base
         parts = [b.cokernel(c) for c in f.components()]
         (c1, e1), (c2, e2), (c3, e3) = parts
-        d1 = _factor_through_epi(b, e1, b.compose(e2, f.dst.d1))
-        d2 = _factor_through_epi(b, e2, b.compose(e3, f.dst.d2))
+        d1 = _factor_epi(b, [e1], [b.compose(e2, f.dst.d1)])
+        d2 = _factor_epi(b, [e2], [b.compose(e3, f.dst.d2)])
         obj = self.make_obj(Conflation(d1, d2))
         return obj, ConflMor(f.dst, obj, e1, e2, e3)
 
@@ -390,8 +402,8 @@ class ConflCategory(Category):
         b = self.base
         parts = [b.pullback(cf, cg) for cf, cg in zip(f.components(), g.components())]
         (o1, p1, q1), (o2, p2, q2), (o3, p3, q3) = parts
-        d1 = _factor_pair_mono(b, p2, q2, b.compose(f.src.d1, p1), b.compose(g.src.d1, q1))
-        d2 = _factor_pair_mono(b, p3, q3, b.compose(f.src.d2, p2), b.compose(g.src.d2, q2))
+        d1 = _factor_mono(b, [p2, q2], [b.compose(f.src.d1, p1), b.compose(g.src.d1, q1)])
+        d2 = _factor_mono(b, [p3, q3], [b.compose(f.src.d2, p2), b.compose(g.src.d2, q2)])
         obj = self.make_obj(Conflation(d1, d2))
         return obj, ConflMor(obj, f.src, p1, p2, p3), ConflMor(obj, g.src, q1, q2, q3)
 
@@ -399,8 +411,8 @@ class ConflCategory(Category):
         b = self.base
         parts = [b.pushout(cf, cg) for cf, cg in zip(f.components(), g.components())]
         (o1, i1, j1), (o2, i2, j2), (o3, i3, j3) = parts
-        d1 = _factor_pair_epi(b, i1, j1, b.compose(i2, f.dst.d1), b.compose(j2, g.dst.d1))
-        d2 = _factor_pair_epi(b, i2, j2, b.compose(i3, f.dst.d2), b.compose(j3, g.dst.d2))
+        d1 = _factor_epi(b, [i1, j1], [b.compose(i2, f.dst.d1), b.compose(j2, g.dst.d1)])
+        d2 = _factor_epi(b, [i2, j2], [b.compose(i3, f.dst.d2), b.compose(j3, g.dst.d2)])
         obj = self.make_obj(Conflation(d1, d2))
         return obj, ConflMor(f.dst, obj, i1, i2, i3), ConflMor(g.dst, obj, j1, j2, j3)
 
@@ -433,7 +445,7 @@ class ConflCategory(Category):
         for u2 in b.enumerate_subobjects(x.t2, bound):
             w, w1, w2 = b.pullback(x.d1, u2)  # w1: preimage -> t1
             im, m = b.image(b.compose(x.d2, u2))
-            delta2 = _factor_through_mono(b, m, b.compose(x.d2, u2))
+            delta2 = _factor_mono(b, [m], [b.compose(x.d2, u2)])
             sub = self.make_obj(Conflation(w2, delta2))
             out.append(ConflMor(sub, x, w1, u2, m))
         out.sort(key=lambda f: (self.obj_dim(f.src), f.flatten().tobytes()))
@@ -507,48 +519,25 @@ class ConflCategory(Category):
         return c
 
 
-def _factor_through_mono(b: RepCategory, m: RepMor, g: RepMor) -> RepMor:
-    """Unique u with m o u = g, m vertex-wise injective."""
+def _factor_mono(b: RepCategory, ms: Sequence[RepMor], gs: Sequence[RepMor]) -> RepMor:
+    """Unique u with m o u = g for each pair of ms, gs (the ms stacked vertex-wise injective)."""
     comps = {}
     for v in b.quiver.vertices:
-        sol = ff.solve_right(m.comps[v], g.comps[v])
+        sol = ff.solve_right(ff.vstack([m.comps[v] for m in ms]), ff.vstack([g.comps[v] for g in gs]))
         assert sol is not None
         comps[v] = sol
-    return RepMor(g.src, m.src, comps)
+    return RepMor(gs[0].src, ms[0].src, comps)
 
 
-def _factor_through_epi(b: RepCategory, e: RepMor, g: RepMor) -> RepMor:
-    """Unique u with u o e = g, e vertex-wise surjective."""
+def _factor_epi(b: RepCategory, es: Sequence[RepMor], gs: Sequence[RepMor]) -> RepMor:
+    """Unique u with u o e = g for each pair of es, gs (the es side by side vertex-wise surjective)."""
     comps = {}
     for v in b.quiver.vertices:
-        sol = ff.solve_right(e.comps[v].transpose(), g.comps[v].transpose())
+        stacked = ff.hstack([e.comps[v] for e in es]).transpose()
+        sol = ff.solve_right(stacked, ff.hstack([g.comps[v] for g in gs]).transpose())
         assert sol is not None
         comps[v] = sol.transpose()
-    return RepMor(e.dst, g.dst, comps)
-
-
-def _factor_pair_mono(b: RepCategory, m1: RepMor, m2: RepMor, g1: RepMor, g2: RepMor) -> RepMor:
-    """Unique u with m1 o u = g1 and m2 o u = g2 ((m1;m2) vertex-wise injective)."""
-    comps = {}
-    for v in b.quiver.vertices:
-        stacked = ff.vstack([m1.comps[v], m2.comps[v]])
-        rhs = ff.vstack([g1.comps[v], g2.comps[v]])
-        sol = ff.solve_right(stacked, rhs)
-        assert sol is not None
-        comps[v] = sol
-    return RepMor(g1.src, m1.src, comps)
-
-
-def _factor_pair_epi(b: RepCategory, e1: RepMor, e2: RepMor, g1: RepMor, g2: RepMor) -> RepMor:
-    """Unique u with u o e1 = g1 and u o e2 = g2 ((e1|e2) vertex-wise surjective)."""
-    comps = {}
-    for v in b.quiver.vertices:
-        stacked = ff.hstack([e1.comps[v], e2.comps[v]]).transpose()
-        rhs = ff.hstack([g1.comps[v], g2.comps[v]]).transpose()
-        sol = ff.solve_right(stacked, rhs)
-        assert sol is not None
-        comps[v] = sol.transpose()
-    return RepMor(e1.dst, g1.dst, comps)
+    return RepMor(es[0].dst, gs[0].dst, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +582,7 @@ def s_precover(ecat: ConflCategory, x: ConflObj) -> SplitPrecover:
     zero = b.zero_obj()
     p1 = ecat.split_obj(zero, x1)
     p0 = ecat.split_obj(x1, x2)
-    total, (j1, j2), (pr1, pr2) = _pair(b, x1, x2)
+    total, (j1, j2), (pr1, pr2) = ecat._pair(x1, x2)
     a2 = b.add(b.compose(x.d1, pr1), b.compose(b.identity(x2), pr2))  # (x1 | 1)
     alpha = ConflMor(p0, x, b.identity(x1), a2, x.d2)
     i2 = b.add(b.compose(j1, b.identity(x1)), b.compose(j2, b.neg(x.d1)))  # (1; -x1)
@@ -611,7 +600,7 @@ def s_preenvelope(ecat: ConflCategory, x: ConflObj) -> SplitPreenvelope:
     zero = b.zero_obj()
     q0 = ecat.split_obj(x2, x3)
     q1 = ecat.split_obj(x3, zero)
-    total, (j1, j2), (pr1, pr2) = _pair(b, x2, x3)
+    total, (j1, j2), (pr1, pr2) = ecat._pair(x2, x3)
     b2 = b.add(b.compose(j1, b.identity(x2)), b.compose(j2, x.d2))  # (1; x2)
     beta = ConflMor(x, q0, x.d1, b2, b.identity(x3))
     g2 = b.add(b.compose(b.neg(x.d2), pr1), b.compose(b.identity(x3), pr2))  # (-x2 | 1)
@@ -622,29 +611,16 @@ def s_preenvelope(ecat: ConflCategory, x: ConflObj) -> SplitPreenvelope:
     return SplitPreenvelope(q0, q1, beta, dses)
 
 
-def _pair(b: RepCategory, x, y):
-    cache = getattr(b, "_pair_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(b, "_pair_cache", cache)
-    ck = (x.key, y.key)
-    hit = cache.get(ck)
-    if hit is None:
-        hit = b.direct_sum([x, y])
-        cache[ck] = hit
-    return hit
-
-
 def split_precover_lift(ecat: ConflCategory, pre: SplitPrecover, g: ConflMor) -> ConflMor:
     """The closed-form lift through a split precover, for canonical split sources."""
     b = ecat.base
     y = g.src
     x = g.dst
     assert ecat._is_canonical_split_obj(y), "formula applies to canonical split sources"
-    _, (jy1, jy2), (py1, py2) = _pair(b, y.t1, y.t3)
+    _, (jy1, jy2), (py1, py2) = ecat._pair(y.t1, y.t3)
     gprime = b.compose(g.f2, jy2)  # component Y2 -> X2 of the middle map
     p0 = pre.p0
-    _, (jp1, jp2), _ = _pair(b, x.t1, x.t2)
+    _, (jp1, jp2), _ = ecat._pair(x.t1, x.t2)
     u1 = g.f1
     u2 = b.add(b.compose(jp1, b.compose(g.f1, py1)), b.compose(jp2, b.compose(gprime, py2)))
     u3 = gprime
@@ -659,10 +635,10 @@ def split_preenvelope_lift(ecat: ConflCategory, env: SplitPreenvelope, g: ConflM
     x = g.src
     y = g.dst
     assert ecat._is_canonical_split_obj(y), "formula applies to canonical split targets"
-    _, (jy1, jy2), (py1, py2) = _pair(b, y.t1, y.t3)
+    _, (jy1, jy2), (py1, py2) = ecat._pair(y.t1, y.t3)
     ucomp = b.compose(py1, g.f2)  # component X2 -> Y1 of the middle map
     q0 = env.q0
-    _, _, (pq1, pq2) = _pair(b, x.t2, x.t3)
+    _, _, (pq1, pq2) = ecat._pair(x.t2, x.t3)
     w1 = ucomp
     w2 = b.add(b.compose(jy1, b.compose(ucomp, pq1)), b.compose(jy2, b.compose(g.f3, pq2)))
     w3 = g.f3
@@ -675,8 +651,7 @@ class SplitConflationSubcat(Subcategory):
     """The full subcategory of split conflations inside the conflation category."""
 
     def __init__(self, ecat: ConflCategory, label: str = "S(M)"):
-        self.cat = ecat
-        self.label = label
+        super().__init__(ecat, label)
         self._pre_cache: dict = {}
         self._env_cache: dict = {}
 
@@ -705,7 +680,7 @@ class SplitConflationSubcat(Subcategory):
             return None
         retr, _ = split
         target = self.cat.split_obj(x.t1, x.t3)
-        _, (j1, j2), _ = _pair(b, x.t1, x.t3)
+        _, (j1, j2), _ = self.cat._pair(x.t1, x.t3)
         phi2 = b.add(b.compose(j1, retr), b.compose(j2, x.d2))
         return ConflMor(x, target, b.identity(x.t1), phi2, b.identity(x.t3))
 
@@ -850,7 +825,7 @@ def _verify_deflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
     for t_obj in test_objects:
         if not ecat._is_canonical_split_obj(t_obj):
             continue
-        _, (j1, j2), (p1, p2) = _pair(b, t_obj.t1, t_obj.t3)
+        _, (j1, j2), (p1, p2) = ecat._pair(t_obj.t1, t_obj.t3)
         for h in ecat.hom_basis(t_obj, z_obj):
             bcomp = b.compose(h.f2, j2)
             u1 = b.compose(s1, h.f1)
@@ -873,7 +848,7 @@ def _verify_inflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
     for t_obj in test_objects:
         if not ecat._is_canonical_split_obj(t_obj):
             continue
-        _, (j1, j2), (p1, p2) = _pair(b, t_obj.t1, t_obj.t3)
+        _, (j1, j2), (p1, p2) = ecat._pair(t_obj.t1, t_obj.t3)
         for h in ecat.hom_basis(x_obj, t_obj):
             h2a = b.compose(p1, h.f2)
             u3 = b.compose(h.f3, r3)
@@ -925,7 +900,7 @@ def _induced_from_pushout(ecat: ConflCategory, t_mor: ConflMor, s_mor: ConflMor,
     for k in range(3):
         tk, sk = t_mor.components()[k], s_mor.components()[k]
         ak, bk = a.components()[k], bmor.components()[k]
-        comps.append(_factor_pair_epi(b, tk, sk, ak, bk))
+        comps.append(_factor_epi(b, [tk, sk], [ak, bk]))
     return ConflMor(ecat.dst(t_mor), ecat.dst(a), *comps)
 
 
@@ -941,7 +916,6 @@ def verify_splitting_pseudo_cluster_tilting(
     ecat: ConflCategory,
     bound: int = 1,
     test_bound: Optional[int] = None,
-    jobs: int = 1,
 ) -> SplitPctReport:
     """Both split approximation conflations exist and pass lift tests, exhaustively.
 
@@ -950,48 +924,37 @@ def verify_splitting_pseudo_cluster_tilting(
     substructure, and every morphism from (to) every bounded split object
     factors through it, with the closed-form lift re-verified on a basis.
     """
-    from .category import pmap
-
-    sub = SplitConflationSubcat(ecat)
+    sub = ecat.split_sub
     test_bound = bound if test_bound is None else test_bound
     samples = sub.sample_objects(test_bound)
     objs = ecat.enumerate_objects(bound)
     report = SplitPctReport(passed=True, objects_checked=len(objs), lift_tests=0)
-
-    def check(x: ConflObj):
-        failures = []
-        lifts = 0
+    for x in objs:
         pre = sub._precover_data(x)
         env = sub._preenvelope_data(x)
         if not substructure_member(ecat, pre.dses, SubstructureTag.SPLIT0M1):
-            failures.append(f"{x.label}: precover conflation not in degree(-1,0)-splitting structure")
+            report.failures.append(f"{x.label}: precover conflation not in degree(-1,0)-splitting structure")
         if not substructure_member(ecat, env.dses, SubstructureTag.SPLIT01):
-            failures.append(f"{x.label}: preenvelope conflation not in degree(0,1)-splitting structure")
+            report.failures.append(f"{x.label}: preenvelope conflation not in degree(0,1)-splitting structure")
         for s in samples:
             # every basis morphism at once: one solve per sample object
             incoming = ecat.hom_basis(s, x)
             through = ecat.compose_flat(pre.alpha, ecat.hom_basis(s, pre.p0), s, pre.p0)
             if ff.solve_right(through, span_matrix(ecat, incoming, s, x)) is None:
-                failures.append(f"{x.label}: precover lift fails against {s.label}")
+                report.failures.append(f"{x.label}: precover lift fails against {s.label}")
             else:
                 for g in incoming:
                     split_precover_lift(ecat, pre, g)
-                    lifts += 1
+                    report.lift_tests += 1
             outgoing = ecat.hom_basis(x, s)
             through = ecat.precompose_flat(ecat.hom_basis(env.q0, s), env.beta, env.q0, s)
             if ff.solve_right(through, span_matrix(ecat, outgoing, x, s)) is None:
-                failures.append(f"{x.label}: preenvelope lift fails against {s.label}")
+                report.failures.append(f"{x.label}: preenvelope lift fails against {s.label}")
             else:
                 for g in outgoing:
                     split_preenvelope_lift(ecat, env, g)
-                    lifts += 1
-        return failures, lifts
-
-    for failures, lifts in pmap(check, objs, jobs):
-        report.lift_tests += lifts
-        if failures:
-            report.passed = False
-            report.failures.extend(failures)
+                    report.lift_tests += 1
+    report.passed = not report.failures
     return report
 
 
@@ -1026,13 +989,12 @@ def cluster_quotient_harness(
     bound: int = 1,
     cap: int = 4096,
     seed: Optional[int] = None,
-    jobs: int = 1,
 ) -> ClusterQuotientReport:
     """Abelian quotient by split conflations, and degree-0 splitting as the
     unique named substructure making the pair a cluster quotient."""
     from .quotient import verify_abelian
 
-    sub = SplitConflationSubcat(ecat)
+    sub = ecat.split_sub
     sample = ecat.enumerate_objects(bound)
     abelian = verify_abelian(sub, sample, cap=cap, seed=seed)
     report = ClusterQuotientReport(
@@ -1133,41 +1095,24 @@ def sweep_hom_exactness_biconditional(
     bound: int = 2,
     test_bound: int = 1,
     cap: int = 4096,
-    jobs: int = 1,
 ) -> BiconditionalReport:
     """Run the hom-exactness/degree-splitting biconditional over every
     enumerated degreewise conflation with vertex dims <= bound."""
-    from .category import pmap
-
-    sub = SplitConflationSubcat(ecat)
+    sub = ecat.split_sub
     objs = ecat.enumerate_objects(bound)
     test_objects = sub.sample_objects(test_bound)
-    pairs = []
+    report = BiconditionalReport(passed=True, checked=0)
     for z in objs:
         for x in objs:
             if any(
                 x.t2.dims[v] + z.t2.dims[v] > bound for v in ecat.base.quiver.vertices
             ):
                 continue
-            pairs.append((z, x))
-
-    report = BiconditionalReport(passed=True, checked=0)
-
-    def check(pair):
-        z, x = pair
-        n = 0
-        fails = []
-        for d in ecat.enumerate_extensions(z, x, cap):
-            try:
-                check_hom_exactness_matches_splitting(ecat, sub, d, test_objects=test_objects)
-            except AssertionError as exc:
-                fails.append(f"{x.label} -> {z.label}: {exc}")
-            n += 1
-        return n, fails
-
-    for n, fails in pmap(check, pairs, jobs):
-        report.checked += n
-        if fails:
-            report.passed = False
-            report.failures.extend(fails)
+            for d in ecat.enumerate_extensions(z, x, cap):
+                try:
+                    check_hom_exactness_matches_splitting(ecat, sub, d, test_objects=test_objects)
+                except AssertionError as exc:
+                    report.failures.append(f"{x.label} -> {z.label}: {exc}")
+                report.checked += 1
+    report.passed = not report.failures
     return report

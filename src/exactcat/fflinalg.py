@@ -420,15 +420,6 @@ class BlockSystem:
         return {key: vec[o : o + r * c].reshape(r, c) for key, (o, r, c) in self.layout.items()}
 
 
-def invert(a: FpMatrix) -> Optional[FpMatrix]:
-    if a.rows != a.cols:
-        return None
-    x = solve_right(a, FpMatrix.identity(a.p, a.rows))
-    if x is None or (a @ x) != FpMatrix.identity(a.p, a.rows):
-        return None
-    return x
-
-
 def all_vectors(p: int, n: int) -> Iterator[np.ndarray]:
     for tup in product(range(p), repeat=n):
         yield np.array(tup, dtype=np.int64)

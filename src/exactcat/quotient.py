@@ -54,42 +54,34 @@ class QHomSpace:
     dim: int
     hom_dim: int
     ideal_dim: int
-    reps: list  # host morphisms lifting a basis of the quotient space
 
 
 def qhom(sub: Subcategory, x, y) -> QHomSpace:
-    """Dimension and coset representatives of Hom(x,y) modulo the ideal."""
+    """Dimension of Hom(x,y) modulo the ideal."""
     cat = sub.cat
     hom = cat.hom_basis(x, y)
     ideal = sub.ideal_basis(x, y)
     if not hom:
-        return QHomSpace(0, 0, 0, [])
-    # pivot-greedy: each hom basis element not in the span of the ideal and
-    # of the representatives chosen before it
+        return QHomSpace(0, 0, 0)
+    # pivot-greedy: the ideal basis, then each hom basis element not in the
+    # span of the ideal and of the ones chosen before it
     _, pivots, _ = ff.rref(span_matrix(cat, list(ideal) + list(hom), x, y))
     ideal_dim = sum(1 for c in pivots if c < len(ideal))
-    reps = [hom[c - len(ideal)] for c in pivots[ideal_dim:]]
-    assert len(hom) == ideal_dim + len(reps)
-    return QHomSpace(len(reps), len(hom), ideal_dim, reps)
+    # the ideal lies in Hom(x,y), so the pivots must be exactly dim Hom(x,y) many
+    if len(pivots) != len(hom):
+        raise AssertionError(f"qhom: {len(pivots)} pivots for a {len(hom)}-dimensional hom-space")
+    return QHomSpace(len(hom) - ideal_dim, len(hom), ideal_dim)
 
 
 def q_is_zero(f: QMor) -> bool:
     return f.sub.is_ideal_member(f.rep)
 
 
-def q_equal(f: QMor, g: QMor) -> bool:
-    return f.sub.is_ideal_member(f.cat.sub(f.rep, g.rep))
-
-
 def _coset_projection(sub: Subcategory, x, y):
     """(hom basis, flat hom matrix, coset projection matrix), memoized on sub."""
-    cache = getattr(sub, "_coset_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(sub, "_coset_cache", cache)
     cat = sub.cat
     ck = (cat.obj_key(x), cat.obj_key(y))
-    hit = cache.get(ck)
+    hit = sub._coset_cache.get(ck)
     if hit is not None:
         return hit
     hom = cat.hom_basis(x, y)
@@ -105,7 +97,7 @@ def _coset_projection(sub: Subcategory, x, y):
         mat = FpMatrix.zeros(cat.p, len(hom), 0)
     proj, _ = ff.quotient_space(cat.p, len(hom), mat)
     result = (hom, hmat, proj)
-    cache[ck] = result
+    sub._coset_cache[ck] = result
     return result
 
 

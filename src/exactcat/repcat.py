@@ -42,10 +42,6 @@ class Quiver:
             if a.src not in vs or a.dst not in vs:
                 raise ValueError(f"arrow {a.name} references unknown vertex")
 
-    @classmethod
-    def from_lists(cls, vertices: Sequence[str], arrows: Sequence[tuple[str, str, str]]) -> "Quiver":
-        return cls(tuple(vertices), tuple(Arrow(*a) for a in arrows))
-
 
 def a_n(n: int) -> Quiver:
     """Linear quiver 1 -> 2 -> ... -> n."""

@@ -113,13 +113,32 @@ def test_unknown_subcategory_fails():
     assert "nope" in "".join(payload["report"]["errors"])
 
 
-def test_confl_deterministic_across_jobs(tmp_path):
+def test_confl_deterministic_across_runs(tmp_path):
+    """Two separate confl runs write byte-identical reports."""
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    res1 = run_cli("confl", A2, "--bound", "1", "--jobs", "1", "--out", str(out1))
-    res2 = run_cli("confl", A2, "--bound", "1", "--jobs", "3", "--out", str(out2))
+    res1 = run_cli("confl", A2, "--bound", "1", "--out", str(out1))
+    res2 = run_cli("confl", A2, "--bound", "1", "--out", str(out2))
     assert res1.returncode == 0 and res2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_jobs_option_is_a_usage_error(capsys):
+    """--jobs was removed (the sweeps run in one thread); argparse refuses it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-paper", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_check_pct_unknown_testset_objects_are_a_validation_error():
+    res = run_cli("check-pct", A3, "--subcategory", "P", "--testset", "P1,NOPE,GONE")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["verdict"] == "fail"
+    errors = "".join(payload["report"]["errors"])
+    assert "NOPE" in errors and "GONE" in errors and "P1" not in errors
 
 
 def test_text_format_renders():

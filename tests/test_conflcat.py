@@ -37,6 +37,27 @@ def econf(a2):
     return ecat, sub, nonsplit
 
 
+def test_confl_category_owns_its_caches(a2):
+    """One split subcategory and one biproduct per pair, handed out again on
+    every call, so the harnesses share their split approximations."""
+    cat, o = a2
+    ecat = ConflCategory(cat)
+    assert isinstance(ecat.split_sub, SplitConflationSubcat)
+    assert ecat.split_sub.cat is ecat
+    assert ecat.split_sub is ecat.split_sub
+    first = ecat._pair(o["S1"], o["P1"])
+    assert ecat._pair(o["S1"], o["P1"]) is first
+    total, injs, projs = first
+    assert total.key == cat.direct_sum([o["S1"], o["P1"]])[0].key
+    assert ecat._pair(o["P1"], o["S1"]) is not first
+    x = ecat.split_obj(o["S1"], o["S2"])
+    assert ecat.split_sub._precover_data(x) is ecat.split_sub._precover_data(x)
+    # a second category over the same base has caches of its own
+    other = ConflCategory(cat)
+    assert other.split_sub is not ecat.split_sub
+    assert other._pair(o["S1"], o["P1"]) is not first
+
+
 def brute_chain_map_count(ecat, x, y):
     """Oracle: enumerate every component triple and count the chain maps."""
     base = ecat.base
