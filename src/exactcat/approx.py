@@ -71,8 +71,8 @@ class AddSubcat(Subcategory):
         if not pieces:
             beta = cat.zero_mor(cat.zero_obj(), x)
         else:
-            power, injs, projs = cat.direct_sum(pieces)
-            beta = cat.costack(mors, power, projs)
+            power, _, _ = cat.direct_sum(pieces)
+            beta = cat.costack(mors, power)
         self._precover_cache[ck] = beta
         return beta
 
@@ -91,8 +91,8 @@ class AddSubcat(Subcategory):
         if not pieces:
             alpha = cat.zero_mor(x, cat.zero_obj())
         else:
-            power, injs, projs = cat.direct_sum(pieces)
-            alpha = cat.stack(mors, power, injs)
+            power, _, _ = cat.direct_sum(pieces)
+            alpha = cat.stack(mors, power)
         self._preenvelope_cache[ck] = alpha
         return alpha
 

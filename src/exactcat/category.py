@@ -3,9 +3,19 @@
 The quotient, approximation and conflation-class machinery only ever talks
 to a host category through this interface, so the same code runs unchanged
 on quiver representations and on the category of conflations built on top
-of them.  Morphisms are opaque host values; the one structural requirement
-is an injective linear coordinate map (`flatten`) per hom-space, which
-turns every factorization/exactness question into F_p linear algebra.
+of them.
+
+Both hosts store a morphism as its coordinate vector: `flatten` is the
+storage, not a conversion.  An object has a dims tuple (`dimv`, its
+`dim_profile`), and a morphism f: x -> y is a block-diagonal map between
+them, kept as one read-only int64 vector `f.vec` holding its blocks
+y_i x x_i row-major one after another (`fflinalg.BlockMaps`): the vertex
+blocks of a representation map, the degree-then-vertex blocks of a chain
+map.  So composition, sums, multiples, linear combinations and equality
+are a few array operations here, for both hosts; a host supplies its
+objects, its trusted morphism constructor `_mor` and the exact structure.
+Every factorization/exactness question is then F_p linear algebra on these
+vectors.
 """
 from __future__ import annotations
 
@@ -25,6 +35,17 @@ class EnumerationBound(Exception):
     def __init__(self, message: str, required: int):
         super().__init__(message)
         self.required = required
+
+
+class VerificationError(Exception):
+    """A re-verified mathematical claim failed (an explicit check, so it
+    survives `python -O`, unlike an assert)."""
+
+
+def verify(ok: bool, message: str) -> None:
+    """Raise VerificationError(message) unless ok."""
+    if not ok:
+        raise VerificationError(message)
 
 
 class ConditionError(Exception):
@@ -48,51 +69,92 @@ class Conflation:
         return cat.src(self.incl), cat.dst(self.incl), cat.dst(self.defl)
 
 
+class HomBasis(list):
+    """A hom-space basis whose morphisms' vectors are the rows of .rows."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, mors, rows: np.ndarray):
+        super().__init__(mors)
+        self.rows = rows
+
+
+# Morphisms per batch in compose_flat/precompose_flat; bounds the temporaries
+# of one batch whatever the hom-space dimension.
+FLAT_CHUNK = 256
+
+
 class Category(ABC):
     """Host-category operations used by the generic machinery.
 
     Hom-space solving is delegated to `_solve_hom_basis`; the base class
     caches results and decomposes hom-spaces of registered direct sums
     summand-wise, which keeps the linear systems small when approximation
-    constructions build large biproducts.
+    constructions build large biproducts.  Morphism arithmetic works on the
+    flat vectors (see the module docstring), with the composition plans of
+    `self.blocks`.
     """
 
     p: int
+    blocks: ff.BlockMaps
 
     def __init__(self):
         self._hom_cache: dict = {}
         self._sum_registry: dict = {}
+        # conflation key -> split witnesses or None, see conflation_split
+        self._split_witnesses: dict = {}
 
-    def _register_sum(self, total, summands, injs, projs) -> None:
+    @staticmethod
+    @abstractmethod
+    def _mor(src, dst, vec: np.ndarray):
+        """Trusted morphism constructor: vec is a reduced, read-only flat map src -> dst."""
+
+    def _register_sum(self, total, summands) -> None:
+        """Record a biproduct whose injections and projections are canonical
+        (see _offsets)."""
         # zero summands would alias the total's key and loop the decomposition
-        triples = [
-            (s, i, p)
-            for s, i, p in zip(summands, injs, projs)
-            if self.obj_dim(s) > 0
-        ]
-        if len(triples) > 1:
-            self._sum_registry[self.obj_key(total)] = tuple(zip(*triples))
+        parts = [(s, before) for s, before in zip(summands, _offsets(summands)) if self.obj_dim(s) > 0]
+        if len(parts) > 1:
+            self._sum_registry[self.obj_key(total)] = parts
 
-    def hom_basis(self, x, y) -> list:
+    def hom_basis(self, x, y) -> HomBasis:
         ck = (self.obj_key(x), self.obj_key(y))
         cached = self._hom_cache.get(ck)
         if cached is not None:
             return cached
         dst_sum = self._sum_registry.get(ck[1])
         src_sum = self._sum_registry.get(ck[0])
+        # Hom(x, (+) s_i) = (+) inj_i Hom(x, s_i) and Hom((+) s_i, y) =
+        # (+) Hom(s_i, y) proj_i; composing with a canonical injection or
+        # projection only places coordinates, so the basis is assembled by copying
         if dst_sum is not None:
-            summands, injs, _ = dst_sum
-            basis = [self.compose(inj, h) for s, inj in zip(summands, injs) for h in self.hom_basis(x, s)]
+            parts = [
+                (self.hom_basis(x, s), self.blocks.summand_positions(x.dimv, s.dimv, y.dimv, before, True))
+                for s, before in dst_sum
+            ]
         elif src_sum is not None:
-            summands, _, projs = src_sum
-            basis = [self.compose(h, proj) for s, proj in zip(summands, projs) for h in self.hom_basis(s, y)]
+            parts = [
+                (self.hom_basis(s, y), self.blocks.summand_positions(y.dimv, s.dimv, x.dimv, before, False))
+                for s, before in src_sum
+            ]
         else:
-            basis = self._solve_hom_basis(x, y)
+            parts = None
+        if parts is None:
+            rows = self._solve_hom_basis(x, y)
+        else:
+            rows = np.zeros((sum(len(hb) for hb, _ in parts), self.flat_dim(x, y)), dtype=np.int64)
+            lo = 0
+            for hb, positions in parts:
+                rows[lo : lo + len(hb), positions] = hb.rows
+                lo += len(hb)
+        rows.setflags(write=False)
+        basis = HomBasis([self._mor(x, y, r) for r in rows], rows)
         self._hom_cache[ck] = basis
         return basis
 
     @abstractmethod
-    def _solve_hom_basis(self, x, y) -> list: ...
+    def _solve_hom_basis(self, x, y) -> np.ndarray:
+        """k x flat_dim(x, y) array whose rows are a basis of Hom(x, y), reduced."""
 
     # -- objects ---------------------------------------------------------
     @abstractmethod
@@ -101,9 +163,9 @@ class Category(ABC):
     @abstractmethod
     def obj_dim(self, x) -> int: ...
 
-    @abstractmethod
     def dim_profile(self, x) -> tuple[int, ...]:
         """Componentwise dimension vector; isomorphic objects share it."""
+        return x.dimv
 
     @abstractmethod
     def obj_label(self, x) -> str: ...
@@ -119,67 +181,116 @@ class Category(ABC):
         """Biproduct with canonical injections and projections."""
 
     # -- morphisms -------------------------------------------------------
-    @abstractmethod
-    def flatten(self, f) -> np.ndarray: ...
+    def flatten(self, f) -> np.ndarray:
+        return f.vec
 
-    @abstractmethod
-    def flat_dim(self, x, y) -> int: ...
+    def flat_dim(self, x, y) -> int:
+        return self.blocks.size(x.dimv, y.dimv)
 
-    @abstractmethod
-    def identity(self, x): ...
+    def identity(self, x):
+        return self._mor(x, x, self.blocks.identity(x.dimv))
 
-    @abstractmethod
-    def zero_mor(self, x, y): ...
+    def zero_mor(self, x, y):
+        return self._mor(x, y, self.blocks.zeros(self.blocks.size(x.dimv, y.dimv)))
 
-    @abstractmethod
-    def compose(self, g, f): ...
+    def compose(self, g, f):
+        x = f.src
+        return self._mor(x, g.dst, _frozen(self.blocks.compose(g.vec, f.vec, x.dimv, f.dst.dimv, g.dst.dimv, self.p)))
 
-    @abstractmethod
-    def add(self, f, g): ...
+    def add(self, f, g):
+        r = f.vec + g.vec
+        r %= self.p
+        return self._mor(f.src, f.dst, _frozen(r))
 
-    @abstractmethod
-    def neg(self, f): ...
+    def neg(self, f):
+        r = -f.vec
+        r %= self.p
+        return self._mor(f.src, f.dst, _frozen(r))
 
-    @abstractmethod
-    def scale(self, f, c: int): ...
+    def scale(self, f, c: int):
+        r = f.vec * (int(c) % self.p)
+        r %= self.p
+        return self._mor(f.src, f.dst, _frozen(r))
 
-    @abstractmethod
-    def src(self, f): ...
+    def src(self, f):
+        return f.src
 
-    @abstractmethod
-    def dst(self, f): ...
+    def dst(self, f):
+        return f.dst
 
-    def sub(self, f, g):
-        return self.add(f, self.neg(g))
+    def compose_rows(self, g, rows: np.ndarray, x) -> np.ndarray:
+        """Rows g o f_i, reduced, for the rows f_i: x -> src(g) of rows."""
+        out = self.blocks.left_stack(g.vec, rows, x.dimv, g.src.dimv, g.dst.dimv)
+        out %= self.p
+        return out
+
+    def precompose_rows(self, rows: np.ndarray, m, z) -> np.ndarray:
+        """Rows f_i o m, reduced, for the rows f_i: dst(m) -> z of rows."""
+        out = self.blocks.right_stack(rows, m.vec, m.src.dimv, m.dst.dimv, z.dimv)
+        out %= self.p
+        return out
 
     def compose_flat(self, g, fs: Sequence, x, y) -> FpMatrix:
         """Matrix whose columns are flatten(g o f) for the morphisms f: x -> y in fs."""
-        return span_matrix(self, [self.compose(g, f) for f in fs], x, self.dst(g))
+        return self._flat_columns(fs, x, y, self.flat_dim(x, g.dst), lambda rows: self.compose_rows(g, rows, x))
 
     def precompose_flat(self, fs: Sequence, m, x, y) -> FpMatrix:
         """Matrix whose columns are flatten(f o m) for the morphisms f: x -> y in fs."""
-        return span_matrix(self, [self.compose(f, m) for f in fs], self.src(m), y)
+        return self._flat_columns(fs, x, y, self.flat_dim(m.src, y), lambda rows: self.precompose_rows(rows, m, y))
+
+    def _flat_columns(self, fs, x, y, n: int, apply) -> FpMatrix:
+        """Columns apply(rows).T for the vectors of fs: x -> y, FLAT_CHUNK rows at a time."""
+        out = np.empty((n, len(fs)), dtype=np.int64)
+        for lo in range(0, len(fs), FLAT_CHUNK):
+            hi = min(lo + FLAT_CHUNK, len(fs))
+            out[:, lo:hi] = apply(stacked_rows(self, fs, x, y, lo, hi)).T
+        return ff.from_reduced(self.p, out)
+
+    def stack(self, fs: Sequence, total):
+        """<f_1,...,f_k> = sum inj_i f_i: common src -> total, the canonical
+        biproduct of the targets; each f_i only fills its summand's rows."""
+        return self._place(fs, total, True)
+
+    def costack(self, fs: Sequence, total):
+        """(f_1 ... f_k) = sum f_i proj_i: total -> common dst, the canonical
+        biproduct of the sources; each f_i only fills its summand's columns."""
+        return self._place(fs, total, False)
+
+    def _place(self, fs, total, into: bool):
+        ends = [f.dst if into else f.src for f in fs]
+        other = fs[0].src if into else fs[0].dst
+        x, y = (other, total) if into else (total, other)
+        vec = np.zeros(self.flat_dim(x, y), dtype=np.int64)
+        for f, s, before in zip(fs, ends, _offsets(ends)):
+            vec[self.blocks.summand_positions(other.dimv, s.dimv, total.dimv, before, into)] = f.vec
+        return self._mor(x, y, _frozen(vec))
 
     def mor_eq(self, f, g) -> bool:
-        return bool(np.array_equal(self.flatten(f), self.flatten(g)))
+        return f.vec.tobytes() == g.vec.tobytes()
 
-    @abstractmethod
     def mor_components(self, f) -> list[np.ndarray]:
         """Component matrices; f is invertible iff every component is."""
+        return self.blocks.split(f.vec, f.src.dimv, f.dst.dimv)
 
     def combine(self, basis: Sequence, coeffs: np.ndarray, x, y):
-        out = self.zero_mor(x, y)
-        for c, b in zip(coeffs, basis):
-            if c % self.p:
-                out = self.add(out, self.scale(b, int(c)))
-        return out
+        """sum coeffs[i] * basis[i]: x -> y, over the nonzero coefficients only
+        (a solve's coefficients live on its pivot columns)."""
+        coeffs = np.asarray(coeffs, dtype=np.int64) % self.p
+        used = np.flatnonzero(coeffs)
+        if not used.size:
+            return self.zero_mor(x, y)
+        r = coeffs[used] @ stacked_rows(self, basis, x, y)[used]
+        r %= self.p
+        return self._mor(x, y, _frozen(r))
 
     # -- exact structure ---------------------------------------------------
-    @abstractmethod
-    def is_inflation(self, f) -> bool: ...
+    def is_inflation(self, f) -> bool:
+        """Every component injective."""
+        return all(ff.array_rank(m, self.p) == m.shape[1] for m in self.mor_components(f))
 
-    @abstractmethod
-    def is_deflation(self, f) -> bool: ...
+    def is_deflation(self, f) -> bool:
+        """Every component surjective."""
+        return all(ff.array_rank(m, self.p) == m.shape[0] for m in self.mor_components(f))
 
     @abstractmethod
     def check_conflation(self, c: Conflation) -> None: ...
@@ -202,6 +313,33 @@ class Category(ABC):
 
     @abstractmethod
     def enumerate_extensions(self, z, x, cap: int) -> list[Conflation]: ...
+
+
+def _offsets(summands: Sequence) -> list[tuple]:
+    """Where each summand of a canonical biproduct starts: in every block,
+    after the coordinates of the summands before it."""
+    out = []
+    before = (0,) * len(summands[0].dimv) if summands else ()
+    for s in summands:
+        out.append(before)
+        before = tuple(b + d for b, d in zip(before, s.dimv))
+    return out
+
+
+def _frozen(vec: np.ndarray) -> np.ndarray:
+    vec.setflags(write=False)
+    return vec
+
+
+def stacked_rows(cat: Category, mors: Sequence, x, y, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """(hi - lo) x flat_dim(x, y) array whose rows are the vectors of mors[lo:hi]
+    (a view for a HomBasis)."""
+    hi = len(mors) if hi is None else hi
+    if isinstance(mors, HomBasis):
+        return mors.rows[lo:hi]
+    if hi <= lo:
+        return np.zeros((0, cat.flat_dim(x, y)), dtype=np.int64)
+    return np.stack([f.vec for f in mors[lo:hi]])
 
 
 class Subcategory(ABC):
@@ -229,9 +367,9 @@ class Subcategory(ABC):
     @abstractmethod
     def ideal_basis(self, x, y) -> list: ...
 
+    @abstractmethod
     def ideal_spanning(self, x, y) -> list:
         """A spanning set of the ideal; may be redundant but cheap."""
-        return self.ideal_basis(x, y)
 
     @abstractmethod
     def is_ideal_member(self, f) -> bool:
@@ -265,11 +403,8 @@ class Subcategory(ABC):
 # ---------------------------------------------------------------------------
 
 def span_matrix(cat: Category, mors: Sequence, x, y) -> FpMatrix:
-    n = cat.flat_dim(x, y)
-    if not mors:
-        return FpMatrix.zeros(cat.p, n, 0)
-    cols = np.stack([cat.flatten(f) for f in mors], axis=1)
-    return ff.from_reduced(cat.p, cols)
+    """Matrix whose columns are the vectors of the morphisms x -> y in mors."""
+    return ff.from_reduced(cat.p, stacked_rows(cat, mors, x, y).T)
 
 
 def flat_column(cat: Category, f) -> FpMatrix:
@@ -318,19 +453,29 @@ def solve_postcompose(cat: Category, m, g) -> Optional[Any]:
     return _solve_combination(cat, cat.precompose_flat(basis, m, y, z), basis, g, y, z)
 
 
+_UNSEEN = object()
+
+
 def conflation_split(cat: Category, c: Conflation) -> Optional[tuple[Any, Any]]:
     """(retraction of incl, section of defl) when c splits, else None.
 
-    The two solvabilities are equivalent; both witnesses are returned and
-    their consistency asserted.
+    The two solvabilities are equivalent; both witnesses are computed and
+    their consistency checked.  Each conflation is decided once: the result
+    is cached on cat, keyed by the three object keys and the two maps.
     """
     a, b, z = c.terms(cat)
-    retr = solve_postcompose(cat, c.incl, cat.identity(a))
-    sect = solve_precompose(cat, c.defl, cat.identity(z))
-    assert (retr is None) == (sect is None)
-    if retr is None:
-        return None
-    return retr, sect
+    key = (cat.obj_key(a), cat.obj_key(b), cat.obj_key(z), c.incl.vec.tobytes(), c.defl.vec.tobytes())
+    hit = cat._split_witnesses.get(key, _UNSEEN)
+    if hit is _UNSEEN:
+        retr = solve_postcompose(cat, c.incl, cat.identity(a))
+        sect = solve_precompose(cat, c.defl, cat.identity(z))
+        verify(
+            (retr is None) == (sect is None),
+            "conflation: a retraction of the inflation without a section of the deflation, or vice versa",
+        )
+        hit = None if retr is None else (retr, sect)
+        cat._split_witnesses[key] = hit
+    return hit
 
 
 def hom_exact(cat: Category, c: Conflation, t, side: str) -> bool:

@@ -19,7 +19,7 @@ from typing import Any, Optional
 from . import classes as confclasses
 from . import quotient as qt
 from .approx import AddSubcat, is_pseudo_cluster_tilting, is_self_orthogonal
-from .category import Conflation, EnumerationBound, conflation_split
+from .category import Conflation, EnumerationBound, VerificationError, conflation_split
 from .conflcat import (
     ConflCategory,
     SubstructureTag,
@@ -268,7 +268,7 @@ def _mor_json(cat: RepCategory, f: RepMor) -> dict:
         "src": f.src.name or f.src.label,
         "dst": f.dst.name or f.dst.label,
         "comps": {
-            v: f.comps[v].a.tolist()
+            v: f.comp(v).a.tolist()
             for v in cat.quiver.vertices
             if f.src.dims[v] and f.dst.dims[v]
         },
@@ -434,7 +434,7 @@ def cmd_confl(doc: SpecDocument, args) -> dict:
     factored = 0
     for x in ecat.enumerate_objects(min(bound, 1)):
         dses = sub._precover_data(x).dses
-        factor_split0_conflation(ecat, sub, dses)
+        factor_split0_conflation(ecat, dses)
         factored += 1
     try:
         obstruction = nonsplit_with_split_ends(ecat)
@@ -640,6 +640,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = handler(doc, args)
     except SpecValidationError as exc:
         report = {"name": args.command, "verdict": "fail", "errors": exc.errors}
+    except VerificationError as exc:
+        # a failed check outside the sweeps that record theirs per item
+        report = {"name": args.command, "verdict": "fail", "errors": [str(exc)]}
     except EnumerationBound as exc:
         report = {
             "name": args.command,

@@ -23,23 +23,28 @@ from .category import (
     Conflation,
     EnumerationBound,
     Subcategory,
+    VerificationError,
     conflation_split,
     hom_exact,
+    solve_precompose,
     span_basis,
     span_matrix,
+    verify,
 )
 from .fflinalg import FpMatrix
-from .repcat import RepCategory, RepMor, RepObj, block_triangular, glued_middle
+from .repcat import RepCategory, RepMor, RepObj, block_triangular, check_squares, glued_middle
 
 
 class ConflObj:
     """A conflation of the base category, as a complex in degrees -1, 0, 1."""
 
-    __slots__ = ("ses", "name", "_key")
+    __slots__ = ("ses", "name", "dimv", "_key")
 
     def __init__(self, ses: Conflation, name: str = ""):
         self.ses = ses
         self.name = name
+        # the dims of the three terms, one block per degree and vertex
+        self.dimv = ses.incl.src.dimv + ses.incl.dst.dimv + ses.defl.dst.dimv
         self._key = None
 
     @property
@@ -72,8 +77,8 @@ class ConflObj:
                 self.t1.key,
                 self.t2.key,
                 self.t3.key,
-                self.d1.flatten().tobytes(),
-                self.d2.flatten().tobytes(),
+                self.d1.vec.tobytes(),
+                self.d2.vec.tobytes(),
             )
         return self._key
 
@@ -87,37 +92,89 @@ class ConflObj:
         return f"<ConflObj {self.label}>"
 
 
-class ConflMor:
-    """A chain map between conflation objects: three commuting components."""
+_new_object = object.__new__
 
-    __slots__ = ("src", "dst", "f1", "f2", "f3")
+
+class ConflMor:
+    """A chain map between conflation objects: three commuting components.
+
+    Stored as one read-only flat vector, the three degree components'
+    vectors one after another (per degree, then per vertex); f1, f2, f3 are
+    RepMor views on its slices, made on first use.  The public constructor
+    concatenates three components and, with check, tests both chain-map
+    squares; `_trusted` wraps a vector known to be a chain map.
+    """
+
+    __slots__ = ("src", "dst", "vec", "_parts")
 
     def __init__(self, src: ConflObj, dst: ConflObj, f1: RepMor, f2: RepMor, f3: RepMor, check: bool = True):
+        vec = np.concatenate([f1.vec, f2.vec, f3.vec])
+        vec.setflags(write=False)
         self.src = src
         self.dst = dst
-        self.f1 = f1
-        self.f2 = f2
-        self.f3 = f3
+        self.vec = vec
+        self._parts = None
         if check:
-            if not _commutes(f2, src.d1, dst.d1, f1):
-                raise ValueError("first square of the chain map does not commute")
-            if not _commutes(f3, src.d2, dst.d2, f2):
-                raise ValueError("second square of the chain map does not commute")
+            defect = chain_map_defect(src, dst, vec[None, :])
+            if defect is not None:
+                raise ValueError(defect)
+
+    @classmethod
+    def _trusted(cls, src: ConflObj, dst: ConflObj, vec: np.ndarray) -> "ConflMor":
+        f = _new_object(cls)
+        f.src = src
+        f.dst = dst
+        f.vec = vec
+        f._parts = None
+        return f
 
     def components(self) -> tuple[RepMor, RepMor, RepMor]:
-        return (self.f1, self.f2, self.f3)
+        if self._parts is None:
+            cols = _degree_columns(self.src, self.dst, self.vec[None, :])
+            self._parts = tuple(
+                RepMor._trusted(x, y, c[0]) for x, y, c in zip(self.src.terms(), self.dst.terms(), cols)
+            )
+        return self._parts
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.f1.flatten(), self.f2.flatten(), self.f3.flatten()])
+    @property
+    def f1(self) -> RepMor:
+        return self.components()[0]
+
+    @property
+    def f2(self) -> RepMor:
+        return self.components()[1]
+
+    @property
+    def f3(self) -> RepMor:
+        return self.components()[2]
 
     def __repr__(self):
         return f"<ConflMor {self.src.label} -> {self.dst.label}>"
 
 
-def _commutes(g1: RepMor, f1: RepMor, g2: RepMor, f2: RepMor) -> bool:
-    """g1 o f1 == g2 o f2, for two composites with the same endpoints."""
-    left, right = RepCategory.compose(g1, f1), RepCategory.compose(g2, f2)
-    return all(m == right.comps[v] for v, m in left.comps.items())
+def _degree_columns(x: ConflObj, y: ConflObj, rows: np.ndarray) -> list[np.ndarray]:
+    """The column slices of rows (flat maps x -> y) holding degrees 1, 2, 3."""
+    out, lo = [], 0
+    for xt, yt in zip(x.terms(), y.terms()):
+        hi = lo + xt.quiver.blocks.size(xt.dimv, yt.dimv)
+        out.append(rows[:, lo:hi])
+        lo = hi
+    return out
+
+
+def chain_map_defect(x: ConflObj, y: ConflObj, rows: np.ndarray) -> Optional[str]:
+    """None when every row of rows, a flat map x -> y, is a chain map
+    (d_y o f_t = f_(t+1) o d_x for t = 1, 2), else which square fails;
+    batched over the rows."""
+    b = x.t1.quiver.blocks
+    xs, ys = x.terms(), y.terms()
+    f = _degree_columns(x, y, rows)
+    for t, dx, dy, which in ((0, x.d1, y.d1, "first"), (1, x.d2, y.d2, "second")):
+        lhs = b.left_stack(dy.vec, f[t], xs[t].dimv, ys[t].dimv, ys[t + 1].dimv)
+        rhs = b.right_stack(f[t + 1], dx.vec, xs[t].dimv, xs[t + 1].dimv, ys[t + 1].dimv)
+        if ((lhs - rhs) % xs[0].p).any():
+            return f"{which} square of the chain map does not commute"
+    return None
 
 
 class SubstructureTag(Enum):
@@ -151,15 +208,17 @@ TAG_ORDER = [
 class ConflCategory(Category):
     """Degreewise exact structure on conflations of a base category."""
 
+    _mor = staticmethod(ConflMor._trusted)
+
     def __init__(self, base: RepCategory):
         super().__init__()
         self.base = base
         self.p = base.p
+        self.blocks = base.blocks
         self._zero = ConflObj(
             Conflation(base.zero_mor(base.zero_obj(), base.zero_obj()), base.zero_mor(base.zero_obj(), base.zero_obj())),
             name="0",
         )
-        self._split_cache: dict = {}
         self._split_form_cache: dict = {}
         self._pair_cache: dict = {}
         # the one subcategory of split conflations, shared by every harness
@@ -189,10 +248,7 @@ class ConflCategory(Category):
         return x.key
 
     def obj_dim(self, x: ConflObj) -> int:
-        return x.t1.total_dim + x.t2.total_dim + x.t3.total_dim
-
-    def dim_profile(self, x: ConflObj) -> tuple[int, ...]:
-        return self.base.dim_profile(x.t1) + self.base.dim_profile(x.t2) + self.base.dim_profile(x.t3)
+        return sum(x.dimv)
 
     def obj_label(self, x: ConflObj) -> str:
         return x.label
@@ -214,18 +270,8 @@ class ConflCategory(Category):
         total = ConflObj(Conflation(d1, d2))
         injs = [ConflMor(x, total, i1[k], i2[k], i3[k], check=False) for k, x in enumerate(xs)]
         projs = [ConflMor(total, x, p1[k], p2[k], p3[k], check=False) for k, x in enumerate(xs)]
-        self._register_sum(total, xs, injs, projs)
+        self._register_sum(total, xs)
         return total, injs, projs
-
-    def flat_dim(self, x: ConflObj, y: ConflObj) -> int:
-        return (
-            self.base.flat_dim(x.t1, y.t1)
-            + self.base.flat_dim(x.t2, y.t2)
-            + self.base.flat_dim(x.t3, y.t3)
-        )
-
-    def flatten(self, f: ConflMor) -> np.ndarray:
-        return f.flatten()
 
     def _is_canonical_split_obj(self, x: ConflObj) -> bool:
         hit = self._split_form_cache.get(x.key)
@@ -234,128 +280,70 @@ class ConflCategory(Category):
             mid, inc, prj = glued_middle(x.t1, x.t3, {}, check=False)
             hit = (
                 x.t2.key == mid.key
-                and np.array_equal(x.d1.flatten(), inc.flatten())
-                and np.array_equal(x.d2.flatten(), prj.flatten())
+                and np.array_equal(x.d1.vec, inc.vec)
+                and np.array_equal(x.d2.vec, prj.vec)
             )
             self._split_form_cache[x.key] = hit
         return hit
 
-    def _hom_from_split(self, s: ConflObj, y: ConflObj) -> list[ConflMor]:
+    def _hom_from_split(self, s: ConflObj, y: ConflObj) -> np.ndarray:
         # a chain map out of a -> a(+)c -> c is freely determined by its
-        # restriction a -> Y1 and its middle component c -> Y2
+        # restriction h: a -> Y1 and its middle component k: c -> Y2, giving
+        # (h, d1 h pa, 0) and (0, k pc, d2 k)
         b = self.base
-        a_obj, c_obj = s.t1, s.t3
-        _, _, (pa, pc) = self._pair(a_obj, c_obj)
-        out = []
-        for h in b.hom_basis(a_obj, y.t1):
-            f2 = b.compose(b.compose(y.d1, h), pa)
-            out.append(ConflMor(s, y, h, f2, b.zero_mor(c_obj, y.t3), check=False))
-        for k in b.hom_basis(c_obj, y.t2):
-            f2 = b.compose(k, pc)
-            out.append(ConflMor(s, y, b.zero_mor(a_obj, y.t1), f2, b.compose(y.d2, k), check=False))
-        return out
+        a, c = s.t1, s.t3
+        _, _, (pa, pc) = self._pair(a, c)
+        hs, ks = b.hom_basis(a, y.t1).rows, b.hom_basis(c, y.t2).rows
+        rows = np.zeros((len(hs) + len(ks), self.flat_dim(s, y)), dtype=np.int64)
+        h1, h2, _ = _degree_columns(s, y, rows[: len(hs)])
+        h1[:] = hs
+        h2[:] = b.precompose_rows(b.compose_rows(y.d1, hs, a), pa, y.t2)
+        _, k2, k3 = _degree_columns(s, y, rows[len(hs) :])
+        k2[:] = b.precompose_rows(ks, pc, y.t2)
+        k3[:] = b.compose_rows(y.d2, ks, c)
+        return rows
 
-    def _hom_to_split(self, x: ConflObj, s: ConflObj) -> list[ConflMor]:
-        # dually: freely determined by X2 -> a and X3 -> c
+    def _hom_to_split(self, x: ConflObj, s: ConflObj) -> np.ndarray:
+        # dually: freely determined by u: X2 -> a and w: X3 -> c, giving
+        # (u d1, ja u, 0) and (0, jc w d2, w)
         b = self.base
-        a_obj, c_obj = s.t1, s.t3
-        _, (ja, jc), _ = self._pair(a_obj, c_obj)
-        out = []
-        for u in b.hom_basis(x.t2, a_obj):
-            f2 = b.compose(ja, u)
-            out.append(ConflMor(x, s, b.compose(u, x.d1), f2, b.zero_mor(x.t3, c_obj), check=False))
-        for w in b.hom_basis(x.t3, c_obj):
-            f2 = b.compose(jc, b.compose(w, x.d2))
-            out.append(ConflMor(x, s, b.zero_mor(x.t1, a_obj), f2, w, check=False))
-        return out
+        a, c = s.t1, s.t3
+        _, (ja, jc), _ = self._pair(a, c)
+        us, ws = b.hom_basis(x.t2, a).rows, b.hom_basis(x.t3, c).rows
+        rows = np.zeros((len(us) + len(ws), self.flat_dim(x, s)), dtype=np.int64)
+        u1, u2, _ = _degree_columns(x, s, rows[: len(us)])
+        u1[:] = b.precompose_rows(us, x.d1, a)
+        u2[:] = b.compose_rows(ja, us, x.t2)
+        _, w2, w3 = _degree_columns(x, s, rows[len(us) :])
+        w2[:] = b.compose_rows(jc, b.precompose_rows(ws, x.d2, c), x.t2)
+        w3[:] = ws
+        return rows
 
-    def _solve_hom_basis(self, x: ConflObj, y: ConflObj) -> list[ConflMor]:
+    def _solve_hom_basis(self, x: ConflObj, y: ConflObj) -> np.ndarray:
         if self._is_canonical_split_obj(x):
             return self._hom_from_split(x, y)
         if self._is_canonical_split_obj(y):
             return self._hom_to_split(x, y)
         quiver = self.base.quiver
-        degrees = [(x.t1, y.t1), (x.t2, y.t2), (x.t3, y.t3)]
+        degrees = list(zip(x.terms(), y.terms()))
         system = ff.BlockSystem(self.p)
         for t, (xt, yt) in enumerate(degrees, start=1):
             self.base.hom_equations(system, xt, yt, key=lambda v, t=t: (t, v))
         for t, xdiff, ydiff in ((1, x.d1, y.d1), (2, x.d2, y.d2)):
             # ydiff o f_t = f_{t+1} o xdiff, per vertex
             for v in quiver.vertices:
-                system.equation((1, ydiff.comps[v].a, (t, v), None), (-1, None, (t + 1, v), xdiff.comps[v].a))
-        null = system.kernel()
-        basis = []
-        for c in range(null.cols):
-            blocks = system.blocks(null.a[:, c])
-            comps = [
-                RepMor(xt, yt, {v: FpMatrix(self.p, blocks[(t, v)]) for v in quiver.vertices})
-                for t, (xt, yt) in enumerate(degrees, start=1)
-            ]
-            basis.append(ConflMor(x, y, *comps))
-        return basis
-
-    def identity(self, x: ConflObj) -> ConflMor:
-        b = self.base
-        return ConflMor(x, x, b.identity(x.t1), b.identity(x.t2), b.identity(x.t3), check=False)
-
-    def zero_mor(self, x: ConflObj, y: ConflObj) -> ConflMor:
-        b = self.base
-        return ConflMor(x, y, b.zero_mor(x.t1, y.t1), b.zero_mor(x.t2, y.t2), b.zero_mor(x.t3, y.t3), check=False)
-
-    def compose(self, g: ConflMor, f: ConflMor) -> ConflMor:
-        b = self.base
-        return ConflMor(
-            f.src, g.dst, b.compose(g.f1, f.f1), b.compose(g.f2, f.f2), b.compose(g.f3, f.f3), check=False
-        )
-
-    def add(self, f: ConflMor, g: ConflMor) -> ConflMor:
-        b = self.base
-        return ConflMor(f.src, f.dst, b.add(f.f1, g.f1), b.add(f.f2, g.f2), b.add(f.f3, g.f3), check=False)
-
-    def neg(self, f: ConflMor) -> ConflMor:
-        b = self.base
-        return ConflMor(f.src, f.dst, b.neg(f.f1), b.neg(f.f2), b.neg(f.f3), check=False)
-
-    def scale(self, f: ConflMor, c: int) -> ConflMor:
-        b = self.base
-        return ConflMor(f.src, f.dst, b.scale(f.f1, c), b.scale(f.f2, c), b.scale(f.f3, c), check=False)
-
-    def compose_flat(self, g: ConflMor, fs: Sequence[ConflMor], x: ConflObj, y: ConflObj) -> FpMatrix:
-        b = self.base
-        return ff.vstack([
-            b.compose_flat(g.f1, [f.f1 for f in fs], x.t1, y.t1),
-            b.compose_flat(g.f2, [f.f2 for f in fs], x.t2, y.t2),
-            b.compose_flat(g.f3, [f.f3 for f in fs], x.t3, y.t3),
-        ])
-
-    def precompose_flat(self, fs: Sequence[ConflMor], m: ConflMor, x: ConflObj, y: ConflObj) -> FpMatrix:
-        b = self.base
-        return ff.vstack([
-            b.precompose_flat([f.f1 for f in fs], m.f1, x.t1, y.t1),
-            b.precompose_flat([f.f2 for f in fs], m.f2, x.t2, y.t2),
-            b.precompose_flat([f.f3 for f in fs], m.f3, x.t3, y.t3),
-        ])
-
-    def src(self, f: ConflMor) -> ConflObj:
-        return f.src
-
-    def dst(self, f: ConflMor) -> ConflObj:
-        return f.dst
-
-    def mor_components(self, f: ConflMor) -> list[np.ndarray]:
-        return (
-            self.base.mor_components(f.f1)
-            + self.base.mor_components(f.f2)
-            + self.base.mor_components(f.f3)
-        )
+                system.equation((1, ydiff.comp(v).a, (t, v), None), (-1, None, (t + 1, v), xdiff.comp(v).a))
+        # unknowns declared degree by degree in flat order: kernel columns are
+        # chain maps, re-checked for the whole basis at once
+        rows = system.kernel().a.T.copy()
+        for (xt, yt), cols in zip(degrees, _degree_columns(x, y, rows)):
+            check_squares(xt, yt, cols)
+        defect = chain_map_defect(x, y, rows)
+        if defect is not None:
+            raise ValueError(defect)
+        return rows
 
     # -- exact structure -----------------------------------------------------
-    def is_inflation(self, f: ConflMor) -> bool:
-        return all(self.base.is_inflation(c) for c in f.components())
-
-    def is_deflation(self, f: ConflMor) -> bool:
-        return all(self.base.is_deflation(c) for c in f.components())
-
     def degree_component(self, c: Conflation, degree: int) -> Conflation:
         """The short exact sequence of representations in one degree (1, 2 or 3)."""
         incl: ConflMor = c.incl
@@ -370,15 +358,13 @@ class ConflCategory(Category):
         for d in (1, 2, 3):
             self.base.check_conflation(self.degree_component(c, d))
 
+    def degree_split(self, c: Conflation, degree: int) -> Optional[tuple[RepMor, RepMor]]:
+        """(retraction, section) of the degree component when it splits, else
+        None; decided once per component by the base's witness cache."""
+        return conflation_split(self.base, self.degree_component(c, degree))
+
     def degree_splits(self, c: Conflation, degree: int) -> bool:
-        comp = self.degree_component(c, degree)
-        key = (comp.incl.flatten().tobytes(), comp.defl.flatten().tobytes(),
-               comp.incl.src.key, comp.incl.dst.key, comp.defl.dst.key)
-        hit = self._split_cache.get(key)
-        if hit is None:
-            hit = conflation_split(self.base, comp) is not None
-            self._split_cache[key] = hit
-        return hit
+        return self.degree_split(c, degree) is not None
 
     def kernel(self, f: ConflMor) -> tuple[ConflObj, ConflMor]:
         b = self.base
@@ -448,7 +434,7 @@ class ConflCategory(Category):
             delta2 = _factor_mono(b, [m], [b.compose(x.d2, u2)])
             sub = self.make_obj(Conflation(w2, delta2))
             out.append(ConflMor(sub, x, w1, u2, m))
-        out.sort(key=lambda f: (self.obj_dim(f.src), f.flatten().tobytes()))
+        out.sort(key=lambda f: (self.obj_dim(f.src), f.vec.tobytes()))
         return out
 
     def enumerate_extensions(self, z: ConflObj, x: ConflObj, cap: int = 4096) -> list[Conflation]:
@@ -477,13 +463,13 @@ class ConflCategory(Category):
                 i, j = a.src, a.dst
                 system.equation(
                     (1, xt[t].maps[a.name].a, ("c", t, i), None),
-                    (1, None, ("e", t + 1, a.name), zd[t].comps[i].a),
-                    (-1, xd[t].comps[j].a, ("e", t, a.name), None),
+                    (1, None, ("e", t + 1, a.name), zd[t].comp(i).a),
+                    (-1, xd[t].comp(j).a, ("e", t, a.name), None),
                     (-1, None, ("c", t, j), zt[t - 1].maps[a.name].a),
                 )
         # composite of the two middle differentials vanishes
         for v in quiver.vertices:
-            system.equation((1, xd[2].comps[v].a, ("c", 1, v), None), (1, None, ("c", 2, v), zd[1].comps[v].a))
+            system.equation((1, xd[2].comp(v).a, ("c", 1, v), None), (1, None, ("c", 2, v), zd[1].comp(v).a))
         null = system.kernel()
         count = p**null.cols
         if count > cap:
@@ -507,7 +493,7 @@ class ConflCategory(Category):
         diffs = []
         for t, xdiff, zdiff in ((1, x.d1, z.d1), (2, x.d2, z.d2)):
             comps = {
-                v: FpMatrix(self.p, block_triangular(xdiff.comps[v].a, blocks[("c", t, v)], zdiff.comps[v].a))
+                v: FpMatrix(self.p, block_triangular(xdiff.comp(v).a, blocks[("c", t, v)], zdiff.comp(v).a))
                 for v in quiver.vertices
             }
             diffs.append(RepMor(mids[t - 1], mids[t], comps))
@@ -523,8 +509,8 @@ def _factor_mono(b: RepCategory, ms: Sequence[RepMor], gs: Sequence[RepMor]) -> 
     """Unique u with m o u = g for each pair of ms, gs (the ms stacked vertex-wise injective)."""
     comps = {}
     for v in b.quiver.vertices:
-        sol = ff.solve_right(ff.vstack([m.comps[v] for m in ms]), ff.vstack([g.comps[v] for g in gs]))
-        assert sol is not None
+        sol = ff.solve_right(ff.vstack([m.comp(v) for m in ms]), ff.vstack([g.comp(v) for g in gs]))
+        verify(sol is not None, f"no factorization through the monomorphism at vertex {v}")
         comps[v] = sol
     return RepMor(gs[0].src, ms[0].src, comps)
 
@@ -533,9 +519,9 @@ def _factor_epi(b: RepCategory, es: Sequence[RepMor], gs: Sequence[RepMor]) -> R
     """Unique u with u o e = g for each pair of es, gs (the es side by side vertex-wise surjective)."""
     comps = {}
     for v in b.quiver.vertices:
-        stacked = ff.hstack([e.comps[v] for e in es]).transpose()
-        sol = ff.solve_right(stacked, ff.hstack([g.comps[v] for g in gs]).transpose())
-        assert sol is not None
+        stacked = ff.hstack([e.comp(v) for e in es]).transpose()
+        sol = ff.solve_right(stacked, ff.hstack([g.comp(v) for g in gs]).transpose())
+        verify(sol is not None, f"no factorization through the epimorphism at vertex {v}")
         comps[v] = sol.transpose()
     return RepMor(es[0].dst, gs[0].dst, comps)
 
@@ -589,7 +575,10 @@ def s_precover(ecat: ConflCategory, x: ConflObj) -> SplitPrecover:
     iota = ConflMor(p1, p0, b.zero_mor(zero, x1), i2, b.neg(x.d1))
     dses = Conflation(iota, alpha)
     ecat.check_conflation(dses)
-    assert substructure_member(ecat, dses, SubstructureTag.SPLIT0M1)
+    verify(
+        substructure_member(ecat, dses, SubstructureTag.SPLIT0M1),
+        f"{x.label}: split precover conflation does not split in degrees -1 and 0",
+    )
     return SplitPrecover(p1, p0, alpha, dses)
 
 
@@ -607,7 +596,10 @@ def s_preenvelope(ecat: ConflCategory, x: ConflObj) -> SplitPreenvelope:
     gamma = ConflMor(q0, q1, b.neg(x.d2), g2, b.zero_mor(x3, zero))
     dses = Conflation(beta, gamma)
     ecat.check_conflation(dses)
-    assert substructure_member(ecat, dses, SubstructureTag.SPLIT01)
+    verify(
+        substructure_member(ecat, dses, SubstructureTag.SPLIT01),
+        f"{x.label}: split preenvelope conflation does not split in degrees 0 and 1",
+    )
     return SplitPreenvelope(q0, q1, beta, dses)
 
 
@@ -616,7 +608,7 @@ def split_precover_lift(ecat: ConflCategory, pre: SplitPrecover, g: ConflMor) ->
     b = ecat.base
     y = g.src
     x = g.dst
-    assert ecat._is_canonical_split_obj(y), "formula applies to canonical split sources"
+    verify(ecat._is_canonical_split_obj(y), "the precover lift formula applies to canonical split sources")
     _, (jy1, jy2), (py1, py2) = ecat._pair(y.t1, y.t3)
     gprime = b.compose(g.f2, jy2)  # component Y2 -> X2 of the middle map
     p0 = pre.p0
@@ -625,7 +617,7 @@ def split_precover_lift(ecat: ConflCategory, pre: SplitPrecover, g: ConflMor) ->
     u2 = b.add(b.compose(jp1, b.compose(g.f1, py1)), b.compose(jp2, b.compose(gprime, py2)))
     u3 = gprime
     u = ConflMor(y, p0, u1, u2, u3)
-    assert ecat.mor_eq(ecat.compose(pre.alpha, u), g)
+    verify(ecat.mor_eq(ecat.compose(pre.alpha, u), g), f"closed-form precover lift from {y.label} does not lift")
     return u
 
 
@@ -634,7 +626,7 @@ def split_preenvelope_lift(ecat: ConflCategory, env: SplitPreenvelope, g: ConflM
     b = ecat.base
     x = g.src
     y = g.dst
-    assert ecat._is_canonical_split_obj(y), "formula applies to canonical split targets"
+    verify(ecat._is_canonical_split_obj(y), "the preenvelope lift formula applies to canonical split targets")
     _, (jy1, jy2), (py1, py2) = ecat._pair(y.t1, y.t3)
     ucomp = b.compose(py1, g.f2)  # component X2 -> Y1 of the middle map
     q0 = env.q0
@@ -643,7 +635,7 @@ def split_preenvelope_lift(ecat: ConflCategory, env: SplitPreenvelope, g: ConflM
     w2 = b.add(b.compose(jy1, b.compose(ucomp, pq1)), b.compose(jy2, b.compose(g.f3, pq2)))
     w3 = g.f3
     w = ConflMor(q0, y, w1, w2, w3)
-    assert ecat.mor_eq(ecat.compose(w, env.beta), g)
+    verify(ecat.mor_eq(ecat.compose(w, env.beta), g), f"closed-form preenvelope extension to {y.label} does not extend")
     return w
 
 
@@ -704,8 +696,6 @@ class SplitConflationSubcat(Subcategory):
         return span_basis(self.cat, self.ideal_spanning(x, y), x, y)
 
     def is_ideal_member(self, f: ConflMor) -> bool:
-        from .category import solve_precompose
-
         return solve_precompose(self.cat, self.precover(f.dst), f) is not None
 
     def is_hom_exact(self, c: Conflation, side: str) -> bool:
@@ -756,8 +746,8 @@ def nonsplit_with_split_ends(ecat: ConflCategory) -> Conflation:
     defl = ConflMor(y, q, b.zero_mor(x1, zero), mid.defl, b.identity(x3))
     dses = Conflation(incl, defl)
     ecat.check_conflation(dses)
-    assert substructure_member(ecat, dses, SubstructureTag.FULL)
-    assert not substructure_member(ecat, dses, SubstructureTag.SPLIT0)
+    verify(substructure_member(ecat, dses, SubstructureTag.FULL), "obstruction is not a degreewise conflation")
+    verify(not substructure_member(ecat, dses, SubstructureTag.SPLIT0), "obstruction splits in degree 0")
     return dses
 
 
@@ -782,18 +772,19 @@ class BiconditionalReport:
 
 def check_hom_exactness_matches_splitting(
     ecat: ConflCategory,
-    sub: SplitConflationSubcat,
     dses: Conflation,
     bound: int = 1,
     test_objects: Optional[list[ConflObj]] = None,
 ) -> tuple[bool, bool, bool, bool]:
     """Bounded-exhaustive hom-exactness vs degree-splitting, both dualities.
 
-    Returns (cov_exact, in_split0m1, contra_exact, in_split01) and raises if
-    either biconditional fails.  The covariant test family always contains
-    the split precover source of the end term, which the converse direction
-    needs, so the bounded decision is complete; dually for the inflation.
+    Returns (cov_exact, in_split0m1, contra_exact, in_split01) and raises
+    VerificationError if either biconditional or a lift formula fails.  The
+    covariant test family always contains the split precover source of the
+    end term, which the converse direction needs, so the bounded decision is
+    complete; dually for the inflation.
     """
+    sub = ecat.split_sub
     z_obj: ConflObj = ecat.dst(dses.defl)
     x_obj: ConflObj = ecat.src(dses.incl)
     if test_objects is None:
@@ -804,10 +795,8 @@ def check_hom_exactness_matches_splitting(
     member_down = substructure_member(ecat, dses, SubstructureTag.SPLIT0M1)
     contra = all(hom_exact(ecat, dses, t, "contravariant") for t in contra_family)
     member_up = substructure_member(ecat, dses, SubstructureTag.SPLIT01)
-    if cov != member_down:
-        raise AssertionError("covariant hom-exactness disagrees with degree (-1,0) splitting")
-    if contra != member_up:
-        raise AssertionError("contravariant hom-exactness disagrees with degree (0,1) splitting")
+    verify(cov == member_down, "covariant hom-exactness disagrees with degree (-1,0) splitting")
+    verify(contra == member_up, "contravariant hom-exactness disagrees with degree (0,1) splitting")
     if member_down:
         _verify_deflation_lift_formula(ecat, dses, test_objects)
     if member_up:
@@ -816,54 +805,66 @@ def check_hom_exactness_matches_splitting(
 
 
 def _verify_deflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_objects) -> None:
-    """The closed-form lift through the deflation, from the degree sections."""
+    """The closed-form lift through the deflation, from the degree sections,
+    checked on a whole hom basis at once: for h: T -> Z with T split,
+    u = (s1 h1, d1 s1 h1 p1 + s2 h2 j2 p2, d2 s2 h2 j2) is a chain map
+    T -> Y with g o u = h."""
     b = ecat.base
     g: ConflMor = dses.defl
     y_obj, z_obj = g.src, g.dst
-    s1 = conflation_split(b, ecat.degree_component(dses, 1))[1]
-    s2 = conflation_split(b, ecat.degree_component(dses, 2))[1]
+    s1 = ecat.degree_split(dses, 1)[1]
+    s2 = ecat.degree_split(dses, 2)[1]
     for t_obj in test_objects:
         if not ecat._is_canonical_split_obj(t_obj):
             continue
-        _, (j1, j2), (p1, p2) = ecat._pair(t_obj.t1, t_obj.t3)
-        for h in ecat.hom_basis(t_obj, z_obj):
-            bcomp = b.compose(h.f2, j2)
-            u1 = b.compose(s1, h.f1)
-            u2 = b.add(
-                b.compose(b.compose(y_obj.d1, b.compose(s1, h.f1)), p1),
-                b.compose(b.compose(s2, bcomp), p2),
-            )
-            u3 = b.compose(y_obj.d2, b.compose(s2, bcomp))
-            u = ConflMor(t_obj, y_obj, u1, u2, u3)
-            assert ecat.mor_eq(ecat.compose(g, u), h)
+        t1, _, t3 = t_obj.terms()
+        _, (j1, j2), (p1, p2) = ecat._pair(t1, t3)
+        hs = ecat.hom_basis(t_obj, z_obj)
+        if not hs:
+            continue
+        h1, h2, _ = _degree_columns(t_obj, z_obj, hs.rows)
+        u1 = b.compose_rows(s1, h1, t1)
+        s2b = b.compose_rows(s2, b.precompose_rows(h2, j2, z_obj.t2), t3)
+        u2 = b.precompose_rows(b.compose_rows(y_obj.d1, u1, t1), p1, y_obj.t2) + b.precompose_rows(s2b, p2, y_obj.t2)
+        u3 = b.compose_rows(y_obj.d2, s2b, t3)
+        us = np.hstack([u1, u2 % ecat.p, u3])
+        defect = chain_map_defect(t_obj, y_obj, us)
+        verify(defect is None, f"deflation lift formula from {t_obj.label}: {defect}")
+        lifted = ecat.compose_rows(g, us, t_obj)
+        verify(np.array_equal(lifted, hs.rows), f"deflation lift formula fails from {t_obj.label}")
 
 
 def _verify_inflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_objects) -> None:
-    """The dual closed-form extension along the inflation, from the retractions."""
+    """The dual closed-form extension along the inflation, from the
+    retractions, checked on a whole hom basis at once: for h: X -> T with T
+    split, u = (p1 h2 r2 d1, j1 p1 h2 r2 + j2 h3 r3 d2, h3 r3) is a chain map
+    Y -> T with u o f = h."""
     b = ecat.base
     f: ConflMor = dses.incl
     x_obj, y_obj = f.src, f.dst
-    r2 = conflation_split(b, ecat.degree_component(dses, 2))[0]
-    r3 = conflation_split(b, ecat.degree_component(dses, 3))[0]
+    r2 = ecat.degree_split(dses, 2)[0]
+    r3 = ecat.degree_split(dses, 3)[0]
     for t_obj in test_objects:
         if not ecat._is_canonical_split_obj(t_obj):
             continue
-        _, (j1, j2), (p1, p2) = ecat._pair(t_obj.t1, t_obj.t3)
-        for h in ecat.hom_basis(x_obj, t_obj):
-            h2a = b.compose(p1, h.f2)
-            u3 = b.compose(h.f3, r3)
-            u2 = b.add(
-                b.compose(j1, b.compose(h2a, r2)),
-                b.compose(j2, b.compose(u3, y_obj.d2)),
-            )
-            u1 = b.compose(b.compose(h2a, r2), y_obj.d1)
-            u = ConflMor(y_obj, t_obj, u1, u2, u3)
-            assert ecat.mor_eq(ecat.compose(u, f), h)
+        t1, _, t3 = t_obj.terms()
+        _, (j1, j2), (p1, p2) = ecat._pair(t1, t3)
+        hs = ecat.hom_basis(x_obj, t_obj)
+        if not hs:
+            continue
+        _, h2, h3 = _degree_columns(x_obj, t_obj, hs.rows)
+        ar = b.precompose_rows(b.compose_rows(p1, h2, x_obj.t2), r2, t1)
+        u3 = b.precompose_rows(h3, r3, t3)
+        u2 = b.compose_rows(j1, ar, y_obj.t2) + b.compose_rows(j2, b.precompose_rows(u3, y_obj.d2, t3), y_obj.t2)
+        u1 = b.precompose_rows(ar, y_obj.d1, t1)
+        us = np.hstack([u1, u2 % ecat.p, u3])
+        defect = chain_map_defect(y_obj, t_obj, us)
+        verify(defect is None, f"inflation extension formula to {t_obj.label}: {defect}")
+        extended = ecat.precompose_rows(us, f, t_obj)
+        verify(np.array_equal(extended, hs.rows), f"inflation extension formula fails to {t_obj.label}")
 
 
-def factor_split0_conflation(
-    ecat: ConflCategory, sub: SplitConflationSubcat, dses: Conflation
-) -> tuple[Conflation, Conflation]:
+def factor_split0_conflation(ecat: ConflCategory, dses: Conflation) -> tuple[Conflation, Conflation]:
     """Factor a degree-0-splitting conflation through the two one-sided structures.
 
     Pushing the inflation out along the split preenvelope of its source
@@ -876,7 +877,7 @@ def factor_split0_conflation(
     f: ConflMor = dses.incl
     g: ConflMor = dses.defl
     x_obj, y_obj, z_obj = ecat.src(f), ecat.dst(f), ecat.dst(g)
-    env = sub._preenvelope_data(x_obj)
+    env = ecat.split_sub._preenvelope_data(x_obj)
     r = env.beta
     delta = env.dses.defl  # Q0 -> Q1
     c_obj, t_mor, s_mor = ecat.pushout(r, f)  # t: Q0 -> C, s: Y -> C
@@ -886,10 +887,13 @@ def factor_split0_conflation(
     w = _induced_from_pushout(ecat, t_mor, s_mor, ecat.zero_mor(env.q0, z_obj), g)
     step2 = Conflation(t_mor, w)
     ecat.check_conflation(step2)
-    assert substructure_member(ecat, step1, SubstructureTag.SPLIT01)
-    assert substructure_member(ecat, step2, SubstructureTag.SPLIT0M1)
+    verify(substructure_member(ecat, step1, SubstructureTag.SPLIT01), "first step does not split in degrees 0, 1")
+    verify(substructure_member(ecat, step2, SubstructureTag.SPLIT0M1), "second step does not split in degrees -1, 0")
     # the inflation factors as the composite of the two step inflations
-    assert ecat.mor_eq(ecat.compose(s_mor, f), ecat.compose(t_mor, r))
+    verify(
+        ecat.mor_eq(ecat.compose(s_mor, f), ecat.compose(t_mor, r)),
+        "the inflation does not factor through the two steps",
+    )
     return step1, step2
 
 
@@ -930,8 +934,12 @@ def verify_splitting_pseudo_cluster_tilting(
     objs = ecat.enumerate_objects(bound)
     report = SplitPctReport(passed=True, objects_checked=len(objs), lift_tests=0)
     for x in objs:
-        pre = sub._precover_data(x)
-        env = sub._preenvelope_data(x)
+        try:
+            pre = sub._precover_data(x)
+            env = sub._preenvelope_data(x)
+        except VerificationError as exc:
+            report.failures.append(str(exc))
+            continue
         if not substructure_member(ecat, pre.dses, SubstructureTag.SPLIT0M1):
             report.failures.append(f"{x.label}: precover conflation not in degree(-1,0)-splitting structure")
         if not substructure_member(ecat, env.dses, SubstructureTag.SPLIT01):
@@ -944,7 +952,10 @@ def verify_splitting_pseudo_cluster_tilting(
                 report.failures.append(f"{x.label}: precover lift fails against {s.label}")
             else:
                 for g in incoming:
-                    split_precover_lift(ecat, pre, g)
+                    try:
+                        split_precover_lift(ecat, pre, g)
+                    except VerificationError as exc:
+                        report.failures.append(f"{x.label}: {exc}")
                     report.lift_tests += 1
             outgoing = ecat.hom_basis(x, s)
             through = ecat.precompose_flat(ecat.hom_basis(env.q0, s), env.beta, env.q0, s)
@@ -952,7 +963,10 @@ def verify_splitting_pseudo_cluster_tilting(
                 report.failures.append(f"{x.label}: preenvelope lift fails against {s.label}")
             else:
                 for g in outgoing:
-                    split_preenvelope_lift(ecat, env, g)
+                    try:
+                        split_preenvelope_lift(ecat, env, g)
+                    except VerificationError as exc:
+                        report.failures.append(f"{x.label}: {exc}")
                     report.lift_tests += 1
     report.passed = not report.failures
     return report
@@ -1110,8 +1124,8 @@ def sweep_hom_exactness_biconditional(
                 continue
             for d in ecat.enumerate_extensions(z, x, cap):
                 try:
-                    check_hom_exactness_matches_splitting(ecat, sub, d, test_objects=test_objects)
-                except AssertionError as exc:
+                    check_hom_exactness_matches_splitting(ecat, d, test_objects=test_objects)
+                except (VerificationError, AssertionError) as exc:
                     report.failures.append(f"{x.label} -> {z.label}: {exc}")
                 report.checked += 1
     report.passed = not report.failures

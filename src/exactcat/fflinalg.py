@@ -24,7 +24,7 @@ entries), so the kernel keeps per-matrix overhead low:
   p = 3: 144 entries.  Between 144 and about 300 entries the faster path
   depends on the shape and on p; from 400 entries on, arrays win.
 
-Two shared patterns sit on top of the primitives:
+Three shared patterns sit on top of the primitives:
 
 * One block-equation builder.  `BlockSystem` declares matrix unknowns in
   order (row-major, one after another), takes each equation as signed
@@ -37,6 +37,10 @@ Two shared patterns sit on top of the primitives:
   in the span of S and the kept ones before it), so one elimination
   chooses a basis of a span (`category.span_basis`), coset
   representatives (`quotient.qhom`) and a complement (`quotient_space`).
+* Flat block maps.  `BlockMaps` stores a block-diagonal linear map as one
+  vector (its blocks row-major, one after another, the BlockSystem
+  unknown order) and composes such vectors, one at a time or a stack of
+  them against one fixed map; both hosts keep every morphism this way.
 """
 from __future__ import annotations
 
@@ -418,6 +422,145 @@ class BlockSystem:
     def blocks(self, vec: np.ndarray) -> dict:
         """A flat unknown vector split into its matrix blocks, by key."""
         return {key: vec[o : o + r * c].reshape(r, c) for key, (o, r, c) in self.layout.items()}
+
+
+class BlockMaps:
+    """Block-diagonal linear maps stored as flat coordinate vectors.
+
+    A map k^s_1 (+) ... (+) k^s_r -> k^d_1 (+) ... (+) k^d_r sending block i
+    into block i is its r matrices d_i x s_i, each row-major, one after
+    another: the order in which a BlockSystem declaring them block by block
+    lays out its unknowns.  Source and target are named by their dims tuples
+    (s_1, ..., s_r) and (d_1, ..., d_r); layouts, identities and composition
+    plans depend on nothing else and are built once per tuple pair (triple).
+    Composition g o f multiplies block by block, skipping blocks whose
+    product is empty; nothing block-diagonal is ever stored.
+    """
+
+    def __init__(self):
+        self._layouts: dict = {}
+        self._plans: dict = {}
+        self._identities: dict = {}
+        self._zeros: dict = {}
+        self._positions: dict = {}
+
+    def layout(self, src: tuple, dst: tuple) -> tuple[tuple, int]:
+        """((offset, rows, cols) per block, total length) of the maps src -> dst."""
+        key = (src, dst)
+        hit = self._layouts.get(key)
+        if hit is None:
+            blocks, o = [], 0
+            for c, r in zip(src, dst):
+                blocks.append((o, r, c))
+                o += r * c
+            hit = self._layouts[key] = (tuple(blocks), o)
+        return hit
+
+    def size(self, src: tuple, dst: tuple) -> int:
+        return self.layout(src, dst)[1]
+
+    def split(self, vec: np.ndarray, src: tuple, dst: tuple) -> list[np.ndarray]:
+        """The block matrices of a flat map (views of vec)."""
+        return [vec[o : o + r * c].reshape(r, c) for o, r, c in self.layout(src, dst)[0]]
+
+    def summand_positions(self, x: tuple, s: tuple, total: tuple, before: tuple, into: bool) -> np.ndarray:
+        """Where the coordinates of a flat map x -> s (into) or s -> x land in
+        the flat map x -> total (resp. total -> x) composed with the canonical
+        injection (projection) of the summand s of total that starts at
+        before: rows, resp. columns, before_i onwards of every block i."""
+        key = (x, s, total, before, into)
+        hit = self._positions.get(key)
+        if hit is None:
+            parts = [np.zeros(0, dtype=np.int64)]
+            if into:
+                for (o, _, c), s_i, b_i in zip(self.layout(x, total)[0], s, before):
+                    parts.append(o + b_i * c + np.arange(s_i * c))
+            else:
+                for (o, r, c), s_i, b_i in zip(self.layout(total, x)[0], s, before):
+                    parts.append((o + b_i + np.arange(r)[:, None] * c + np.arange(s_i)[None, :]).reshape(-1))
+            hit = self._positions[key] = np.concatenate(parts)
+        return hit
+
+    def summand_maps(self, s: tuple, total: tuple, before: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Flat canonical injection s -> total and projection total -> s of
+        the summand s of total that starts at before (read-only)."""
+        inj = np.zeros(self.size(s, total), dtype=np.int64)
+        inj[self.summand_positions(s, s, total, before, True)] = self.identity(s)
+        prj = np.zeros(self.size(total, s), dtype=np.int64)
+        prj[self.summand_positions(s, s, total, before, False)] = self.identity(s)
+        inj.setflags(write=False)
+        prj.setflags(write=False)
+        return inj, prj
+
+    def identity(self, dims: tuple) -> np.ndarray:
+        hit = self._identities.get(dims)
+        if hit is None:
+            hit = np.concatenate([np.eye(d, dtype=np.int64).reshape(-1) for d in dims] or [np.zeros(0, np.int64)])
+            hit.setflags(write=False)
+            self._identities[dims] = hit
+        return hit
+
+    def zeros(self, n: int) -> np.ndarray:
+        hit = self._zeros.get(n)
+        if hit is None:
+            hit = np.zeros(n, dtype=np.int64)
+            hit.setflags(write=False)
+            self._zeros[n] = hit
+        return hit
+
+    def compose(self, g: np.ndarray, f: np.ndarray, x: tuple, y: tuple, z: tuple, p: int) -> np.ndarray:
+        """Flat g o f, reduced, for flat maps f: x -> y and g: y -> z."""
+        n, products = self._plan(x, y, z)
+        out = np.zeros(n, dtype=np.int64)
+        for gs, g_shape, fs, f_shape, hs in products:
+            out[hs] = (g[gs].reshape(g_shape) @ f[fs].reshape(f_shape)).reshape(-1)
+        out %= p
+        return out
+
+    def left_stack(self, g: np.ndarray, rows: np.ndarray, x: tuple, y: tuple, z: tuple) -> np.ndarray:
+        """Unreduced k x len(h) array whose row i is flat g o f_i, for the rows
+        f_i: x -> y of rows and a flat map g: y -> z."""
+        n, products = self._plan(x, y, z)
+        k = len(rows)
+        out = np.zeros((k, n), dtype=np.int64)
+        if k:
+            # one batched matmul per block: a fixed block against a k-stack
+            for gs, g_shape, fs, f_shape, hs in products:
+                out[:, hs] = (g[gs].reshape(g_shape) @ rows[:, fs].reshape(k, *f_shape)).reshape(k, -1)
+        return out
+
+    def right_stack(self, rows: np.ndarray, m: np.ndarray, x: tuple, y: tuple, z: tuple) -> np.ndarray:
+        """Unreduced k x len(h) array whose row i is flat f_i o m, for the rows
+        f_i: y -> z of rows and a flat map m: x -> y."""
+        n, products = self._plan(x, y, z)
+        k = len(rows)
+        out = np.zeros((k, n), dtype=np.int64)
+        if k:
+            for gs, g_shape, fs, f_shape, hs in products:
+                out[:, hs] = (rows[:, gs].reshape(k, *g_shape) @ m[fs].reshape(f_shape)).reshape(k, -1)
+        return out
+
+    def _plan(self, x: tuple, y: tuple, z: tuple):
+        """(len of h, per-block products) for h = g o f, f: x -> y and
+        g: y -> z; built once per dims triple."""
+        key = (x, y, z)
+        plan = self._plans.get(key)
+        if plan is None:
+            f_blocks, _ = self.layout(x, y)
+            g_blocks, _ = self.layout(y, z)
+            h_blocks, n = self.layout(x, z)
+            # only blocks with a nonzero product do any work
+            products = tuple(
+                (
+                    slice(go, go + z_i * y_i), (z_i, y_i),
+                    slice(fo, fo + y_i * x_i), (y_i, x_i),
+                    slice(ho, ho + z_i * x_i),
+                )
+                for (fo, y_i, x_i), (go, z_i, _), (ho, _, _) in zip(f_blocks, g_blocks, h_blocks)
+                if z_i * y_i * x_i
+            )
+            plan = self._plans[key] = (n, products)
+        return plan
 
 
 def all_vectors(p: int, n: int) -> Iterator[np.ndarray]:

@@ -8,7 +8,7 @@ induced arrow maps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -30,6 +30,9 @@ class Arrow:
 class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    # coordinate layouts and composition plans of the vertex-wise maps between
+    # its representations (and of chain maps between conflations of them)
+    blocks: ff.BlockMaps = field(default_factory=ff.BlockMaps, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -53,12 +56,13 @@ def a_n(n: int) -> Quiver:
 class RepObj:
     """A representation: dims per vertex, one matrix per arrow."""
 
-    __slots__ = ("quiver", "p", "dims", "maps", "name", "_key")
+    __slots__ = ("quiver", "p", "dims", "dimv", "maps", "name", "_key")
 
     def __init__(self, quiver: Quiver, p: int, dims: dict[str, int], maps: dict[str, FpMatrix], name: str = ""):
         self.quiver = quiver
         self.p = p
         self.dims = {v: int(dims.get(v, 0)) for v in quiver.vertices}
+        self.dimv = tuple(self.dims[v] for v in quiver.vertices)
         self.maps = {}
         for a in quiver.arrows:
             m = maps.get(a.name)
@@ -76,10 +80,7 @@ class RepObj:
     @property
     def key(self):
         if self._key is None:
-            self._key = (
-                tuple(self.dims[v] for v in self.quiver.vertices),
-                tuple(self.maps[a.name].key for a in self.quiver.arrows),
-            )
+            self._key = (self.dimv, tuple(self.maps[a.name].key for a in self.quiver.arrows))
         return self._key
 
     @property
@@ -105,58 +106,71 @@ class RepObj:
 
 _new_object = object.__new__
 
-# Morphisms batched per matmul in compose_flat/precompose_flat; bounds the
-# temporaries of one batch whatever the hom-space dimension.
-FLAT_CHUNK = 256
-
 
 class RepMor:
-    """A morphism of representations: one matrix per vertex, squares commute."""
+    """A morphism of representations: one matrix per vertex, squares commute.
 
-    __slots__ = ("src", "dst", "comps", "_key")
+    Stored as one read-only flat vector `vec`, the vertex components
+    row-major in vertex order (see category).  The public constructor takes
+    the components by vertex and, with check, tests every arrow square;
+    `_trusted` wraps a vector that is already known to be a morphism.
+    """
+
+    __slots__ = ("src", "dst", "vec")
 
     def __init__(self, src: RepObj, dst: RepObj, comps: dict[str, FpMatrix], check: bool = True):
-        self.src = src
-        self.dst = dst
-        self.comps = {}
+        parts = []
         for v in src.quiver.vertices:
+            shape = (dst.dims[v], src.dims[v])
             m = comps.get(v)
             if m is None:
-                m = FpMatrix.zeros(src.p, dst.dims[v], src.dims[v])
-            if m.a.shape != (dst.dims[v], src.dims[v]):
-                raise ValueError(f"vertex {v}: component shape {m.a.shape} != ({dst.dims[v]}, {src.dims[v]})")
-            self.comps[v] = m
-        self._key = None
+                parts.append(np.zeros(shape[0] * shape[1], dtype=np.int64))
+            elif m.a.shape != shape:
+                raise ValueError(f"vertex {v}: component shape {m.a.shape} != {shape}")
+            else:
+                parts.append(m.a.reshape(-1))
+        vec = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        vec.setflags(write=False)
+        self.src = src
+        self.dst = dst
+        self.vec = vec
         if check:
-            for a in src.quiver.arrows:
-                lhs = self.comps[a.dst] @ src.maps[a.name]
-                rhs = dst.maps[a.name] @ self.comps[a.src]
-                if lhs != rhs:
-                    raise ValueError(f"arrow {a.name}: commuting-square law violated")
-
-    def flatten(self) -> np.ndarray:
-        parts = [self.comps[v].a.reshape(-1) for v in self.src.quiver.vertices]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+            check_squares(src, dst, vec[None, :])
 
     @classmethod
-    def _trusted(cls, src: RepObj, dst: RepObj, comps: dict[str, FpMatrix]) -> "RepMor":
-        """Trusted constructor for results of compose/add/neg/scale.
-
-        comps has one correctly shaped component per vertex, in vertex
-        order, and the arrow squares commute; nothing is checked or filled.
-        """
+    def _trusted(cls, src: RepObj, dst: RepObj, vec: np.ndarray) -> "RepMor":
+        """Trusted constructor: vec is a reduced, read-only flat morphism src -> dst."""
         f = _new_object(cls)
         f.src = src
         f.dst = dst
-        f.comps = comps
-        f._key = None
+        f.vec = vec
         return f
 
+    def comp(self, v: str) -> FpMatrix:
+        """The component at vertex v (a view of the vector)."""
+        q = self.src.quiver
+        block = q.blocks.split(self.vec, self.src.dimv, self.dst.dimv)[q.vertices.index(v)]
+        return ff.from_reduced(self.src.p, block)
+
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.comps.values())
+        return not self.vec.any()
 
     def __repr__(self):
         return f"<RepMor {self.src.label} -> {self.dst.label}>"
+
+
+def check_squares(x: RepObj, y: RepObj, rows: np.ndarray) -> None:
+    """Raise ValueError unless every row of rows, a flat map x -> y, makes
+    every arrow square commute; one batched product per arrow end."""
+    k = rows.shape[0]
+    mats = {
+        v: rows[:, o : o + r * c].reshape(k, r, c)
+        for v, (o, r, c) in zip(x.quiver.vertices, x.quiver.blocks.layout(x.dimv, y.dimv)[0])
+    }
+    for a in x.quiver.arrows:
+        diff = mats[a.dst] @ x.maps[a.name].a - y.maps[a.name].a @ mats[a.src]
+        if (diff % x.p).any():
+            raise ValueError(f"arrow {a.name}: commuting-square law violated")
 
 
 def block_triangular(a: np.ndarray, b, d: np.ndarray) -> np.ndarray:
@@ -183,16 +197,25 @@ def glued_middle(x: RepObj, z: RepObj, glue: dict, check: bool = True) -> tuple[
         for a in q.arrows
     }
     mid = RepObj(q, p, dims, maps)
-    inc, prj = {}, {}
-    for v in q.vertices:
-        eye = np.eye(dims[v], dtype=np.int64)
-        inc[v] = FpMatrix(p, eye[:, : x.dims[v]])
-        prj[v] = FpMatrix(p, eye[x.dims[v] :, :])
-    return mid, RepMor(x, mid, inc, check=check), RepMor(mid, z, prj, check=check)
+    inc, _ = summand_maps(x, mid, (0,) * len(q.vertices))
+    _, prj = summand_maps(z, mid, x.dimv)
+    if check:
+        check_squares(x, mid, inc.vec[None, :])
+        check_squares(mid, z, prj.vec[None, :])
+    return mid, inc, prj
+
+
+def summand_maps(x: RepObj, total: RepObj, before: tuple) -> tuple[RepMor, RepMor]:
+    """The inclusion x -> total and the projection total -> x of a summand
+    whose coordinates start at before[v] in every vertex v."""
+    inj, prj = x.quiver.blocks.summand_maps(x.dimv, total.dimv, before)
+    return RepMor._trusted(x, total, inj), RepMor._trusted(total, x, prj)
 
 
 class RepCategory(Category):
     """The abelian category of representations of one quiver over F_p."""
+
+    _mor = staticmethod(RepMor._trusted)
 
     def __init__(self, quiver: Quiver, p: int = 2):
         super().__init__()
@@ -200,6 +223,7 @@ class RepCategory(Category):
             raise ValueError(f"unsupported characteristic {p}")
         self.quiver = quiver
         self.p = p
+        self.blocks = quiver.blocks
         self._zero = RepObj(quiver, p, {}, {}, name="0")
 
     # -- objects ---------------------------------------------------------
@@ -211,9 +235,6 @@ class RepCategory(Category):
 
     def obj_dim(self, x: RepObj) -> int:
         return x.total_dim
-
-    def dim_profile(self, x: RepObj) -> tuple[int, ...]:
-        return tuple(x.dims[v] for v in self.quiver.vertices)
 
     def obj_label(self, x: RepObj) -> str:
         return x.label
@@ -229,27 +250,16 @@ class RepCategory(Category):
         }
         total = RepObj(self.quiver, self.p, dims, maps)
         injs, projs = [], []
-        for i, x in enumerate(xs):
-            inj_comps, proj_comps = {}, {}
-            for v in self.quiver.vertices:
-                before = sum(y.dims[v] for y in xs[:i])
-                inj = np.zeros((dims[v], x.dims[v]), dtype=np.int64)
-                for j in range(x.dims[v]):
-                    inj[before + j, j] = 1
-                inj_comps[v] = FpMatrix(self.p, inj)
-                proj_comps[v] = FpMatrix(self.p, inj.T)
-            injs.append(RepMor(x, total, inj_comps, check=False))
-            projs.append(RepMor(total, x, proj_comps, check=False))
-        self._register_sum(total, xs, injs, projs)
+        before = (0,) * len(self.quiver.vertices)
+        for x in xs:
+            inj, prj = summand_maps(x, total, before)
+            injs.append(inj)
+            projs.append(prj)
+            before = tuple(b + d for b, d in zip(before, x.dimv))
+        self._register_sum(total, xs)
         return total, injs, projs
 
     # -- morphisms -------------------------------------------------------
-    def flat_dim(self, x: RepObj, y: RepObj) -> int:
-        return sum(y.dims[v] * x.dims[v] for v in self.quiver.vertices)
-
-    def flatten(self, f: RepMor) -> np.ndarray:
-        return f.flatten()
-
     def hom_equations(self, system: ff.BlockSystem, x: RepObj, y: RepObj, key=lambda v: v) -> None:
         """Declare one unknown block y_v x x_v per vertex v, under key(v), and
         the commuting square X_j x_a = y_a X_i of every arrow a: i -> j."""
@@ -258,104 +268,29 @@ class RepCategory(Category):
         for a in self.quiver.arrows:
             system.equation((1, None, key(a.dst), x.maps[a.name].a), (-1, y.maps[a.name].a, key(a.src), None))
 
-    def _solve_hom_basis(self, x: RepObj, y: RepObj) -> list[RepMor]:
+    def _solve_hom_basis(self, x: RepObj, y: RepObj) -> np.ndarray:
+        # the unknowns are declared in flat order, so kernel columns are morphisms
         system = ff.BlockSystem(self.p)
         self.hom_equations(system, x, y)
-        null = system.kernel()
-        return [
-            RepMor(x, y, {v: FpMatrix(self.p, m) for v, m in system.blocks(null.a[:, c]).items()})
-            for c in range(null.cols)
-        ]
-
-    def identity(self, x: RepObj) -> RepMor:
-        comps = {v: FpMatrix.identity(self.p, x.dims[v]) for v in self.quiver.vertices}
-        return RepMor(x, x, comps, check=False)
-
-    def zero_mor(self, x: RepObj, y: RepObj) -> RepMor:
-        return RepMor(x, y, {}, check=False)
-
-    @staticmethod
-    def compose(g: RepMor, f: RepMor) -> RepMor:
-        """g o f; static, so that chain-map checks can compose without a category."""
-        gc = g.comps
-        return RepMor._trusted(f.src, g.dst, {v: gc[v] @ m for v, m in f.comps.items()})
-
-    def add(self, f: RepMor, g: RepMor) -> RepMor:
-        gc = g.comps
-        return RepMor._trusted(f.src, f.dst, {v: m + gc[v] for v, m in f.comps.items()})
-
-    def neg(self, f: RepMor) -> RepMor:
-        return RepMor._trusted(f.src, f.dst, {v: -m for v, m in f.comps.items()})
-
-    def scale(self, f: RepMor, c: int) -> RepMor:
-        return RepMor._trusted(f.src, f.dst, {v: m.scale(c) for v, m in f.comps.items()})
-
-    def compose_flat(self, g: RepMor, fs: Sequence[RepMor], x: RepObj, y: RepObj) -> FpMatrix:
-        # one batched matmul per vertex: (e_v x y_v) @ (k x y_v x x_v)
-        return self._batched_flat(fs, x, g.dst, lambda v, stack: g.comps[v].a @ stack)
-
-    def precompose_flat(self, fs: Sequence[RepMor], m: RepMor, x: RepObj, y: RepObj) -> FpMatrix:
-        return self._batched_flat(fs, m.src, y, lambda v, stack: stack @ m.comps[v].a)
-
-    def _batched_flat(self, fs, src: RepObj, dst: RepObj, apply) -> FpMatrix:
-        """Column i is flatten(h_i) for h_i: src -> dst, where the vertex-v
-        components of all h_i are apply(v, vertex-v components of fs stacked)."""
-        out = np.empty((self.flat_dim(src, dst), len(fs)), dtype=np.int64)
-        for lo in range(0, len(fs), FLAT_CHUNK):
-            chunk = fs[lo : lo + FLAT_CHUNK]
-            hi = lo + len(chunk)
-            o = 0
-            for v in self.quiver.vertices:
-                size = dst.dims[v] * src.dims[v]
-                if size:
-                    block = apply(v, np.array([f.comps[v].a for f in chunk]))
-                    out[o : o + size, lo:hi] = block.reshape(len(chunk), size).T
-                o += size
-        out %= self.p
-        return ff.from_reduced(self.p, out)
-
-    def src(self, f: RepMor) -> RepObj:
-        return f.src
-
-    def dst(self, f: RepMor) -> RepObj:
-        return f.dst
-
-    def mor_components(self, f: RepMor) -> list[np.ndarray]:
-        return [f.comps[v].a for v in self.quiver.vertices]
-
-    def stack(self, fs: Sequence[RepMor], total: RepObj, injs: Sequence[RepMor]) -> RepMor:
-        """<f_1,...,f_k>: common src -> direct sum, from components."""
-        out = self.zero_mor(fs[0].src, total)
-        for f, inj in zip(fs, injs):
-            out = self.add(out, self.compose(inj, f))
-        return out
-
-    def costack(self, fs: Sequence[RepMor], total: RepObj, projs: Sequence[RepMor]) -> RepMor:
-        """(f_1 ... f_k): direct sum -> common dst, from components."""
-        out = self.zero_mor(total, fs[0].dst)
-        for f, proj in zip(fs, projs):
-            out = self.add(out, self.compose(f, proj))
-        return out
+        rows = system.kernel().a.T.copy()
+        check_squares(x, y, rows)
+        return rows
 
     # -- exact structure ---------------------------------------------------
-    def is_inflation(self, f: RepMor) -> bool:
-        return all(f.comps[v].rank() == f.src.dims[v] for v in self.quiver.vertices)
-
-    def is_deflation(self, f: RepMor) -> bool:
-        return all(f.comps[v].rank() == f.dst.dims[v] for v in self.quiver.vertices)
-
     def check_conflation(self, c: Conflation) -> None:
         incl, defl = c.incl, c.defl
         if incl.dst is not defl.src and incl.dst.key != defl.src.key:
             raise ValueError("conflation: incl.dst != defl.src")
-        if not self.compose(defl, incl).is_zero():
+        if self.compose(defl, incl).vec.any():
             raise ValueError("conflation: defl o incl != 0")
-        if not self.is_inflation(incl):
+        incl_ranks = [ff.array_rank(m, self.p) for m in self.mor_components(incl)]
+        defl_ranks = [ff.array_rank(m, self.p) for m in self.mor_components(defl)]
+        if tuple(incl_ranks) != incl.src.dimv:
             raise ValueError("conflation: incl not vertex-wise injective")
-        if not self.is_deflation(defl):
+        if tuple(defl_ranks) != defl.dst.dimv:
             raise ValueError("conflation: defl not vertex-wise surjective")
-        for v in self.quiver.vertices:
-            if incl.comps[v].rank() + defl.comps[v].rank() != incl.dst.dims[v]:
+        for v, ri, rd, n in zip(self.quiver.vertices, incl_ranks, defl_ranks, incl.dst.dimv):
+            if ri + rd != n:
                 raise ValueError(f"conflation: not exact in the middle at vertex {v}")
 
     def conflation(self, incl: RepMor, defl: RepMor) -> Conflation:
@@ -364,7 +299,7 @@ class RepCategory(Category):
         return c
 
     def kernel(self, f: RepMor) -> tuple[RepObj, RepMor]:
-        bases = {v: ff.kernel_basis(f.comps[v]) for v in self.quiver.vertices}
+        bases = {v: ff.kernel_basis(f.comp(v)) for v in self.quiver.vertices}
         dims = {v: bases[v].cols for v in self.quiver.vertices}
         maps = {}
         for a in self.quiver.arrows:
@@ -379,7 +314,7 @@ class RepCategory(Category):
     def cokernel(self, f: RepMor) -> tuple[RepObj, RepMor]:
         projs, lifts = {}, {}
         for v in self.quiver.vertices:
-            proj, lift = ff.quotient_space(self.p, f.dst.dims[v], f.comps[v])
+            proj, lift = ff.quotient_space(self.p, f.dst.dims[v], f.comp(v))
             projs[v], lifts[v] = proj, lift
         dims = {v: projs[v].rows for v in self.quiver.vertices}
         maps = {}
@@ -391,7 +326,7 @@ class RepCategory(Category):
 
     def image(self, f: RepMor) -> tuple[RepObj, RepMor]:
         """Image subobject with its inclusion into dst."""
-        bases = {v: ff.column_space_basis(f.comps[v]) for v in self.quiver.vertices}
+        bases = {v: ff.column_space_basis(f.comp(v)) for v in self.quiver.vertices}
         dims = {v: bases[v].cols for v in self.quiver.vertices}
         maps = {}
         for a in self.quiver.arrows:
@@ -407,7 +342,7 @@ class RepCategory(Category):
         x, y = f.src, g.src
         bases, p1c, p2c = {}, {}, {}
         for v in self.quiver.vertices:
-            stacked = ff.hstack([f.comps[v], -g.comps[v]])
+            stacked = ff.hstack([f.comp(v), -g.comp(v)])
             k = ff.kernel_basis(stacked)
             bases[v] = k
             p1c[v] = FpMatrix(self.p, k.a[: x.dims[v], :])
@@ -429,7 +364,7 @@ class RepCategory(Category):
         y, z = f.dst, g.dst
         projs, lifts = {}, {}
         for v in self.quiver.vertices:
-            stacked = ff.vstack([f.comps[v], -g.comps[v]])
+            stacked = ff.vstack([f.comp(v), -g.comp(v)])
             proj, lift = ff.quotient_space(self.p, y.dims[v] + z.dims[v], stacked)
             projs[v], lifts[v] = proj, lift
         dims = {v: projs[v].rows for v in self.quiver.vertices}
@@ -469,7 +404,7 @@ class RepCategory(Category):
             else:
                 sub = RepObj(self.quiver, self.p, {v: incl[v].cols for v in vs}, maps)
                 out.append(RepMor(sub, x, incl))
-        out.sort(key=lambda m: (m.src.total_dim, m.src.key, m.flatten().tobytes()))
+        out.sort(key=lambda m: (m.src.total_dim, m.src.key, m.vec.tobytes()))
         return out
 
     def enumerate_extensions(self, z: RepObj, x: RepObj, cap: int = 4096) -> list[Conflation]:
@@ -522,7 +457,7 @@ def op_obj(opcat: RepCategory, x: RepObj) -> RepObj:
 
 
 def op_mor(opcat: RepCategory, f: RepMor) -> RepMor:
-    comps = {v: m.transpose() for v, m in f.comps.items()}
+    comps = {v: f.comp(v).transpose() for v in opcat.quiver.vertices}
     return RepMor(op_obj(opcat, f.dst), op_obj(opcat, f.src), comps)
 
 

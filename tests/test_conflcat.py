@@ -30,7 +30,7 @@ from exactcat.repcat import RepMor
 def econf(a2):
     cat, o = a2
     ecat = ConflCategory(cat)
-    sub = SplitConflationSubcat(ecat)
+    sub = ecat.split_sub
     iota = cat.hom_basis(o["S2"], o["P1"])[0]
     pi = cat.hom_basis(o["P1"], o["S1"])[0]
     nonsplit = ecat.make_obj(cat.conflation(iota, pi), name="X")
@@ -218,13 +218,13 @@ def test_nonsplit_with_split_ends(econf):
 def test_hom_exactness_biconditional_cases(econf):
     ecat, sub, x = econf
     pre = s_precover(ecat, x)
-    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, sub, pre.dses)
+    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, pre.dses)
     assert cov and down
     env = s_preenvelope(ecat, x)
-    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, sub, env.dses)
+    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, env.dses)
     assert contra and up and not cov and not down
     d = nonsplit_with_split_ends(ecat)
-    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, sub, d)
+    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, d)
     assert not cov and not down and not contra and not up
     # explicit non-lifting witness: the split precover of the end term does
     # not lift through the deflation
@@ -241,22 +241,22 @@ def test_factor_split0(econf, a2):
         [ecat.split_obj(o["S2"], cat.zero_obj()), ecat.split_obj(cat.zero_obj(), o["S1"])]
     )
     split_input = Conflation(injs[0], projs[1])
-    step1, step2 = factor_split0_conflation(ecat, sub, split_input)
+    step1, step2 = factor_split0_conflation(ecat, split_input)
     assert conflation_split(ecat, step1) is not None
     assert conflation_split(ecat, step2) is not None
 
     split_seq = s_precover(ecat, ecat.split_obj(x.t1, x.t3)).dses
-    step1, step2 = factor_split0_conflation(ecat, sub, split_seq)
+    step1, step2 = factor_split0_conflation(ecat, split_seq)
     assert substructure_member(ecat, step1, SubstructureTag.SPLIT01)
     assert substructure_member(ecat, step2, SubstructureTag.SPLIT0M1)
 
     dses = s_precover(ecat, x).dses  # lies in the degree-0 substructure
-    step1, step2 = factor_split0_conflation(ecat, sub, dses)
+    step1, step2 = factor_split0_conflation(ecat, dses)
     assert substructure_member(ecat, step1, SubstructureTag.SPLIT01)
     assert substructure_member(ecat, step2, SubstructureTag.SPLIT0M1)
 
     with pytest.raises(ValueError):
-        factor_split0_conflation(ecat, sub, nonsplit_with_split_ends(ecat))
+        factor_split0_conflation(ecat, nonsplit_with_split_ends(ecat))
 
 
 def test_split0_with_split_ends_splits(econf):

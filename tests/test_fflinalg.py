@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactcat import fflinalg as ff
-from exactcat import repcat
+from exactcat import category
 from exactcat.conflcat import ConflCategory
 from exactcat.fflinalg import FpMatrix
 from exactcat.repcat import RepCategory, a_n
@@ -314,7 +314,7 @@ def test_rep_flat_composition_across_chunks():
     # more morphisms than one batch holds
     cat = RepCategory(a_n(2), 3)
     x = cat.obj({"1": 2, "2": 2}, {"a1": FpMatrix(3, [[1, 0], [0, 0]])})
-    repeat = repcat.FLAT_CHUNK // len(cat.hom_basis(x, x)) + 1
+    repeat = category.FLAT_CHUNK // len(cat.hom_basis(x, x)) + 1
     _check_flat_composition(cat, x, x, x, np.random.default_rng(0), repeat=repeat)
 
 

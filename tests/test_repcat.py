@@ -310,7 +310,7 @@ def test_random_morphisms_respect_rank_nullity(r1, r2):
         assert cat.compose(f, k).is_zero()
         assert cat.compose(c, f).is_zero()
         for v in cat.quiver.vertices:
-            rank = f.comps[v].rank()
+            rank = f.comp(v).rank()
             assert k_obj.dims[v] == x.dims[v] - rank
             assert c_obj.dims[v] == y.dims[v] - rank
 
