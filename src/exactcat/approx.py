@@ -20,6 +20,7 @@ from .category import (
     conflation_split,
     hom_exact,
     span_basis,
+    verify,
 )
 
 
@@ -191,6 +192,7 @@ class AddSubcat(Subcategory):
 
     def is_hom_exact(self, c: Conflation, side: str) -> bool:
         # testing against the generator sum covers every object of add(G)
+        self.cat.check_conflation(c)
         return hom_exact(self.cat, c, self.sum, side)
 
     def sample_objects(self, bound: int) -> list:
@@ -236,11 +238,11 @@ def extend_to_inflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
     q0 = cat.dst(alpha)
     _, (iy, iq), _ = cat.direct_sum([y, q0])
     m = cat.add(cat.compose(iy, f), cat.neg(cat.compose(iq, alpha)))
-    assert cat.is_inflation(m)
+    verify(cat.is_inflation(m), "extend_to_inflation: (f; -preenvelope) is not an inflation")
     z_obj, c = cat.cokernel(m)
     confl = Conflation(m, c)
-    cat.check_conflation(confl)
-    assert sub.is_hom_exact(confl, "contravariant")
+    # is_hom_exact checks that confl is a conflation
+    verify(sub.is_hom_exact(confl, "contravariant"), "extend_to_inflation: the conflation is not Hom(-, sub)-exact")
     return confl, iy
 
 
@@ -255,11 +257,11 @@ def extend_to_deflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
     p0 = cat.src(beta)
     _, (iy, ip), (py, pp) = cat.direct_sum([y, p0])
     d = cat.add(cat.compose(f, py), cat.compose(beta, pp))
-    assert cat.is_deflation(d)
+    verify(cat.is_deflation(d), "extend_to_deflation: (f | precover) is not a deflation")
     k_obj, k = cat.kernel(d)
     confl = Conflation(k, d)
-    cat.check_conflation(confl)
-    assert sub.is_hom_exact(confl, "covariant")
+    # is_hom_exact checks that confl is a conflation
+    verify(sub.is_hom_exact(confl, "covariant"), "extend_to_deflation: the conflation is not Hom(sub, -)-exact")
     return confl, iy
 
 

@@ -392,7 +392,8 @@ class Subcategory(ABC):
 
     @abstractmethod
     def is_hom_exact(self, c: Conflation, side: str) -> bool:
-        """Exact decision of Hom(sub,-)- resp. Hom(-,sub)-exactness of c."""
+        """Exact decision of Hom(sub,-)- resp. Hom(-,sub)-exactness of c;
+        c is first checked to be a conflation (ValueError if not)."""
 
     @abstractmethod
     def sample_objects(self, bound: int) -> list: ...
@@ -482,20 +483,20 @@ def hom_exact(cat: Category, c: Conflation, t, side: str) -> bool:
     """Is c Hom(t,-)-exact (side='covariant') or Hom(-,t)-exact ('contravariant')?
 
     Right-exactness is the actual test; left-exactness is automatic and
-    asserted as a sanity check.
+    verified as a sanity check.
     """
     a, b, z = c.terms(cat)
     if side == "covariant":
         dom_basis = cat.hom_basis(t, b)
         target_dim = len(cat.hom_basis(t, z))
         rank = cat.compose_flat(c.defl, dom_basis, t, b).rank()
-        assert len(cat.hom_basis(t, a)) == len(dom_basis) - rank
+        verify(len(cat.hom_basis(t, a)) == len(dom_basis) - rank, "hom_exact: Hom(t, -) is not left exact on c")
         return rank == target_dim
     if side == "contravariant":
         dom_basis = cat.hom_basis(b, t)
         target_dim = len(cat.hom_basis(a, t))
         rank = cat.precompose_flat(dom_basis, c.incl, b, t).rank()
-        assert len(cat.hom_basis(z, t)) == len(dom_basis) - rank
+        verify(len(cat.hom_basis(z, t)) == len(dom_basis) - rank, "hom_exact: Hom(-, t) is not left exact on c")
         return rank == target_dim
     raise ValueError(f"unknown side {side!r}")
 

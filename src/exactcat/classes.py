@@ -28,6 +28,7 @@ from .category import (
     conflation_split,
     solve_postcompose,
     solve_precompose_pair,
+    verify,
 )
 from .quotient import VerifyReport, verify_abelian
 
@@ -43,18 +44,13 @@ class ClassWitness:
     grid: dict
 
     def validate(self, sub: Subcategory) -> None:
+        # is_hom_exact checks that column and row are conflations
         cat = sub.cat
-        cat.check_conflation(self.column)
-        cat.check_conflation(self.row)
         for name, (lhs, rhs) in self.grid.items():
-            if not cat.mor_eq(lhs, rhs):
-                raise AssertionError(f"witness grid square {name} does not commute")
-        if self.kind == "S":
-            assert sub.is_hom_exact(self.column, "covariant")
-            assert sub.is_hom_exact(self.row, "contravariant")
-        else:
-            assert sub.is_hom_exact(self.row, "covariant")
-            assert sub.is_hom_exact(self.column, "contravariant")
+            verify(cat.mor_eq(lhs, rhs), f"witness grid square {name} does not commute")
+        covariant, contravariant = (self.column, self.row) if self.kind == "S" else (self.row, self.column)
+        verify(sub.is_hom_exact(covariant, "covariant"), f"class {self.kind} witness: not Hom(sub, -)-exact")
+        verify(sub.is_hom_exact(contravariant, "contravariant"), f"class {self.kind} witness: not Hom(-, sub)-exact")
 
 
 @dataclass
@@ -84,9 +80,9 @@ def in_class_s(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
         column = Conflation(au, c2)
         m = solve_postcompose(cat, c1, cat.compose(c2, a))
         n = solve_postcompose(cat, c2, b)
-        assert m is not None and n is not None
+        verify(m is not None and n is not None, "class S search: the quotient maps do not factor")
         row = Conflation(m, n)
-        cat.check_conflation(row)
+        # is_hom_exact checks that column and row are conflations
         col_ok = sub.is_hom_exact(column, "covariant")
         row_ok = sub.is_hom_exact(row, "contravariant")
         result.examined.append((cat.obj_label(cat.src(u)), col_ok, row_ok))
@@ -121,11 +117,10 @@ def in_class_t(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
         t_mor = solve_precompose_pair(
             cat, n_mor, a, q_mor, cat.zero_mor(t1, n3_obj)
         )
-        assert t_mor is not None
+        verify(t_mor is not None, "class T search: the first term does not factor through the pullback")
         row = Conflation(t_mor, q_mor)
-        cat.check_conflation(row)
         column = Conflation(n_mor, cat.compose(cv, b))
-        cat.check_conflation(column)
+        # is_hom_exact checks that row and column are conflations
         row_ok = sub.is_hom_exact(row, "covariant")
         col_ok = sub.is_hom_exact(column, "contravariant")
         result.examined.append((cat.obj_label(v_obj), col_ok, row_ok))
@@ -162,10 +157,8 @@ def hom_exactness_sufficient(s: Conflation, sub: Subcategory) -> tuple[bool, boo
 def crosscheck_sufficiency(s: Conflation, sub: Subcategory, bound: int = 8) -> None:
     cov, contra = hom_exactness_sufficient(s, sub)
     if cov or contra:
-        if not in_class_s(s, sub, bound).is_member:
-            raise AssertionError("hom-exact conflation missing from class S")
-        if not in_class_t(s, sub, bound).is_member:
-            raise AssertionError("hom-exact conflation missing from class T")
+        verify(in_class_s(s, sub, bound).is_member, "hom-exact conflation missing from class S")
+        verify(in_class_t(s, sub, bound).is_member, "hom-exact conflation missing from class T")
 
 
 @dataclass

@@ -531,8 +531,13 @@ def _factor_epi(b: RepCategory, es: Sequence[RepMor], gs: Sequence[RepMor]) -> R
 # ---------------------------------------------------------------------------
 
 def substructure_member(ecat: ConflCategory, dses: Conflation, tag: SubstructureTag) -> bool:
-    """Does the degreewise conflation lie in the tagged exact substructure?"""
-    ecat.check_conflation(dses)
+    """Does the degreewise conflation lie in the tagged exact substructure?
+
+    dses must already be a checked conflation: every producer of one
+    (`enumerate_extensions`, the split approximations, the factorization
+    steps, the obstruction) checks it once, and `is_hom_exact` checks the
+    conflations it is handed.
+    """
     return all(ecat.degree_splits(dses, d) for d in _TAG_DEGREES[tag])
 
 
@@ -702,6 +707,7 @@ class SplitConflationSubcat(Subcategory):
         # hom-exactness against all split conflations is equivalent to
         # degree splitting; the equivalence is itself re-verified by the
         # bounded-exhaustive checks in check_hom_exactness_matches_splitting
+        self.cat.check_conflation(c)
         if side == "covariant":
             return substructure_member(self.cat, c, SubstructureTag.SPLIT0M1)
         if side == "contravariant":
@@ -871,6 +877,7 @@ def factor_split0_conflation(ecat: ConflCategory, dses: Conflation) -> tuple[Con
     yields 0 -> Y -> C -> Q1 -> 0 splitting in degrees (0,1) and
     0 -> Q0 -> C -> Z -> 0 splitting in degrees (-1,0), exhibiting the
     inflation as a composite of inflations from the two substructures.
+    dses must be a checked conflation; the two steps are checked here.
     """
     if not substructure_member(ecat, dses, SubstructureTag.SPLIT0):
         raise ValueError("conflation does not split in degree 0")

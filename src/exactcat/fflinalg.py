@@ -18,7 +18,9 @@ entries), so the kernel keeps per-matrix overhead low:
 * Small elimination.  A matrix with at most SMALL_ELIM_ENTRIES entries is
   eliminated on Python int lists; a larger one on an int64 array, with one
   vectorised row update per pivot.  `array_rank` counts pivots by forward
-  elimination alone and builds no reduced matrix.  The threshold is the
+  elimination alone and builds no reduced matrix; `invertible_stack` runs
+  that forward elimination on a whole stack of square matrices at once,
+  vectorised across the stack.  The threshold is the
   largest entry count at which the list path was faster on every square,
   wide and tall shape timed by `scripts/elim_threshold.py`, for p = 2 and
   p = 3: 144 entries.  Between 144 and about 300 entries the faster path
@@ -296,6 +298,39 @@ def array_rank(a: np.ndarray, p: int) -> int:
     return len(_rref_numpy(a, p)[1])
 
 
+def invertible_stack(stack: np.ndarray, p: int) -> np.ndarray:
+    """bool[k]: which matrices of a (k, n, n) stack (entries in [0, p)) are invertible.
+
+    One forward elimination for the whole stack, vectorised across it: at
+    column c every matrix still in play finds its own pivot at or below row
+    c, swaps it up and clears the rows beneath; a matrix without a pivot is
+    singular and leaves play.
+    """
+    k, n = stack.shape[:2]
+    inv = np.array(_INVERSES[p], dtype=np.int64)
+    m = stack.copy()
+    alive = np.arange(k)
+    for c in range(n):
+        nz = m[:, c:, c] != 0
+        has = nz.any(axis=1)
+        if not has.all():
+            m, nz, alive = m[has], nz[has], alive[has]
+        if not alive.size:
+            break
+        at = np.arange(alive.size)
+        piv = c + nz.argmax(axis=1)
+        pivot_rows = m[at, piv]
+        m[at, piv] = m[:, c]
+        # the pivot row scaled to a leading 1, from column c on
+        row = pivot_rows[:, c:] * inv[pivot_rows[:, c]][:, None] % p
+        below = m[:, c + 1 :, c:]
+        below -= below[:, :, :1] * row[:, None, :]
+        below %= p
+    ok = np.zeros(k, dtype=bool)
+    ok[alive] = True
+    return ok
+
+
 def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...], int]:
     """Unique reduced row echelon form, pivot columns (ascending), rank."""
     red, pivots = _rref_array(m.a, m.p)
@@ -443,6 +478,7 @@ class BlockMaps:
         self._identities: dict = {}
         self._zeros: dict = {}
         self._positions: dict = {}
+        self._corners: dict = {}
 
     def layout(self, src: tuple, dst: tuple) -> tuple[tuple, int]:
         """((offset, rows, cols) per block, total length) of the maps src -> dst."""
@@ -479,6 +515,17 @@ class BlockMaps:
                 for (o, r, c), s_i, b_i in zip(self.layout(total, x)[0], s, before):
                     parts.append((o + b_i + np.arange(r)[:, None] * c + np.arange(s_i)[None, :]).reshape(-1))
             hit = self._positions[key] = np.concatenate(parts)
+        return hit
+
+    def corner_positions(self, s: tuple, t: tuple, src: tuple, dst: tuple, s_at: tuple, t_at: tuple) -> np.ndarray:
+        """Where the coordinates of a flat map s -> t land in the flat map
+        src -> dst inj_t o h o proj_s, for the summands s of src starting at
+        s_at and t of dst starting at t_at."""
+        key = (s, t, src, dst, s_at, t_at)
+        hit = self._corners.get(key)
+        if hit is None:
+            outer = self.summand_positions(dst, s, src, s_at, False)
+            hit = self._corners[key] = outer[self.summand_positions(s, t, dst, t_at, True)]
         return hit
 
     def summand_maps(self, s: tuple, total: tuple, before: tuple) -> tuple[np.ndarray, np.ndarray]:

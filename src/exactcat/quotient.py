@@ -9,7 +9,6 @@ the semi-abelian / abelian certificates sweep entire hom-spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from .category import (
     enumerate_hom,
     flat_column,
     span_matrix,
+    verify,
 )
 from .fflinalg import FpMatrix
 
@@ -68,8 +68,7 @@ def qhom(sub: Subcategory, x, y) -> QHomSpace:
     _, pivots, _ = ff.rref(span_matrix(cat, list(ideal) + list(hom), x, y))
     ideal_dim = sum(1 for c in pivots if c < len(ideal))
     # the ideal lies in Hom(x,y), so the pivots must be exactly dim Hom(x,y) many
-    if len(pivots) != len(hom):
-        raise AssertionError(f"qhom: {len(pivots)} pivots for a {len(hom)}-dimensional hom-space")
+    verify(len(pivots) == len(hom), f"qhom: {len(pivots)} pivots for a {len(hom)}-dimensional hom-space")
     return QHomSpace(len(hom) - ideal_dim, len(hom), ideal_dim)
 
 
@@ -89,7 +88,7 @@ def _coset_projection(sub: Subcategory, x, y):
     icoords = []
     for i in sub.ideal_spanning(x, y):
         c = ff.solve_right(hmat, flat_column(cat, i))
-        assert c is not None
+        verify(c is not None, "coset projection: an ideal element lies outside its hom-space")
         icoords.append(c.a[:, 0])
     if icoords:
         mat = FpMatrix(cat.p, np.stack(icoords, axis=1))
@@ -106,7 +105,7 @@ def q_class_key(f: QMor) -> bytes:
     cat = f.cat
     hom, hmat, proj = _coset_projection(f.sub, f.src, f.dst)
     coords = ff.solve_right(hmat, flat_column(cat, f.rep))
-    assert coords is not None
+    verify(coords is not None, "class key: a morphism lies outside its hom-space basis")
     return (proj @ coords).key
 
 
@@ -160,14 +159,14 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
     gens = list(sub.generators)
     # multisets of generators, keyed by total dimension vector
     def all_multisets(cap):
-        out = [[]]
-        stack = [([], 0, 0)]
+        out = [()]
+        stack = [((), 0, 0)]
         while stack:
             ms, start, dim = stack.pop()
             for i in range(start, len(gens)):
                 d = dim + cat.obj_dim(gens[i])
                 if d <= cap:
-                    nxt = ms + [i]
+                    nxt = ms + (i,)
                     out.append(nxt)
                     stack.append((nxt, i, d))
         return out
@@ -177,80 +176,90 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
         zero = cat.dim_profile(cat.zero_obj())
         return tuple(map(sum, zip(zero, *(cat.dim_profile(o) for o in obj_list))))
 
+    # multiset -> its sum of generators, built at most once in this search
+    pads: dict = {}
+
+    def pad(ms):
+        obj = pads.get(ms)
+        if obj is None:
+            obj = pads[ms] = cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
+        return obj
+
     px = cat.dim_profile(x)
     py = cat.dim_profile(y)
+    multisets = all_multisets(extra_dim_cap)
     q_multis: dict = {}
-    for ms in all_multisets(extra_dim_cap):
-        objs = [gens[i] for i in ms]
-        prof = dim_profile(objs)
-        q_multis.setdefault(prof, []).append(ms)
-    for p_ms in sorted(all_multisets(extra_dim_cap), key=lambda ms: (sum(cat.obj_dim(gens[i]) for i in ms), ms)):
-        p_objs = [gens[i] for i in p_ms]
-        need = tuple(a + b - c for a, b, c in zip(px, dim_profile(p_objs), py))
+    for ms in multisets:
+        q_multis.setdefault(dim_profile([gens[i] for i in ms]), []).append(ms)
+    for p_ms in sorted(multisets, key=lambda ms: (sum(cat.obj_dim(gens[i]) for i in ms), ms)):
+        need = tuple(a + b - c for a, b, c in zip(px, dim_profile([gens[i] for i in p_ms]), py))
         if any(v < 0 for v in need):
             continue
         for q_ms in q_multis.get(need, []):
-            q_objs = [gens[i] for i in q_ms]
-            w = _try_block_completion(f, p_objs, q_objs, combo_cap)
+            w = _try_block_completion(f, pad(p_ms), pad(q_ms), combo_cap)
             if w is not None:
                 return w
     return None
 
 
-def _try_block_completion(f: QMor, p_objs, q_objs, combo_cap) -> Optional[BlockWitness]:
+def _try_block_completion(f: QMor, p_obj, q_obj, combo_cap) -> Optional[BlockWitness]:
+    """The first invertible [[f, b], [c, d]]: X (+) P -> Y (+) Q, or None.
+
+    (b, c, d) = sum of coefficients times the bases of Hom(P, Y), Hom(X, Q)
+    and Hom(P, Q).  Every block is written straight into the flat map
+    X (+) P -> Y (+) Q; all p^n coefficient tuples are tested one vertex
+    component at a time, each in one batched elimination, and the witness
+    is the first tuple (lexicographic) at which every component is
+    invertible.  The two sums are built only for a witness.
+    """
     cat = f.cat
-    p = cat.p
+    p, blocks = cat.p, cat.blocks
     x, y = f.src, f.dst
-    p_obj = cat.direct_sum(p_objs)[0] if p_objs else cat.zero_obj()
-    q_obj = cat.direct_sum(q_objs)[0] if q_objs else cat.zero_obj()
-    _, (ix, ip), (prx, prp) = cat.direct_sum([x, p_obj])
-    _, (iy, iq), (pry, prq) = cat.direct_sum([y, q_obj])
-    base = cat.compose(iy, cat.compose(f.rep, prx))
-    lifted = []
-    for h in cat.hom_basis(p_obj, y):
-        lifted.append(cat.compose(iy, cat.compose(h, prp)))
-    for h in cat.hom_basis(x, q_obj):
-        lifted.append(cat.compose(iq, cat.compose(h, prx)))
-    for h in cat.hom_basis(p_obj, q_obj):
-        lifted.append(cat.compose(iq, cat.compose(h, prp)))
-    n = len(lifted)
+    # square component by component: the pads balance the dimension vectors
+    src = tuple(a + b for a, b in zip(x.dimv, p_obj.dimv))  # X (+) P
+    dst = tuple(a + b for a, b in zip(y.dimv, q_obj.dimv))  # Y (+) Q
+    at0 = (0,) * len(src)
+    # (rows, source summand, target summand, where the two start)
+    corners = [
+        (f.rep.vec[None, :], x.dimv, y.dimv, at0, at0),
+        (cat.hom_basis(p_obj, y).rows, p_obj.dimv, y.dimv, x.dimv, at0),
+        (cat.hom_basis(x, q_obj).rows, x.dimv, q_obj.dimv, at0, y.dimv),
+        (cat.hom_basis(p_obj, q_obj).rows, p_obj.dimv, q_obj.dimv, x.dimv, y.dimv),
+    ]
+    n = sum(len(rows) for rows, *_ in corners) - 1
     if p**n > combo_cap:
         return None
-    base_comps = cat.mor_components(base)
-    lift_comps = [cat.mor_components(m) for m in lifted]
-    # necessary conditions per component: the achievable column (row) span
-    # over all completions must already be full
-    for k, bc in enumerate(base_comps):
-        rows, cols = bc.shape
-        if rows != cols:
-            return None
-        if rows == 0:
+    # row 0 is f, rows 1..n the placed basis maps b, c, d
+    placed = np.zeros((n + 1, blocks.size(src, dst)), dtype=np.int64)
+    lo = 0
+    for rows, s, t, s_at, t_at in corners:
+        placed[lo : lo + len(rows), blocks.corner_positions(s, t, src, dst, s_at, t_at)] = rows
+        lo += len(rows)
+    base, lifted = placed[0], placed[1:]
+    # every coefficient tuple, one row each, in lexicographic order
+    coeffs = np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    alive = np.arange(len(coeffs))
+    for o, r, _ in blocks.layout(src, dst)[0]:
+        if r == 0:
             continue
-        if ff.array_rank(np.hstack([bc] + [lc[k] for lc in lift_comps]), p) < rows:
+        comp = slice(o, o + r * r)
+        # necessary conditions: the column (row) span over all completions
+        # must already be full
+        span = placed[:, comp].reshape(n + 1, r, r)
+        if ff.array_rank(span.transpose(1, 0, 2).reshape(r, -1), p) < r or ff.array_rank(span.reshape(-1, r), p) < r:
             return None
-        if ff.array_rank(np.vstack([bc] + [lc[k] for lc in lift_comps]), p) < cols:
+        stack = coeffs[alive] @ lifted[:, comp] + base[comp]
+        stack %= p
+        alive = alive[ff.invertible_stack(stack.reshape(-1, r, r), p)]
+        if not alive.size:
             return None
-    coeff_list = list(product(range(p), repeat=n))
-    coeff_mat = np.array(coeff_list, dtype=np.int64).reshape(len(coeff_list), n)
-    # component k of every completion at once, one row per coefficient tuple
-    completions = []
-    for k, bc in enumerate(base_comps):
-        if bc.shape[0] == 0:
-            continue
-        lifts_k = np.array([lc[k].reshape(-1) for lc in lift_comps], dtype=np.int64).reshape(n, bc.size)
-        all_k = (coeff_mat @ lifts_k + bc.reshape(-1)) % p
-        completions.append((bc.shape[0], all_k.reshape(len(coeff_list), *bc.shape)))
-    for j, coeffs in enumerate(coeff_list):
-        if any(ff.array_rank(all_k[j], p) < rows for rows, all_k in completions):
-            continue
-        total = base
-        for c, m in zip(coeffs, lifted):
-            if c:
-                total = cat.add(total, cat.scale(m, int(c)))
-        inv = _two_sided_inverse(cat, total)
-        assert inv is not None  # componentwise invertibility implies iso
-        return BlockWitness(p_obj, q_obj, total, inv)
-    return None
+    vec = coeffs[alive[0]] @ lifted + base
+    vec %= p
+    vec.setflags(write=False)
+    total = cat._mor(cat.direct_sum([x, p_obj])[0], cat.direct_sum([y, q_obj])[0], vec)
+    inv = _two_sided_inverse(cat, total)
+    verify(inv is not None, "block search: a componentwise invertible completion has no two-sided inverse")
+    return BlockWitness(p_obj, q_obj, total, inv)
 
 
 def _two_sided_inverse(cat: Category, f) -> Optional[Any]:
@@ -325,7 +334,7 @@ def q_coim_im(f: QMor) -> CoimImData:
     else:
         mat = FpMatrix.zeros(cat.p, cat.flat_dim(x, y), 0)
     sol = ff.solve_right(mat, FpMatrix(cat.p, rhs.reshape(-1, 1)))
-    assert sol is not None, "mediating morphism must exist"
+    verify(sol is not None, "coimage-image: no mediating morphism Coim f -> Im f")
     hat = cat.combine(basis, sol.a[: len(basis), 0], coim, im)
     # uniqueness modulo the ideal: every nullspace direction in the hat
     # coordinates must itself be an ideal element of Hom(Coim, Im)

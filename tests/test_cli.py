@@ -168,6 +168,18 @@ def test_fixture_reports_match_golden_sha256(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"], name
 
 
+@pytest.mark.parametrize("name", ["a2_iso_agreement", "a3_iso_agreement"])
+def test_iso_agreement_golden_sha256_under_optimize(tmp_path, name):
+    """Under python -O, where asserts are stripped, the iso-agreement reports keep their bytes."""
+    case = json.loads((Path(__file__).parent / "golden" / "fixture_report_sha256.json").read_text())[name]
+    command, spec, *rest = case["argv"]
+    out = tmp_path / f"{name}.json"
+    argv = [sys.executable, "-O", "-m", "exactcat", command, str(FIXTURES / spec), *rest, "--out", str(out)]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=540)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"], name
+
+
 def _a2_spec():
     return {
         "schema": "exactcat/1",

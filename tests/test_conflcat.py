@@ -1,9 +1,13 @@
+import collections
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from exactcat import cli
 from exactcat import quotient as qt
+from exactcat.approx import AddSubcat
 from exactcat.category import Conflation, conflation_split, enumerate_hom, solve_precompose
 from exactcat.conflcat import (
     ConflCategory,
@@ -24,6 +28,8 @@ from exactcat.conflcat import (
 )
 from exactcat.fflinalg import FpMatrix
 from exactcat.repcat import RepMor
+
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "exactcat" / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -324,3 +330,37 @@ def test_kernel_cokernel_of_chain_maps(econf, a2):
     assert find_iso(ecat, k_obj, pre.p1) is not None
     c_obj, c = ecat.cokernel(ecat.compose(pre.dses.incl, ecat.identity(pre.p1)))
     assert ecat.obj_dim(c_obj) == ecat.obj_dim(pre.p0) - ecat.obj_dim(pre.p1)
+
+
+# -- each conflation is checked once, by the code that builds it ----------------------
+
+def test_confl_checks_each_conflation_once(tmp_path, monkeypatch):
+    """Every conflation the confl command builds is checked by its producer;
+    the substructure tests and the harnesses that sweep it do not check it
+    again.  Counted per conflation object: equal conflations built by two
+    producers (the two harnesses enumerate some extensions alike) are two
+    conflations, each checked once."""
+    calls = collections.Counter()
+    checked = []  # keeps every checked conflation alive, so no id is reused
+    real = ConflCategory.check_conflation
+
+    def counted(self, c):
+        checked.append(c)
+        calls[id(c)] += 1
+        return real(self, c)
+
+    monkeypatch.setattr(ConflCategory, "check_conflation", counted)
+    assert cli.main(["confl", str(FIXTURES / "a2_base.json"), "--bound", "1", "--out", str(tmp_path / "c.json")]) == 0
+    assert len(calls) > 100
+    assert max(calls.values()) == 1
+
+
+def test_is_hom_exact_checks_its_conflation(a2, econf):
+    ecat, sub, x = econf
+    bad = Conflation(ecat.identity(x), ecat.identity(x))  # defl o incl = id, not 0
+    for side in ("covariant", "contravariant"):
+        with pytest.raises(ValueError, match="defl o incl"):
+            sub.is_hom_exact(bad, side)
+    cat, o = a2
+    with pytest.raises(ValueError, match="defl o incl"):
+        AddSubcat(cat, [o["P1"]]).is_hom_exact(Conflation(cat.identity(o["S1"]), cat.identity(o["S1"])), "covariant")

@@ -366,3 +366,42 @@ def test_block_system_rejects_mismatched_terms():
     system.unknown("X", 2, 1)
     with pytest.raises(ValueError):
         system.equation((1, None, "X", None), (1, np.eye(3, dtype=np.int64), "X", None))
+
+
+# -- the batched invertibility kernel against the rank ------------------------------
+
+@st.composite
+def square_stack(draw, p):
+    """k random n x n matrices over F_p, k <= 64 and n <= 5, as one (k, n, n) stack.
+
+    Each matrix is uniform, of low rank (a product through a narrower inner
+    dimension), or has a zero column or a repeated row, so singular and
+    invertible matrices both occur at every p.
+    """
+    n = draw(st.integers(0, 5))
+    k = draw(st.integers(0, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(0, p, size=(k, n, n))
+    for m in stack:
+        kind = rng.integers(4)
+        if kind == 1 and n:
+            m[:, rng.integers(n)] = 0
+        elif kind == 2 and n > 1:
+            i, j = rng.choice(n, 2, replace=False)
+            m[i] = m[j]
+        elif kind == 3:
+            inner = rng.integers(0, n + 1)
+            m[:] = rng.integers(0, p, size=(n, inner)) @ rng.integers(0, p, size=(inner, n)) % p
+    return stack.astype(np.int64)
+
+
+@pytest.mark.parametrize("p", ff.SUPPORTED_PRIMES)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_invertible_stack_matches_rank(p, data):
+    stack = data.draw(square_stack(p))
+    before = stack.copy()
+    got = ff.invertible_stack(stack, p)
+    assert got.dtype == bool and got.shape == (len(stack),)
+    assert got.tolist() == [ff.array_rank(m, p) == stack.shape[1] for m in stack]
+    assert np.array_equal(stack, before)  # the input is not touched

@@ -1,10 +1,20 @@
+import json
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from exactcat import fflinalg as ff
 from exactcat import quotient as qt
 from exactcat.approx import AddSubcat
 from exactcat.category import enumerate_hom
+from exactcat.cli import build_spec, parse_spec
 from exactcat.fflinalg import FpMatrix
+
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "exactcat" / "fixtures"
 
 
 def test_qhom_dims(a3, a3_sub):
@@ -240,3 +250,134 @@ def test_sweep_classes_decides_each_class_once(a2, a3, a3_sub):
         assert report.checked == sum(cat.p ** len(cat.hom_basis(x, y)) for x, y in pairs)
         assert len(report.failures) == sum(cat.p ** qt.qhom(sub, x, y).dim for x, y in pairs)
         assert report.failures == [f"class {i}" for i in range(1, len(decided) + 1)]
+
+
+# -- the block search against the per-tuple reference loop --------------------------
+
+def _reference_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
+    """The block search done the long way: build P, Q, X (+) P and Y (+) Q for
+    every attempt, compose every block with the injections and projections,
+    and test the coefficient tuples one at a time, rank by rank."""
+    cat, sub = f.cat, f.sub
+    x, y = f.src, f.dst
+    gens = list(sub.generators)
+
+    def multisets():
+        out, stack = [[]], [([], 0, 0)]
+        while stack:
+            ms, start, dim = stack.pop()
+            for i in range(start, len(gens)):
+                d = dim + cat.obj_dim(gens[i])
+                if d <= extra_dim_cap:
+                    out.append(ms + [i])
+                    stack.append((ms + [i], i, d))
+        return out
+
+    def profile(ms):
+        return tuple(sum(c) for c in zip(cat.zero_obj().dimv, *(gens[i].dimv for i in ms)))
+
+    by_profile = {}
+    for ms in multisets():
+        by_profile.setdefault(profile(ms), []).append(ms)
+    for p_ms in sorted(multisets(), key=lambda ms: (sum(cat.obj_dim(gens[i]) for i in ms), ms)):
+        need = tuple(a + b - c for a, b, c in zip(x.dimv, profile(p_ms), y.dimv))
+        if any(v < 0 for v in need):
+            continue
+        for q_ms in by_profile.get(need, []):
+            pad_p = cat.direct_sum([gens[i] for i in p_ms])[0] if p_ms else cat.zero_obj()
+            pad_q = cat.direct_sum([gens[i] for i in q_ms])[0] if q_ms else cat.zero_obj()
+            _, (ix, ip), (prx, prp) = cat.direct_sum([x, pad_p])
+            _, (iy, iq), (pry, prq) = cat.direct_sum([y, pad_q])
+            base = cat.compose(iy, cat.compose(f.rep, prx))
+            lifted = [cat.compose(iy, cat.compose(h, prp)) for h in cat.hom_basis(pad_p, y)]
+            lifted += [cat.compose(iq, cat.compose(h, prx)) for h in cat.hom_basis(x, pad_q)]
+            lifted += [cat.compose(iq, cat.compose(h, prp)) for h in cat.hom_basis(pad_p, pad_q)]
+            if cat.p ** len(lifted) > combo_cap:
+                continue
+            comps = [cat.mor_components(m) for m in [base] + lifted]
+            # the column and row spans over all completions must be full
+            if any(
+                ff.array_rank(np.hstack(ms), cat.p) < len(ms[0]) or ff.array_rank(np.vstack(ms), cat.p) < len(ms[0])
+                for ms in zip(*comps)
+            ):
+                continue
+            for coeffs in product(range(cat.p), repeat=len(lifted)):
+                total = cat.combine([base] + lifted, np.array((1,) + coeffs), base.src, base.dst)
+                if all(ff.array_rank(m, cat.p) == m.shape[0] for m in cat.mor_components(total)):
+                    return pad_p, pad_q, total
+    return None
+
+
+def _sweep_witnesses(source, search):
+    """(pad_src key, pad_dst key, total bytes) or None for every class the
+    iso-agreement sweep of the spec decides, in sweep order, on a category
+    of its own."""
+    doc = parse_spec(source) if isinstance(source, str) else build_spec(source)
+    sub = doc.subcategories["P"]
+    cat = sub.cat
+    found = []
+
+    def decide(qf):
+        w = search(qf)
+        if w is not None:
+            pad_src, pad_dst, total = w
+            w = (cat.obj_key(pad_src), cat.obj_key(pad_dst), total.vec.tobytes())
+        found.append(w)
+
+    qt._sweep_classes(sub, [doc.objects[n] for n in sorted(doc.objects)], qt.ENUM_CAP, None, decide)
+    return found
+
+
+def _blocksearch(qf):
+    w = qt.q_is_iso_blocksearch(qf)
+    return None if w is None else (w.pad_src, w.pad_dst, w.total)
+
+
+def _specgen():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
+    spec = importlib.util.spec_from_file_location("specgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _a3_f3_spec():
+    """A3 over F_3: the six indecomposables and S2 (+) P2, in seeded random bases."""
+    gen = _specgen()
+    objects = {name: [name] for name in gen.A3_INTERVALS}
+    objects["X"] = ["S2", "P2"]
+    return gen.make_spec("block-search-oracle", 3, 3, objects, {"P": ["P1", "P2", "S3", "S1", "I2"]})
+
+
+@pytest.mark.parametrize("source", ["a3-fixture-f2", "a3-specgen-f3"])
+def test_block_search_witness_matches_reference_loop(source):
+    make = (lambda: str(FIXTURES / "a3_projinj.json")) if source == "a3-fixture-f2" else _a3_f3_spec
+    # separate categories, so neither search sees the other's biproducts
+    new = _sweep_witnesses(make(), _blocksearch)
+    ref = _sweep_witnesses(make(), _reference_blocksearch)
+    assert new == ref
+    assert any(w is None for w in new) and any(w is not None for w in new)
+
+
+# -- a failed inverse check ends iso-agreement with a fail report, with and without -O ----
+
+FAULT_MAIN = """
+import sys
+from exactcat import cli, quotient
+quotient._two_sided_inverse = lambda cat, f: None
+sys.exit(cli.main(["iso-agreement", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_missing_block_inverse_fails_iso_agreement(tmp_path, optimize):
+    out = tmp_path / "iso.json"
+    argv = [sys.executable] + (["-O"] if optimize else []) + ["-c", FAULT_MAIN, str(FIXTURES / "a3_projinj.json"), str(out)]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail" and payload["exit_code"] == 1
+    assert any("no two-sided inverse" in e for e in payload["report"]["errors"])
