@@ -16,6 +16,10 @@ are a few array operations here, for both hosts; a host supplies its
 objects, its trusted morphism constructor `_mor` and the exact structure.
 Every factorization/exactness question is then F_p linear algebra on these
 vectors.
+
+Of the limits and colimits, a host writes only `kernel` and `cokernel`;
+pullback, pushout and image are built here from them, on the canonical
+biproducts of `stack`/`costack`.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import fflinalg as ff
-from .fflinalg import FpMatrix
+from .fflinalg import FpMatrix, VerificationError, verify  # noqa: F401 (VerificationError re-exported)
 
 
 class EnumerationBound(Exception):
@@ -35,17 +39,6 @@ class EnumerationBound(Exception):
     def __init__(self, message: str, required: int):
         super().__init__(message)
         self.required = required
-
-
-class VerificationError(Exception):
-    """A re-verified mathematical claim failed (an explicit check, so it
-    survives `python -O`, unlike an assert)."""
-
-
-def verify(ok: bool, message: str) -> None:
-    """Raise VerificationError(message) unless ok."""
-    if not ok:
-        raise VerificationError(message)
 
 
 class ConditionError(Exception):
@@ -301,11 +294,27 @@ class Category(ABC):
     @abstractmethod
     def cokernel(self, f) -> tuple[Any, Any]: ...
 
-    @abstractmethod
-    def pullback(self, f, g) -> tuple[Any, Any, Any]: ...
+    def pullback(self, f, g) -> tuple[Any, Any, Any]:
+        """Fiber product of f: x -> z and g: y -> z with its two projections:
+        the kernel of (f, -g): x (+) y -> z."""
+        if f.dst is not g.dst and self.obj_key(f.dst) != self.obj_key(g.dst):
+            raise ValueError("pullback: f and g do not share a target")
+        total, _, (p1, p2) = self.direct_sum([f.src, g.src])
+        k_obj, k = self.kernel(self.costack([f, self.neg(g)], total))
+        return k_obj, self.compose(p1, k), self.compose(p2, k)
 
-    @abstractmethod
-    def pushout(self, f, g) -> tuple[Any, Any, Any]: ...
+    def pushout(self, f, g) -> tuple[Any, Any, Any]:
+        """Fiber coproduct of f: x -> y and g: x -> z with its two injections:
+        the cokernel of <f, -g>: x -> y (+) z."""
+        if f.src is not g.src and self.obj_key(f.src) != self.obj_key(g.src):
+            raise ValueError("pushout: f and g do not share a source")
+        total, (i1, i2), _ = self.direct_sum([f.dst, g.dst])
+        c_obj, c = self.cokernel(self.stack([f, self.neg(g)], total))
+        return c_obj, self.compose(c, i1), self.compose(c, i2)
+
+    def image(self, f) -> tuple[Any, Any]:
+        """Image subobject with its inclusion into dst: the kernel of the cokernel."""
+        return self.kernel(self.cokernel(f)[1])
 
     # -- enumeration -------------------------------------------------------
     @abstractmethod

@@ -26,6 +26,7 @@ from .category import (
     VerificationError,
     conflation_split,
     hom_exact,
+    solve_postcompose,
     solve_precompose,
     span_basis,
     span_matrix,
@@ -370,8 +371,8 @@ class ConflCategory(Category):
         b = self.base
         parts = [b.kernel(c) for c in f.components()]
         (k1, m1), (k2, m2), (k3, m3) = parts
-        d1 = _factor_mono(b, [m2], [b.compose(f.src.d1, m1)])
-        d2 = _factor_mono(b, [m3], [b.compose(f.src.d2, m2)])
+        d1 = _factor_mono(b, m2, b.compose(f.src.d1, m1))
+        d2 = _factor_mono(b, m3, b.compose(f.src.d2, m2))
         obj = self.make_obj(Conflation(d1, d2))
         return obj, ConflMor(obj, f.src, m1, m2, m3)
 
@@ -379,28 +380,10 @@ class ConflCategory(Category):
         b = self.base
         parts = [b.cokernel(c) for c in f.components()]
         (c1, e1), (c2, e2), (c3, e3) = parts
-        d1 = _factor_epi(b, [e1], [b.compose(e2, f.dst.d1)])
-        d2 = _factor_epi(b, [e2], [b.compose(e3, f.dst.d2)])
+        d1 = _factor_epi(b, e1, b.compose(e2, f.dst.d1))
+        d2 = _factor_epi(b, e2, b.compose(e3, f.dst.d2))
         obj = self.make_obj(Conflation(d1, d2))
         return obj, ConflMor(f.dst, obj, e1, e2, e3)
-
-    def pullback(self, f: ConflMor, g: ConflMor) -> tuple[ConflObj, ConflMor, ConflMor]:
-        b = self.base
-        parts = [b.pullback(cf, cg) for cf, cg in zip(f.components(), g.components())]
-        (o1, p1, q1), (o2, p2, q2), (o3, p3, q3) = parts
-        d1 = _factor_mono(b, [p2, q2], [b.compose(f.src.d1, p1), b.compose(g.src.d1, q1)])
-        d2 = _factor_mono(b, [p3, q3], [b.compose(f.src.d2, p2), b.compose(g.src.d2, q2)])
-        obj = self.make_obj(Conflation(d1, d2))
-        return obj, ConflMor(obj, f.src, p1, p2, p3), ConflMor(obj, g.src, q1, q2, q3)
-
-    def pushout(self, f: ConflMor, g: ConflMor) -> tuple[ConflObj, ConflMor, ConflMor]:
-        b = self.base
-        parts = [b.pushout(cf, cg) for cf, cg in zip(f.components(), g.components())]
-        (o1, i1, j1), (o2, i2, j2), (o3, i3, j3) = parts
-        d1 = _factor_epi(b, [i1, j1], [b.compose(i2, f.dst.d1), b.compose(j2, g.dst.d1)])
-        d2 = _factor_epi(b, [i2, j2], [b.compose(i3, f.dst.d2), b.compose(j3, g.dst.d2)])
-        obj = self.make_obj(Conflation(d1, d2))
-        return obj, ConflMor(f.dst, obj, i1, i2, i3), ConflMor(g.dst, obj, j1, j2, j3)
 
     # -- enumeration -----------------------------------------------------------
     def enumerate_objects(self, bound: int, cap: int = 100_000) -> list[ConflObj]:
@@ -430,8 +413,9 @@ class ConflCategory(Category):
         out = []
         for u2 in b.enumerate_subobjects(x.t2, bound):
             w, w1, w2 = b.pullback(x.d1, u2)  # w1: preimage -> t1
-            im, m = b.image(b.compose(x.d2, u2))
-            delta2 = _factor_mono(b, [m], [b.compose(x.d2, u2)])
+            top = b.compose(x.d2, u2)
+            _, m = b.image(top)
+            delta2 = _factor_mono(b, m, top)
             sub = self.make_obj(Conflation(w2, delta2))
             out.append(ConflMor(sub, x, w1, u2, m))
         out.sort(key=lambda f: (self.obj_dim(f.src), f.vec.tobytes()))
@@ -505,25 +489,18 @@ class ConflCategory(Category):
         return c
 
 
-def _factor_mono(b: RepCategory, ms: Sequence[RepMor], gs: Sequence[RepMor]) -> RepMor:
-    """Unique u with m o u = g for each pair of ms, gs (the ms stacked vertex-wise injective)."""
-    comps = {}
-    for v in b.quiver.vertices:
-        sol = ff.solve_right(ff.vstack([m.comp(v) for m in ms]), ff.vstack([g.comp(v) for g in gs]))
-        verify(sol is not None, f"no factorization through the monomorphism at vertex {v}")
-        comps[v] = sol
-    return RepMor(gs[0].src, ms[0].src, comps)
+def _factor_mono(cat: Category, m, g):
+    """The u with m o u = g, unique because m is a monomorphism."""
+    u = solve_precompose(cat, m, g)
+    verify(u is not None, "no factorization through the monomorphism")
+    return u
 
 
-def _factor_epi(b: RepCategory, es: Sequence[RepMor], gs: Sequence[RepMor]) -> RepMor:
-    """Unique u with u o e = g for each pair of es, gs (the es side by side vertex-wise surjective)."""
-    comps = {}
-    for v in b.quiver.vertices:
-        stacked = ff.hstack([e.comp(v) for e in es]).transpose()
-        sol = ff.solve_right(stacked, ff.hstack([g.comp(v) for g in gs]).transpose())
-        verify(sol is not None, f"no factorization through the epimorphism at vertex {v}")
-        comps[v] = sol.transpose()
-    return RepMor(es[0].dst, gs[0].dst, comps)
+def _factor_epi(cat: Category, e, g):
+    """The u with u o e = g, unique because e is an epimorphism."""
+    u = solve_postcompose(cat, e, g)
+    verify(u is not None, "no factorization through the epimorphism")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -905,14 +882,9 @@ def factor_split0_conflation(ecat: ConflCategory, dses: Conflation) -> tuple[Con
 
 
 def _induced_from_pushout(ecat: ConflCategory, t_mor: ConflMor, s_mor: ConflMor, a: ConflMor, bmor: ConflMor) -> ConflMor:
-    """Unique u with u o t = a and u o s = b out of a pushout."""
-    b = ecat.base
-    comps = []
-    for k in range(3):
-        tk, sk = t_mor.components()[k], s_mor.components()[k]
-        ak, bk = a.components()[k], bmor.components()[k]
-        comps.append(_factor_epi(b, [tk, sk], [ak, bk]))
-    return ConflMor(ecat.dst(t_mor), ecat.dst(a), *comps)
+    """Unique u with u o t = a and u o s = b out of a pushout: (t s) is epi."""
+    total, _, _ = ecat.direct_sum([ecat.src(t_mor), ecat.src(s_mor)])
+    return _factor_epi(ecat, ecat.costack([t_mor, s_mor], total), ecat.costack([a, bmor], total))
 
 
 @dataclass
@@ -1132,7 +1104,7 @@ def sweep_hom_exactness_biconditional(
             for d in ecat.enumerate_extensions(z, x, cap):
                 try:
                     check_hom_exactness_matches_splitting(ecat, d, test_objects=test_objects)
-                except (VerificationError, AssertionError) as exc:
+                except VerificationError as exc:
                     report.failures.append(f"{x.label} -> {z.label}: {exc}")
                 report.checked += 1
     report.passed = not report.failures

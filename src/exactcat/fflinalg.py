@@ -3,7 +3,10 @@
 Everything else in the engine reduces to the four primitives here:
 reduced row echelon form, deterministic linear solving, kernel bases and
 quotient-space splittings.  All arithmetic is integer arithmetic mod p on
-int64 arrays; there is no floating point anywhere.
+int64 arrays; there is no floating point anywhere.  `verify` and
+`VerificationError`, the explicit checks that survive `python -O`, live
+here at the bottom layer so that these primitives can use them too;
+`category` re-exports them.
 
 Nearly every matrix the engine builds is tiny (most have at most four
 entries), so the kernel keeps per-matrix overhead low:
@@ -52,6 +55,17 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
+
+
+class VerificationError(Exception):
+    """A re-verified mathematical claim failed (an explicit check, so it
+    survives `python -O`, unlike an assert)."""
+
+
+def verify(ok: bool, message: str) -> None:
+    """Raise VerificationError(message) unless ok."""
+    if not ok:
+        raise VerificationError(message)
 
 
 def _check_modulus(p: int) -> None:
@@ -372,12 +386,6 @@ def kernel_basis(a: FpMatrix) -> FpMatrix:
     return from_reduced(p, out)
 
 
-def column_space_basis(a: FpMatrix) -> FpMatrix:
-    """Columns of a restricted to a basis of the column space (pivot columns)."""
-    _, pivots = _rref_array(a.a, a.p)
-    return from_reduced(a.p, a.a[:, list(pivots)])
-
-
 def quotient_space(p: int, ambient_dim: int, sub_basis: FpMatrix) -> tuple[FpMatrix, FpMatrix]:
     """Projection and section for k^ambient_dim / colspan(sub_basis).
 
@@ -391,14 +399,13 @@ def quotient_space(p: int, ambient_dim: int, sub_basis: FpMatrix) -> tuple[FpMat
     _, pivots, _ = rref(from_reduced(p, aug))
     base_cols = sum(1 for c in pivots if c < sub_basis.cols)
     lift = from_reduced(p, aug[:, list(pivots[base_cols:])])
-    full = from_reduced(p, aug[:, list(pivots)])  # [base | lift], invertible
-    assert full.rows == full.cols == ambient_dim or ambient_dim == 0
+    # [base | lift] is square and invertible: aug contains the identity, so
+    # its pivot columns are a basis of the whole space
+    full = from_reduced(p, aug[:, list(pivots)])
     inv = solve_right(full, FpMatrix.identity(p, ambient_dim))
-    assert inv is not None
     proj = from_reduced(p, inv.a[base_cols:, :].copy())
-    # sanity: kills the subspace, splits the quotient
-    assert (proj @ sub_basis).is_zero()
-    assert proj @ lift == FpMatrix.identity(p, lift.cols)
+    verify((proj @ sub_basis).is_zero(), "quotient_space: the projection does not kill the subspace")
+    verify(proj @ lift == FpMatrix.identity(p, lift.cols), "quotient_space: the lift does not split the projection")
     return proj, lift
 
 

@@ -3,8 +3,9 @@
 Objects assign an F_p vector space to every vertex and a matrix to every
 arrow; morphisms are vertex-wise matrices making every arrow square commute.
 The exact structure is all short exact sequences (the category is abelian),
-so kernels, cokernels, pullbacks and pushouts are computed vertex-wise with
-induced arrow maps.
+so kernels and cokernels are computed vertex-wise with induced arrow maps;
+pullbacks, pushouts and images are the generic ones of `Category`, built
+from them.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fflinalg as ff
-from .category import Category, Conflation, EnumerationBound
+from .category import Category, Conflation, EnumerationBound, verify
 from .fflinalg import FpMatrix
 
 
@@ -305,7 +306,7 @@ class RepCategory(Category):
         for a in self.quiver.arrows:
             rhs = f.src.maps[a.name] @ bases[a.src]
             sol = ff.solve_right(bases[a.dst], rhs)
-            assert sol is not None  # arrow maps preserve vertex kernels
+            verify(sol is not None, f"kernel: arrow {a.name} does not preserve the vertex kernels")
             maps[a.name] = sol
         k_obj = RepObj(self.quiver, self.p, dims, maps)
         k_mor = RepMor(k_obj, f.src, bases)
@@ -323,59 +324,6 @@ class RepCategory(Category):
         c_obj = RepObj(self.quiver, self.p, dims, maps)
         c_mor = RepMor(f.dst, c_obj, projs)
         return c_obj, c_mor
-
-    def image(self, f: RepMor) -> tuple[RepObj, RepMor]:
-        """Image subobject with its inclusion into dst."""
-        bases = {v: ff.column_space_basis(f.comp(v)) for v in self.quiver.vertices}
-        dims = {v: bases[v].cols for v in self.quiver.vertices}
-        maps = {}
-        for a in self.quiver.arrows:
-            sol = ff.solve_right(bases[a.dst], f.dst.maps[a.name] @ bases[a.src])
-            assert sol is not None
-            maps[a.name] = sol
-        im_obj = RepObj(self.quiver, self.p, dims, maps)
-        return im_obj, RepMor(im_obj, f.dst, bases)
-
-    def pullback(self, f: RepMor, g: RepMor) -> tuple[RepObj, RepMor, RepMor]:
-        """Fiber product of f: X -> Z and g: Y -> Z with its two projections."""
-        assert f.dst.key == g.dst.key
-        x, y = f.src, g.src
-        bases, p1c, p2c = {}, {}, {}
-        for v in self.quiver.vertices:
-            stacked = ff.hstack([f.comp(v), -g.comp(v)])
-            k = ff.kernel_basis(stacked)
-            bases[v] = k
-            p1c[v] = FpMatrix(self.p, k.a[: x.dims[v], :])
-            p2c[v] = FpMatrix(self.p, k.a[x.dims[v] :, :])
-        dims = {v: bases[v].cols for v in self.quiver.vertices}
-        maps = {}
-        for a in self.quiver.arrows:
-            xa, ya = x.maps[a.name], y.maps[a.name]
-            diag = ff.block_diag([xa, ya], self.p)
-            sol = ff.solve_right(bases[a.dst], diag @ bases[a.src])
-            assert sol is not None
-            maps[a.name] = sol
-        pobj = RepObj(self.quiver, self.p, dims, maps)
-        return pobj, RepMor(pobj, x, p1c), RepMor(pobj, y, p2c)
-
-    def pushout(self, f: RepMor, g: RepMor) -> tuple[RepObj, RepMor, RepMor]:
-        """Cofiber coproduct of f: X -> Y and g: X -> Z with its two injections."""
-        assert f.src.key == g.src.key
-        y, z = f.dst, g.dst
-        projs, lifts = {}, {}
-        for v in self.quiver.vertices:
-            stacked = ff.vstack([f.comp(v), -g.comp(v)])
-            proj, lift = ff.quotient_space(self.p, y.dims[v] + z.dims[v], stacked)
-            projs[v], lifts[v] = proj, lift
-        dims = {v: projs[v].rows for v in self.quiver.vertices}
-        maps = {}
-        for a in self.quiver.arrows:
-            diag = ff.block_diag([y.maps[a.name], z.maps[a.name]], self.p)
-            maps[a.name] = projs[a.dst] @ diag @ lifts[a.src]
-        pobj = RepObj(self.quiver, self.p, dims, maps)
-        i1c = {v: FpMatrix(self.p, projs[v].a[:, : y.dims[v]]) for v in self.quiver.vertices}
-        i2c = {v: FpMatrix(self.p, projs[v].a[:, y.dims[v] :]) for v in self.quiver.vertices}
-        return pobj, RepMor(y, pobj, i1c), RepMor(z, pobj, i2c)
 
     # -- enumeration -------------------------------------------------------
     def enumerate_subobjects(self, x: RepObj, bound: int = 8) -> list[RepMor]:

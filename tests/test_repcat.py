@@ -8,10 +8,12 @@ from exactcat.category import (
     enumerate_hom,
     find_iso,
     hom_exact,
+    solve_postcompose,
     solve_precompose,
 )
+from exactcat.conflcat import ConflCategory
 from exactcat.fflinalg import FpMatrix
-from exactcat.repcat import RepCategory, a_n, op_conflation, opposite
+from exactcat.repcat import RepCategory, RepMor, RepObj, a_n, op_conflation, opposite
 
 
 def test_hom_dims_a2(a2):
@@ -89,22 +91,193 @@ def test_pushout_along_identity(a2):
     assert find_iso(cat, p_obj, o["P1"]) is not None
 
 
-def test_pullback_square_and_factorization_oracle(a3):
-    cat, o = a3
-    pi = cat.hom_basis(o["P1"], o["S1"])[0]
-    beta = cat.hom_basis(o["I2"], o["S1"])[0]
-    p_obj, p1, p2 = cat.pullback(pi, beta)
-    assert cat.mor_eq(cat.compose(pi, p1), cat.compose(beta, p2))
-    # every commuting cone factors through the pullback, uniquely
-    for t in o.values():
-        for g1 in enumerate_hom(cat, t, o["P1"])[0]:
-            for g2 in enumerate_hom(cat, t, o["I2"])[0]:
-                if not cat.mor_eq(cat.compose(pi, g1), cat.compose(beta, g2)):
-                    continue
-                from exactcat.category import solve_precompose_pair
+# -- pullback, pushout and image: the generic constructions of Category -------
 
-                u = solve_precompose_pair(cat, p1, g1, p2, g2)
-                assert u is not None
+def _a3_objects(p):
+    """The six indecomposable representations of A3 over F_p."""
+    cat = RepCategory(a_n(3), p)
+    one = FpMatrix(p, [[1]])
+    return cat, {
+        "P1": cat.obj({"1": 1, "2": 1, "3": 1}, {"a1": one, "a2": one}, name="P1"),
+        "P2": cat.obj({"2": 1, "3": 1}, {"a2": one}, name="P2"),
+        "S3": cat.obj({"3": 1}, name="S3"),
+        "S1": cat.obj({"1": 1}, name="S1"),
+        "I2": cat.obj({"1": 1, "2": 1}, {"a1": one}, name="I2"),
+        "S2": cat.obj({"2": 1}, name="S2"),
+    }
+
+
+def _limit_cases(host, p):
+    """(cat, (f, g) sharing a target, (f, g) sharing a source, test objects).
+
+    For the pullback f is a deflation and g is nonzero, for the pushout f is
+    an inflation and g is nonzero, so the comparison legs g o p2 and i2 o g
+    are nonzero and the sign of -g shows at p = 3.  On the conflation host f
+    is the split precover (resp. preenvelope) of the nonsplit conflation
+    S2 -> P1 -> S1 of A2, as in the quotient's kernels and cokernels.
+    """
+    if host == "rep":
+        cat, o = _a3_objects(p)
+        pb = (cat.hom_basis(o["P1"], o["S1"])[0], cat.hom_basis(o["I2"], o["S1"])[0])
+        po = (cat.hom_basis(o["P2"], o["P1"])[0], cat.hom_basis(o["P2"], o["S2"])[0])
+        return cat, pb, po, list(o.values())
+    base = RepCategory(a_n(2), p)
+    one = FpMatrix(p, [[1]])
+    p1 = base.obj({"1": 1, "2": 1}, {"a1": one}, name="P1")
+    s1, s2, zero = base.obj({"1": 1}, name="S1"), base.obj({"2": 1}, name="S2"), base.zero_obj()
+    ecat = ConflCategory(base)
+    n = ecat.make_obj(base.conflation(base.hom_basis(s2, p1)[0], base.hom_basis(p1, s1)[0]), name="N")
+    w = ecat.split_obj(s2, s1)
+    g_in, g_out = ecat.hom_basis(w, n), ecat.hom_basis(n, w)
+    pb = (ecat.split_sub.precover(n), ecat.combine(g_in, np.ones(len(g_in)), w, n))
+    po = (ecat.split_sub.preenvelope(n), ecat.combine(g_out, np.ones(len(g_out)), n, w))
+    tests = [n, w] + [ecat.split_obj(a, c) for a, c in ((zero, s1), (s2, zero), (zero, p1), (s1, s2))]
+    return ecat, pb, po, tests
+
+
+def _exhaustive_hom(cat, x, y):
+    mors, exhaustive = enumerate_hom(cat, x, y)
+    assert exhaustive
+    return mors
+
+
+def _vertexwise_pullback(cat, f, g):
+    """The former RepCategory.pullback, kept as the reference: per vertex the
+    kernel of [f_v | -g_v], the arrow maps induced from x (+) y."""
+    x, y = f.src, g.src
+    bases, p1c, p2c = {}, {}, {}
+    for v in cat.quiver.vertices:
+        k = ff.kernel_basis(ff.hstack([f.comp(v), -g.comp(v)]))
+        bases[v] = k
+        p1c[v] = FpMatrix(cat.p, k.a[: x.dims[v], :])
+        p2c[v] = FpMatrix(cat.p, k.a[x.dims[v] :, :])
+    maps = {}
+    for a in cat.quiver.arrows:
+        diag = ff.block_diag([x.maps[a.name], y.maps[a.name]], cat.p)
+        maps[a.name] = ff.solve_right(bases[a.dst], diag @ bases[a.src])
+    pobj = RepObj(cat.quiver, cat.p, {v: bases[v].cols for v in cat.quiver.vertices}, maps)
+    return pobj, RepMor(pobj, x, p1c), RepMor(pobj, y, p2c)
+
+
+def _vertexwise_pushout(cat, f, g):
+    """The former RepCategory.pushout, kept as the reference: per vertex the
+    quotient of y_v (+) z_v by the span of [f_v; -g_v]."""
+    y, z = f.dst, g.dst
+    projs, lifts = {}, {}
+    for v in cat.quiver.vertices:
+        stacked = ff.vstack([f.comp(v), -g.comp(v)])
+        projs[v], lifts[v] = ff.quotient_space(cat.p, y.dims[v] + z.dims[v], stacked)
+    maps = {}
+    for a in cat.quiver.arrows:
+        diag = ff.block_diag([y.maps[a.name], z.maps[a.name]], cat.p)
+        maps[a.name] = projs[a.dst] @ diag @ lifts[a.src]
+    pobj = RepObj(cat.quiver, cat.p, {v: projs[v].rows for v in cat.quiver.vertices}, maps)
+    i1c = {v: FpMatrix(cat.p, projs[v].a[:, : y.dims[v]]) for v in cat.quiver.vertices}
+    i2c = {v: FpMatrix(cat.p, projs[v].a[:, y.dims[v] :]) for v in cat.quiver.vertices}
+    return pobj, RepMor(y, pobj, i1c), RepMor(z, pobj, i2c)
+
+
+def _same_limit(got, want):
+    return got[0].key == want[0].key and all(a.vec.tobytes() == b.vec.tobytes() for a, b in zip(got[1:], want[1:]))
+
+
+LIMIT_CASES = [pytest.param(host, p, id=f"{host}-p{p}") for host in ("rep", "confl") for p in (2, 3)]
+
+
+@pytest.mark.parametrize("host, p", LIMIT_CASES)
+def test_pullback_square_and_factorization_oracle(host, p):
+    cat, (f, g), _, tests = _limit_cases(host, p)
+    x, y = f.src, g.src
+    pb, p1, p2 = cat.pullback(f, g)
+    assert cat.mor_eq(cat.compose(f, p1), cat.compose(g, p2))
+    assert cat.compose(g, p2).vec.any()
+    if host == "rep":
+        assert _same_limit((pb, p1, p2), _vertexwise_pullback(cat, f, g))
+    # every commuting cone from a test object factors through <p1, p2>, and
+    # there are exactly as many cones as maps into the pullback: uniquely
+    xy, _, _ = cat.direct_sum([x, y])
+    legs = cat.stack([p1, p2], xy)
+    for t in tests:
+        cones = [
+            cat.stack([g1, g2], xy)
+            for g1 in _exhaustive_hom(cat, t, x)
+            for g2 in _exhaustive_hom(cat, t, y)
+            if cat.mor_eq(cat.compose(f, g1), cat.compose(g, g2))
+        ]
+        assert len(cones) == p ** len(cat.hom_basis(t, pb))
+        assert all(solve_precompose(cat, legs, c) is not None for c in cones)
+
+
+@pytest.mark.parametrize("host, p", LIMIT_CASES)
+def test_pushout_square_and_factorization_oracle(host, p):
+    cat, _, (f, g), tests = _limit_cases(host, p)
+    y, z = f.dst, g.dst
+    po, i1, i2 = cat.pushout(f, g)
+    assert cat.mor_eq(cat.compose(i1, f), cat.compose(i2, g))
+    assert cat.compose(i2, g).vec.any()
+    if host == "rep":
+        assert _same_limit((po, i1, i2), _vertexwise_pushout(cat, f, g))
+    yz, _, _ = cat.direct_sum([y, z])
+    legs = cat.costack([i1, i2], yz)
+    for t in tests:
+        cocones = [
+            cat.costack([h1, h2], yz)
+            for h1 in _exhaustive_hom(cat, y, t)
+            for h2 in _exhaustive_hom(cat, z, t)
+            if cat.mor_eq(cat.compose(h1, f), cat.compose(h2, g))
+        ]
+        assert len(cocones) == p ** len(cat.hom_basis(po, t))
+        assert all(solve_postcompose(cat, legs, c) is not None for c in cocones)
+
+
+@pytest.mark.parametrize("host", ["rep", "confl"])
+def test_pullback_and_pushout_refuse_unmatched_ends(host):
+    cat, (f, _), (h, _), _ = _limit_cases(host, 3)
+    with pytest.raises(ValueError, match="share a target"):
+        cat.pullback(f, cat.identity(f.src))
+    with pytest.raises(ValueError, match="share a source"):
+        cat.pushout(h, cat.identity(h.dst))
+
+
+def _same_span(a: np.ndarray, b: np.ndarray, p: int) -> bool:
+    rank = ff.array_rank(a, p)
+    return rank == ff.array_rank(b, p) == ff.array_rank(np.hstack([a, b]), p)
+
+
+def _assert_image(cat, f, comps):
+    """cat.image(f) spans, in every block, the column space of f's block
+    (the old column-space image took the pivot columns of f's block); its
+    inclusion is mono and f factors through it."""
+    _, m = cat.image(f)
+    assert all(_same_span(a, b, cat.p) for a, b in zip(comps(m), comps(f)))
+    assert cat.is_inflation(m)
+    assert solve_precompose(cat, m, f) is not None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_image_is_the_column_space(p):
+    cat, o = _a3_objects(p)
+    objs = list(o.values()) + [cat.direct_sum([o["P1"], o["I2"]])[0]]
+    for x in objs:
+        for y in objs:
+            for f in _exhaustive_hom(cat, x, y):
+                _assert_image(cat, f, cat.mor_components)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_confl_image_and_subobject_tops(p):
+    cat, _, (beta, _), tests = _limit_cases("confl", p)
+    base = cat.base
+    for x in tests + [beta.dst]:
+        for u in cat.enumerate_subobjects(x):
+            # the top term of a subobject is the image of its middle term
+            _, u2, m = u.components()
+            top = base.compose(x.d2, u2)
+            assert all(_same_span(a, b, p) for a, b in zip(base.mor_components(m), base.mor_components(top)))
+            # a monomorphism is its own image; a deflation's image is its target
+            _assert_image(cat, u, cat.mor_components)
+    for c in cat.enumerate_extensions(tests[1], tests[0]):
+        _assert_image(cat, c.defl, cat.mor_components)
 
 
 def test_split_detection(a2):

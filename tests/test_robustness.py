@@ -4,7 +4,12 @@ The bundled fixtures live over F_2, where sign errors are invisible; these
 tests re-run the core machinery over F_3 and on quivers with parallel
 arrows and loops.
 """
+import ast
+from pathlib import Path
+
 import pytest
+
+import exactcat
 
 from exactcat import quotient as qt
 from exactcat.approx import AddSubcat
@@ -117,3 +122,14 @@ def test_loop_quiver_degenerate_bound_is_reported():
     assert "separate" in harness.note
     winners = [v.tag for v in harness.verdicts if v.cluster_quotient]
     assert "split0" in winners and len(winners) > 1
+
+
+def test_no_assert_in_the_package():
+    """Every verification is an explicit check: `python -O` strips an assert."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(exactcat.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
