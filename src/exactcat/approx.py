@@ -198,17 +198,11 @@ class AddSubcat(Subcategory):
     def sample_objects(self, bound: int) -> list:
         """Multiset sums of generators with total dimension <= bound."""
         cat = self.cat
-        gens = [g for g in self.generators if cat.obj_dim(g) <= bound]
-        out = [cat.zero_obj()]
-        stack = [([], 0, 0)]
-        while stack:
-            multiset, start, dim = stack.pop()
-            for i in range(start, len(gens)):
-                d = dim + cat.obj_dim(gens[i])
-                if d <= bound:
-                    ms = multiset + [i]
-                    out.append(cat.direct_sum([gens[j] for j in ms])[0])
-                    stack.append((ms, i, d))
+        gens = self.generators
+        out = [
+            cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
+            for ms in generator_multisets([cat.obj_dim(g) for g in gens], bound)
+        ]
         seen, uniq = set(), []
         for o in out:
             k = cat.obj_key(o)
@@ -222,6 +216,24 @@ class AddSubcat(Subcategory):
 # ---------------------------------------------------------------------------
 # module-level operations (generic over Subcategory)
 # ---------------------------------------------------------------------------
+
+def generator_multisets(dims: Sequence[int], cap: int) -> list[tuple[int, ...]]:
+    """Every multiset of generator indices whose dims sum to at most cap, as
+    a sorted index tuple: the empty one first, then depth-first.  Zero
+    generators are left out: they add no new sum, and would make the walk
+    endless."""
+    out = [()]
+    stack = [((), 0, 0)]
+    while stack:
+        ms, start, dim = stack.pop()
+        for i in range(start, len(dims)):
+            d = dim + dims[i]
+            if dims[i] and d <= cap:
+                nxt = ms + (i,)
+                out.append(nxt)
+                stack.append((nxt, i, d))
+    return out
+
 
 def extend_to_inflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
     """Conflation 0 -> X -> Y (+) Q -> Z -> 0 around f: X -> Y, Hom(-,sub)-exact.

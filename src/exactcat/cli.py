@@ -25,7 +25,6 @@ from .conflcat import (
     SubstructureTag,
     cluster_quotient_harness,
     factor_split0_conflation,
-    nonsplit_with_split_ends,
     substructure_member,
     sweep_hom_exactness_biconditional,
     verify_splitting_pseudo_cluster_tilting,
@@ -436,15 +435,14 @@ def cmd_confl(doc: SpecDocument, args) -> dict:
         dses = sub._precover_data(x).dses
         factor_split0_conflation(ecat, dses)
         factored += 1
-    try:
-        obstruction = nonsplit_with_split_ends(ecat)
+    obstruction = harness.obstruction
+    obstruction_info = None
+    if obstruction is not None:
         obstruction_info = {
             "middle_degree_terms": _confl_json(doc.cat, ecat.degree_component(obstruction, 2)),
             "in_full": substructure_member(ecat, obstruction, SubstructureTag.FULL),
             "in_split0": substructure_member(ecat, obstruction, SubstructureTag.SPLIT0),
         }
-    except ValueError:
-        obstruction_info = None
     ok = pct.passed and bic.passed and harness.passed and obstruction_info is not None
     return {
         "name": "confl",
@@ -467,7 +465,7 @@ def cmd_confl(doc: SpecDocument, args) -> dict:
             "verdict": "pass" if harness.passed else "fail",
             "abelian": harness.abelian_verdict,
             "split0_sequences_checked": harness.split0_sequences_checked,
-            "obstruction_found": harness.obstruction_found,
+            "obstruction_found": obstruction is not None,
             "substructures_separated": harness.separated,
             "substructures": [
                 {

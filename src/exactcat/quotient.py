@@ -14,7 +14,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import fflinalg as ff
-from .approx import extend_to_inflation
+from .approx import extend_to_inflation, generator_multisets
 from .category import (
     Category,
     ConditionError,
@@ -148,28 +148,18 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
 
     f is invertible in the quotient iff some [[f,b],[c,d]] with the pads P,Q
     in the subcategory is invertible in the host.  The pads range over
-    generator multisets with matching dimension defect; (b,c,d) are fully
-    enumerated.  Finding a witness is unconditionally sound; the search is
-    bounded by extra_dim_cap, which is ample at desk scale.
+    generator multisets of total dimension <= extra_dim_cap with matching
+    dimension defect; for each pad pair the p^n choices of (b,c,d), n the
+    number of basis maps placed, are enumerated only when p^n <= combo_cap.
+    A returned witness is unconditionally sound.  None is not a proof that
+    f is not invertible: it means that no completion was found among the
+    pad pairs searched, and a pair with p^n > combo_cap is skipped silently.
     """
     cat, sub = f.cat, f.sub
     if not hasattr(sub, "generators"):
         raise ValueError("block search needs a finitely generated subcategory")
     x, y = f.src, f.dst
     gens = list(sub.generators)
-    # multisets of generators, keyed by total dimension vector
-    def all_multisets(cap):
-        out = [()]
-        stack = [((), 0, 0)]
-        while stack:
-            ms, start, dim = stack.pop()
-            for i in range(start, len(gens)):
-                d = dim + cat.obj_dim(gens[i])
-                if d <= cap:
-                    nxt = ms + (i,)
-                    out.append(nxt)
-                    stack.append((nxt, i, d))
-        return out
 
     def dim_profile(obj_list):
         # dimension profiles are additive over direct sums
@@ -187,7 +177,8 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
 
     px = cat.dim_profile(x)
     py = cat.dim_profile(y)
-    multisets = all_multisets(extra_dim_cap)
+    multisets = generator_multisets([cat.obj_dim(g) for g in gens], extra_dim_cap)
+    # multisets of generators, keyed by total dimension vector
     q_multis: dict = {}
     for ms in multisets:
         q_multis.setdefault(dim_profile([gens[i] for i in ms]), []).append(ms)

@@ -195,7 +195,7 @@ def test_acceptance_6_cluster_quotient_harness(a2):
     assert report.passed, report.failures[:3]
     assert report.abelian_verdict == "pass"
     assert report.split0_sequences_checked > 0
-    assert report.obstruction_found
+    assert report.obstruction is not None
     tags = {v.tag: v for v in report.verdicts}
     assert not tags["full"].self_orthogonal
     winners = [v.tag for v in report.verdicts if v.cluster_quotient]

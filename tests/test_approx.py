@@ -6,6 +6,7 @@ from exactcat.approx import (
     AddSubcat,
     extend_to_deflation,
     extend_to_inflation,
+    generator_multisets,
     is_pseudo_cluster_tilting,
     is_self_orthogonal,
 )
@@ -229,3 +230,14 @@ def test_self_orthogonality(a3, a3_sub):
 
     empty = AddSubcat(cat, [], label="0")
     assert is_self_orthogonal(empty, confls).passed  # vacuous
+
+
+def test_generator_multisets_skip_zero_generators(a3):
+    """Sample sums and block-search pads come from one multiset walk; a zero
+    generator adds no sum and must not make the walk endless."""
+    cat, o = a3
+    assert generator_multisets([1, 2], 3) == [(), (0,), (1,), (0, 0), (0, 1), (0, 0, 0)]
+    assert generator_multisets([0, 1], 2) == [(), (1,), (1, 1)]
+    with_zero = AddSubcat(cat, [cat.zero_obj(), o["S1"]])
+    plain = AddSubcat(cat, [o["S1"]])
+    assert [cat.obj_key(x) for x in with_zero.sample_objects(2)] == [cat.obj_key(x) for x in plain.sample_objects(2)]

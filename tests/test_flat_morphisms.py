@@ -251,8 +251,9 @@ def test_split_witnesses_are_decided_once(monkeypatch):
 # -- injected faults turn the confl report to fail, with and without -O -------------
 
 # name -> (code patching exactcat, where the report carries the failure, message).
-# A failed check inside the biconditional sweep is recorded in its failures;
-# one anywhere else ends the command with a report carrying it in "errors".
+# A failed check inside the biconditional sweep or the split-approximation
+# sweep is recorded in its failures; one anywhere else ends the command with
+# a report carrying it in "errors".
 FAULTS = {
     # a zeroed degree section in the deflation lift formula
     "lift-section": (
@@ -269,6 +270,19 @@ def wrong_section(self, c, degree):
 conflcat.ConflCategory.degree_split = wrong_section
 """,
         "hom_exactness_biconditional",
+        "deflation lift formula",
+    ),
+    # a zeroed middle section handed to the deflation lift formula
+    "lift-canonical-section": (
+        """
+real = conflcat._verify_deflation_lift_formula
+
+def zero_section(ecat, dses, test_objects, s1, s2):
+    return real(ecat, dses, test_objects, s1, ecat.base.zero_mor(s2.src, s2.dst))
+
+conflcat._verify_deflation_lift_formula = zero_section
+""",
+        "split_pseudo_cluster_tilting",
         "deflation lift formula",
     ),
     # every degree -1 component is judged not to split: s_precover's check fails
