@@ -17,6 +17,8 @@ from .category import (
     ConditionError,
     Conflation,
     Subcategory,
+    compose_with_basis,
+    conflation_key,
     conflation_split,
     hom_exact,
     span_basis,
@@ -46,6 +48,8 @@ class AddSubcat(Subcategory):
         self._preenvelope_cache: dict = {}
         self._down_cache: dict = {}
         self._up_cache: dict = {}
+        self._contains_cache: dict = {}
+        self._hom_exact_cache: dict = {}
 
     @property
     def is_trivial(self) -> bool:
@@ -127,18 +131,21 @@ class AddSubcat(Subcategory):
 
     def ideal_spanning(self, x, y) -> list:
         """A (possibly redundant) spanning set of the ideal, cheap to build."""
-        cat = self.cat
-        beta = self.precover(y)
-        return [cat.compose(beta, u) for u in cat.hom_basis(x, cat.src(beta))]
+        return compose_with_basis(self.cat, self.precover(y), x)
 
     def contains(self, x) -> bool:
-        """x in add(G), i.e. the canonical precover of x is a split deflation."""
+        """x in add(G), i.e. the canonical precover of x is a split deflation;
+        decided once per object."""
         if self.cat.is_zero_obj(x):
             return True
         from .category import solve_precompose
 
         cat = self.cat
-        return solve_precompose(cat, self.precover(x), cat.identity(x)) is not None
+        ck = cat.obj_key(x)
+        hit = self._contains_cache.get(ck)
+        if hit is None:
+            hit = self._contains_cache[ck] = solve_precompose(cat, self.precover(x), cat.identity(x)) is not None
+        return hit
 
     def is_ideal_member(self, f) -> bool:
         from .category import solve_precompose
@@ -191,9 +198,14 @@ class AddSubcat(Subcategory):
         return result
 
     def is_hom_exact(self, c: Conflation, side: str) -> bool:
-        # testing against the generator sum covers every object of add(G)
-        self.cat.check_conflation(c)
-        return hom_exact(self.cat, c, self.sum, side)
+        # testing against the generator sum covers every object of add(G);
+        # each conflation is decided once per side
+        key = (conflation_key(self.cat, c), side)
+        hit = self._hom_exact_cache.get(key)
+        if hit is None:
+            self.cat.check_conflation(c)
+            hit = self._hom_exact_cache[key] = hom_exact(self.cat, c, self.sum, side)
+        return hit
 
     def sample_objects(self, bound: int) -> list:
         """Multiset sums of generators with total dimension <= bound."""

@@ -17,6 +17,12 @@ objects, its trusted morphism constructor `_mor` and the exact structure.
 Every factorization/exactness question is then F_p linear algebra on these
 vectors.
 
+A hom-space into or out of a registered direct sum is kept summand-wise
+(`HomBasis`): its basis is the bases of the summands' hom-spaces with where
+each summand starts, and compose_flat, precompose_flat and combine work
+through these parts, so the dense basis of, say, Hom(K, G^n) for a precover
+G^n is never built unless a caller asks for its rows.
+
 Of the limits and colimits, a host writes only `kernel` and `cokernel`;
 pullback, pushout and image are built here from them, on the canonical
 biproducts of `stack`/`costack`.
@@ -62,14 +68,93 @@ class Conflation:
         return cat.src(self.incl), cat.dst(self.incl), cat.dst(self.defl)
 
 
-class HomBasis(list):
-    """A hom-space basis whose morphisms' vectors are the rows of .rows."""
+class HomBasis(Sequence):
+    """A basis of Hom(x, y), used as the list of its morphisms; their vectors
+    are the rows of .rows.
 
-    __slots__ = ("rows",)
+    A basis of a hom-space into or out of a registered direct sum is kept
+    summand-wise: its parts are (sub-basis, summand, start), the basis of
+    Hom(x, s) placed by the canonical injection of the summand s of y that
+    starts at start (into), resp. of Hom(s, y) placed by the projection of
+    the summand s of x.  Such a basis stores no dense rows:
+    `Category.compose_flat`, `precompose_flat` and `combine` work through the
+    parts (on the rows of nested parts), and .rows and the morphisms are
+    assembled only when asked for, then cached.
+    """
 
-    def __init__(self, mors, rows: np.ndarray):
-        super().__init__(mors)
-        self.rows = rows
+    __slots__ = ("cat", "x", "y", "parts", "into", "_len", "_rows", "_mors", "_placements")
+
+    def __init__(self, cat: "Category", x, y, rows: Optional[np.ndarray] = None, parts: Sequence = (), into: bool = True):
+        self.cat, self.x, self.y = cat, x, y
+        self.parts, self.into = list(parts), into
+        self._len = len(rows) if rows is not None else sum(len(hb) for hb, _, _ in self.parts)
+        self._rows = rows
+        self._mors: Optional[list] = None
+        self._placements: dict = {}
+
+    @property
+    def rows(self) -> np.ndarray:
+        """len x flat_dim(x, y) read-only array of the basis vectors."""
+        if self._rows is None:
+            self._rows = _frozen(self._assemble())
+        return self._rows
+
+    def _assemble(self) -> np.ndarray:
+        """The dense rows of a summand-wise basis, each part copied into place."""
+        rows = np.zeros((self._len, self.cat.flat_dim(self.x, self.y)), dtype=np.int64)
+        for lo, hi, hb, at in self.placements(*self.own_side()):
+            rows[lo:hi, at] = hb.rows
+        return rows
+
+    def own_side(self) -> tuple:
+        """The (other, post) under which placements() places the parts in
+        the maps x -> y themselves."""
+        return (self.x if self.into else self.y).dimv, not self.into
+
+    def placements(self, other: tuple, post: bool) -> list:
+        """(lo, hi, sub-basis, positions) for each nonempty part, cached.
+
+        For a flat map h: y -> other (post) resp. other -> x, the positions
+        are where the part's composites with h land among the maps x -> other
+        (other -> y), or, when h acts on the sum's side, the coordinates of h
+        that the part meets (g o inj_s, resp. proj_s o m)."""
+        key = (other, post)
+        hit = self._placements.get(key)
+        if hit is None:
+            total = (self.y if self.into else self.x).dimv
+            hit, lo = [], 0
+            for hb, s, start in self.parts:
+                hi = lo + len(hb)
+                if hi > lo:
+                    hit.append((lo, hi, hb, self.cat.blocks.summand_positions(other, s.dimv, total, start, not post)))
+                lo = hi
+            self._placements[key] = hit
+        return hit
+
+    def _morphisms(self) -> list:
+        if self._mors is None:
+            self._mors = [self.cat._mor(self.x, self.y, r) for r in self.rows]
+        return self._mors
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._morphisms()[i]
+
+    def __iter__(self):
+        return iter(self._morphisms())
+
+    def __add__(self, other) -> list:
+        return self._morphisms() + list(other)
+
+    def __radd__(self, other) -> list:
+        return list(other) + self._morphisms()
+
+    def __mul__(self, n: int) -> list:
+        return self._morphisms() * n
+
+    __rmul__ = __mul__
 
 
 # Morphisms per batch in compose_flat/precompose_flat; bounds the temporaries
@@ -81,11 +166,11 @@ class Category(ABC):
     """Host-category operations used by the generic machinery.
 
     Hom-space solving is delegated to `_solve_hom_basis`; the base class
-    caches results and decomposes hom-spaces of registered direct sums
-    summand-wise, which keeps the linear systems small when approximation
-    constructions build large biproducts.  Morphism arithmetic works on the
-    flat vectors (see the module docstring), with the composition plans of
-    `self.blocks`.
+    caches results and keeps hom-spaces of registered direct sums
+    summand-wise (see `HomBasis`), which keeps both the linear systems and
+    the stored bases small when approximation constructions build large
+    biproducts.  Morphism arithmetic works on the flat vectors (see the
+    module docstring), with the composition plans of `self.blocks`.
     """
 
     p: int
@@ -118,30 +203,13 @@ class Category(ABC):
         dst_sum = self._sum_registry.get(ck[1])
         src_sum = self._sum_registry.get(ck[0])
         # Hom(x, (+) s_i) = (+) inj_i Hom(x, s_i) and Hom((+) s_i, y) =
-        # (+) Hom(s_i, y) proj_i; composing with a canonical injection or
-        # projection only places coordinates, so the basis is assembled by copying
+        # (+) Hom(s_i, y) proj_i, kept part by part
         if dst_sum is not None:
-            parts = [
-                (self.hom_basis(x, s), self.blocks.summand_positions(x.dimv, s.dimv, y.dimv, before, True))
-                for s, before in dst_sum
-            ]
+            basis = HomBasis(self, x, y, parts=[(self.hom_basis(x, s), s, start) for s, start in dst_sum])
         elif src_sum is not None:
-            parts = [
-                (self.hom_basis(s, y), self.blocks.summand_positions(y.dimv, s.dimv, x.dimv, before, False))
-                for s, before in src_sum
-            ]
+            basis = HomBasis(self, x, y, parts=[(self.hom_basis(s, y), s, start) for s, start in src_sum], into=False)
         else:
-            parts = None
-        if parts is None:
-            rows = self._solve_hom_basis(x, y)
-        else:
-            rows = np.zeros((sum(len(hb) for hb, _ in parts), self.flat_dim(x, y)), dtype=np.int64)
-            lo = 0
-            for hb, positions in parts:
-                rows[lo : lo + len(hb), positions] = hb.rows
-                lo += len(hb)
-        rows.setflags(write=False)
-        basis = HomBasis([self._mor(x, y, r) for r in rows], rows)
+            basis = HomBasis(self, x, y, _frozen(self._solve_hom_basis(x, y)))
         self._hom_cache[ck] = basis
         return basis
 
@@ -225,19 +293,44 @@ class Category(ABC):
 
     def compose_flat(self, g, fs: Sequence, x, y) -> FpMatrix:
         """Matrix whose columns are flatten(g o f) for the morphisms f: x -> y in fs."""
-        return self._flat_columns(fs, x, y, self.flat_dim(x, g.dst), lambda rows: self.compose_rows(g, rows, x))
+        return self._flat_columns(fs, x, y, g.vec, g.dst.dimv, True)
 
     def precompose_flat(self, fs: Sequence, m, x, y) -> FpMatrix:
         """Matrix whose columns are flatten(f o m) for the morphisms f: x -> y in fs."""
-        return self._flat_columns(fs, x, y, self.flat_dim(m.src, y), lambda rows: self.precompose_rows(rows, m, y))
+        return self._flat_columns(fs, x, y, m.vec, m.src.dimv, False)
 
-    def _flat_columns(self, fs, x, y, n: int, apply) -> FpMatrix:
-        """Columns apply(rows).T for the vectors of fs: x -> y, FLAT_CHUNK rows at a time."""
-        out = np.empty((n, len(fs)), dtype=np.int64)
-        for lo in range(0, len(fs), FLAT_CHUNK):
-            hi = min(lo + FLAT_CHUNK, len(fs))
-            out[:, lo:hi] = apply(stacked_rows(self, fs, x, y, lo, hi)).T
+    def _flat_columns(self, fs, x, y, h: np.ndarray, other: tuple, post: bool) -> FpMatrix:
+        """The columns flatten(h o f) for a flat h: y -> other (post) resp.
+        flatten(f o h) for h: other -> x, for the maps f: x -> y of fs.
+
+        A summand-wise basis goes part by part, on the parts' rows.  When h
+        acts on the sum's side it is cut down to the summand (g o inj_s,
+        resp. proj_s o m) and the part's columns are written straight into
+        the output; otherwise the part is composed with h and its
+        coordinates placed at the summand's positions."""
+        xd, yd = x.dimv, y.dimv
+        out = np.zeros((self.blocks.size(xd, other) if post else self.blocks.size(other, yd), len(fs)), dtype=np.int64)
+        parts = fs.parts if isinstance(fs, HomBasis) else None
+        if not parts:
+            self._fill_columns(out, stacked_rows(self, fs, x, y), xd, yd, h, other, post)
+            return ff.from_reduced(self.p, out)
+        for lo, hi, hb, at in fs.placements(other, post):
+            if post == fs.into:
+                self._fill_columns(out[:, lo:hi], hb.rows, hb.x.dimv, hb.y.dimv, h[at], other, post)
+            else:
+                part = np.empty((len(at), hi - lo), dtype=np.int64)
+                self._fill_columns(part, hb.rows, hb.x.dimv, hb.y.dimv, h, other, post)
+                out[at, lo:hi] = part
         return ff.from_reduced(self.p, out)
+
+    def _fill_columns(self, out: np.ndarray, rows: np.ndarray, x: tuple, y: tuple, h: np.ndarray, other: tuple, post: bool) -> None:
+        """out[:, i] = the reduced composite of h with rows[i] (a map x -> y),
+        FLAT_CHUNK rows at a time."""
+        for lo in range(0, len(rows), FLAT_CHUNK):
+            chunk = rows[lo : lo + FLAT_CHUNK]
+            r = self.blocks.left_stack(h, chunk, x, y, other) if post else self.blocks.right_stack(chunk, h, other, x, y)
+            r %= self.p
+            out[:, lo : lo + len(chunk)] = r.T
 
     def stack(self, fs: Sequence, total):
         """<f_1,...,f_k> = sum inj_i f_i: common src -> total, the canonical
@@ -267,12 +360,20 @@ class Category(ABC):
 
     def combine(self, basis: Sequence, coeffs: np.ndarray, x, y):
         """sum coeffs[i] * basis[i]: x -> y, over the nonzero coefficients only
-        (a solve's coefficients live on its pivot columns)."""
+        (a solve's coefficients live on its pivot columns); a summand-wise
+        basis combines part by part."""
         coeffs = np.asarray(coeffs, dtype=np.int64) % self.p
         used = np.flatnonzero(coeffs)
         if not used.size:
             return self.zero_mor(x, y)
-        r = coeffs[used] @ stacked_rows(self, basis, x, y)[used]
+        parts = basis.parts if isinstance(basis, HomBasis) else None
+        if not parts:
+            r = coeffs[used] @ stacked_rows(self, basis, x, y)[used]
+        else:
+            r = np.zeros(self.flat_dim(x, y), dtype=np.int64)
+            for lo, hi, hb, at in basis.placements(*basis.own_side()):
+                if coeffs[lo:hi].any():
+                    r[at] = coeffs[lo:hi] @ hb.rows
         r %= self.p
         return self._mor(x, y, _frozen(r))
 
@@ -340,15 +441,14 @@ def _frozen(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def stacked_rows(cat: Category, mors: Sequence, x, y, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-    """(hi - lo) x flat_dim(x, y) array whose rows are the vectors of mors[lo:hi]
-    (a view for a HomBasis)."""
-    hi = len(mors) if hi is None else hi
+def stacked_rows(cat: Category, mors: Sequence, x, y) -> np.ndarray:
+    """len(mors) x flat_dim(x, y) array whose rows are the vectors of mors
+    (the .rows of a HomBasis)."""
     if isinstance(mors, HomBasis):
-        return mors.rows[lo:hi]
-    if hi <= lo:
+        return mors.rows
+    if not mors:
         return np.zeros((0, cat.flat_dim(x, y)), dtype=np.int64)
-    return np.stack([f.vec for f in mors[lo:hi]])
+    return np.stack([f.vec for f in mors])
 
 
 class Subcategory(ABC):
@@ -437,6 +537,15 @@ def span_basis(cat: Category, mors: Sequence, x, y) -> list:
     return [mors[c] for c in pivots]
 
 
+def compose_with_basis(cat: Category, g, x) -> list:
+    """The morphisms g o u: x -> dst(g), u over the basis of Hom(x, src(g)) in
+    its order, as the columns of one compose_flat."""
+    y = cat.src(g)
+    rows = cat.compose_flat(g, cat.hom_basis(x, y), x, y).a.T.copy()
+    rows.setflags(write=False)
+    return [cat._mor(x, cat.dst(g), r) for r in rows]
+
+
 def solve_precompose(cat: Category, e, g) -> Optional[Any]:
     """u with e o u = g, where e: Y -> Z, g: X -> Z; None if impossible."""
     x, y = cat.src(g), cat.src(e)
@@ -466,6 +575,13 @@ def solve_postcompose(cat: Category, m, g) -> Optional[Any]:
 _UNSEEN = object()
 
 
+def conflation_key(cat: Category, c: Conflation) -> tuple:
+    """The keys of the three terms and the two maps' bytes: equal keys, equal
+    conflations."""
+    a, b, z = c.terms(cat)
+    return (cat.obj_key(a), cat.obj_key(b), cat.obj_key(z), c.incl.vec.tobytes(), c.defl.vec.tobytes())
+
+
 def conflation_split(cat: Category, c: Conflation) -> Optional[tuple[Any, Any]]:
     """(retraction of incl, section of defl) when c splits, else None.
 
@@ -473,12 +589,11 @@ def conflation_split(cat: Category, c: Conflation) -> Optional[tuple[Any, Any]]:
     their consistency checked.  Each conflation is decided once: the result
     is cached on cat, keyed by the three object keys and the two maps.
     """
-    a, b, z = c.terms(cat)
-    key = (cat.obj_key(a), cat.obj_key(b), cat.obj_key(z), c.incl.vec.tobytes(), c.defl.vec.tobytes())
+    key = conflation_key(cat, c)
     hit = cat._split_witnesses.get(key, _UNSEEN)
     if hit is _UNSEEN:
-        retr = solve_postcompose(cat, c.incl, cat.identity(a))
-        sect = solve_precompose(cat, c.defl, cat.identity(z))
+        retr = solve_postcompose(cat, c.incl, cat.identity(cat.src(c.incl)))
+        sect = solve_precompose(cat, c.defl, cat.identity(cat.dst(c.defl)))
         verify(
             (retr is None) == (sect is None),
             "conflation: a retraction of the inflation without a section of the deflation, or vice versa",

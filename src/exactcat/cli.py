@@ -19,7 +19,7 @@ from typing import Any, Optional
 from . import classes as confclasses
 from . import quotient as qt
 from .approx import AddSubcat, is_pseudo_cluster_tilting, is_self_orthogonal
-from .category import Conflation, EnumerationBound, VerificationError, conflation_split
+from .category import ConditionError, Conflation, EnumerationBound, VerificationError, conflation_split
 from .conflcat import (
     ConflCategory,
     SubstructureTag,
@@ -638,8 +638,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = handler(doc, args)
     except SpecValidationError as exc:
         report = {"name": args.command, "verdict": "fail", "errors": exc.errors}
-    except VerificationError as exc:
-        # a failed check outside the sweeps that record theirs per item
+    except (VerificationError, ConditionError) as exc:
+        # a failed check, or a conflation condition a command requires,
+        # outside the sweeps that record theirs per item
         report = {"name": args.command, "verdict": "fail", "errors": [str(exc)]}
     except EnumerationBound as exc:
         report = {

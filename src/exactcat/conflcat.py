@@ -29,6 +29,7 @@ from .category import (
     EnumerationBound,
     Subcategory,
     VerificationError,
+    compose_with_basis,
     conflation_split,
     hom_exact,
     solve_postcompose,
@@ -631,8 +632,7 @@ class SplitConflationSubcat(Subcategory):
         return self._preenvelope_data(x).dses, None
 
     def ideal_spanning(self, x: ConflObj, y: ConflObj) -> list:
-        alpha = self.precover(y)
-        return [self.cat.compose(alpha, u) for u in self.cat.hom_basis(x, alpha.src)]
+        return compose_with_basis(self.cat, self.precover(y), x)
 
     def ideal_basis(self, x: ConflObj, y: ConflObj) -> list:
         return span_basis(self.cat, self.ideal_spanning(x, y), x, y)

@@ -241,3 +241,19 @@ def test_generator_multisets_skip_zero_generators(a3):
     with_zero = AddSubcat(cat, [cat.zero_obj(), o["S1"]])
     plain = AddSubcat(cat, [o["S1"]])
     assert [cat.obj_key(x) for x in with_zero.sample_objects(2)] == [cat.obj_key(x) for x in plain.sample_objects(2)]
+
+
+def test_hom_exactness_is_decided_once_and_still_checks_the_conflation(a3, a3_nonsplit):
+    from exactcat.category import Conflation
+
+    cat, o = a3
+    P = AddSubcat(cat, [o["P1"], o["P2"], o["S3"], o["S1"], o["I2"]], label="P")
+    for side in ("covariant", "contravariant"):
+        first = P.is_hom_exact(a3_nonsplit, side)
+        assert first == hom_exact(cat, a3_nonsplit, P.sum, side)
+        assert P.is_hom_exact(a3_nonsplit, side) == first
+    # a pair that is no conflation is rejected on every call, never cached
+    bad = Conflation(cat.zero_mor(o["P2"], o["P1"]), a3_nonsplit.defl)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            P.is_hom_exact(bad, "covariant")

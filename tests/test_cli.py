@@ -263,6 +263,24 @@ def test_malformed_spec_cli_reports_without_traceback(tmp_path):
     assert any("S1" in e for e in payload["report"]["errors"])
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("command", ["quotient", "classes"])
+def test_failed_precover_condition_is_a_fail_report(tmp_path, command, optimize):
+    """add(S2) on A2 has no precover conflation at P1: the quotient and class
+    commands, which require it, report the failed condition and exit 1."""
+    spec = json.loads(Path(A2).read_text())
+    spec["subcategories"] = {"P": ["S2"]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = [sys.executable] + (["-O"] if optimize else []) + ["-m", "exactcat", command, str(path), "--subcategory", "P"]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=540)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["verdict"] == "fail" and payload["exit_code"] == 1
+    assert any("condition precover-conflation fails" in e for e in payload["report"]["errors"])
+
+
 def _paths(node, prefix=()):
     if prefix:
         yield prefix
