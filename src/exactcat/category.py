@@ -1,18 +1,20 @@
-"""Generic additive-category contract shared by the two hosts.
+"""Generic additive-category contract of the host category.
 
 The quotient, approximation and conflation-class machinery only ever talks
-to a host category through this interface, so the same code runs unchanged
-on quiver representations and on the category of conflations built on top
-of them.
+to a host category through this interface.  There is one host,
+`repcat.RepCategory`, the representations of a quiver; the category of
+conflations is the same host on the quiver Q x A3 with relations
+(`conflcat.ConflCategory`), so the same code runs unchanged on quiver
+representations and on conflations of them.
 
-Both hosts store a morphism as its coordinate vector: `flatten` is the
+A host stores a morphism as its coordinate vector: `flatten` is the
 storage, not a conversion.  An object has a dims tuple (`dimv`, its
 `dim_profile`), and a morphism f: x -> y is a block-diagonal map between
 them, kept as one read-only int64 vector `f.vec` holding its blocks
 y_i x x_i row-major one after another (`fflinalg.BlockMaps`): the vertex
 blocks of a representation map, the degree-then-vertex blocks of a chain
 map.  So composition, sums, multiples, linear combinations and equality
-are a few array operations here, for both hosts; a host supplies its
+are a few array operations here; a host supplies its
 objects, its trusted morphism constructor `_mor` and the exact structure.
 Every factorization/exactness question is then F_p linear algebra on these
 vectors.
@@ -144,17 +146,6 @@ class HomBasis(Sequence):
 
     def __iter__(self):
         return iter(self._morphisms())
-
-    def __add__(self, other) -> list:
-        return self._morphisms() + list(other)
-
-    def __radd__(self, other) -> list:
-        return list(other) + self._morphisms()
-
-    def __mul__(self, n: int) -> list:
-        return self._morphisms() * n
-
-    __rmul__ = __mul__
 
 
 # Morphisms per batch in compose_flat/precompose_flat; bounds the temporaries

@@ -79,6 +79,15 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _name(v, where: str, errors: list[str]) -> Optional[str]:
+    """A vertex or arrow name, a JSON string or integer, as a string; else
+    None and an error."""
+    if isinstance(v, str) or _is_int(v):
+        return str(v)
+    errors.append(f"{where} {v!r} is not a JSON string or integer")
+    return None
+
+
 def _matrix(char: int, rows, want: tuple[int, int], where: str, errors: list[str]) -> Optional[FpMatrix]:
     """A rectangular list of integer rows of shape want as a matrix over F_char,
     or None and an error."""
@@ -108,13 +117,16 @@ def build_spec(raw: dict, path: str = "<memory>") -> SpecDocument:
         errors.append(f"unsupported characteristic {char}; supported: {list(SUPPORTED_PRIMES)}")
         char = 2
     qspec = _typed(raw, "quiver", dict, "", errors)
-    vertices = [str(v) for v in _typed(qspec, "vertices", list, "quiver.", errors)]
+    vertices = [_name(v, "quiver.vertices: vertex", errors) for v in _typed(qspec, "vertices", list, "quiver.", errors)]
+    vertices = [v for v in vertices if v is not None]
     arrows = []
     for a in _typed(qspec, "arrows", list, "quiver.", errors):
         if not isinstance(a, dict):
             errors.append(f"quiver.arrows: entry {a!r} is not a JSON object")
             continue
-        name, src, dst = str(a.get("name")), str(a.get("from")), str(a.get("to"))
+        name, src, dst = (_name(a.get(k), f"quiver.arrows: arrow {k}", errors) for k in ("name", "from", "to"))
+        if None in (name, src, dst):
+            continue
         if src not in vertices or dst not in vertices:
             errors.append(f"arrow {name}: endpoint not a declared vertex")
         else:

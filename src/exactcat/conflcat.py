@@ -1,23 +1,31 @@
 """The category of conflations over a base representation category.
 
-Objects are short exact sequences of representations viewed as three-term
-complexes; morphisms are chain maps.  The degreewise exact structure makes
-this an exact category again, and four named substructures (splitting in
-selected degrees) stratify it.  The subcategory of split conflations has
-explicit one-step precovers and preenvelopes, so the whole quotient engine
-runs on this host unchanged; the harnesses at the bottom re-verify the
-structure theory on bounded enumerations.  One closed-form lift per side,
-built from degree sections (retractions) and checked on a whole hom basis at
-once, serves both the split-approximation sweep (canonical sections) and
-the hom-exactness biconditional (solved sections); self-orthogonality is
+A conflation x1 -> x2 -> x3 of representations of a quiver Q is a
+representation of the product quiver Q x A3 (vertices v@t, arrows a@t and
+differentials d_t(v)) bound by the relations d_t a = a d_t and d2 d1 = 0,
+whose rows are short exact; a chain map is a morphism of such
+representations, and the degreewise exact structure is the vertex-wise
+one.  So `ConflCategory` is a `RepCategory` on Q x A3: it inherits the hom
+solve, kernels, cokernels, direct sums and the conflation check, and adds
+the degree views, the row-exactness check of each object, the free hom
+bases out of and into canonical split conflations, and one equation per
+relation in the extension glue system.
+
+Four named substructures (splitting in selected degrees) stratify the
+degreewise structure.  The subcategory of split conflations has explicit
+one-step precovers and preenvelopes, so the whole quotient engine runs on
+this host unchanged; the harnesses at the bottom re-verify the structure
+theory on bounded enumerations.  One closed-form lift per side, built from
+degree sections (retractions) and checked on a whole hom basis at once,
+serves both the split-approximation sweep (canonical sections) and the
+hom-exactness biconditional (solved sections); self-orthogonality is
 decided by `approx.is_self_orthogonal`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,20 +47,62 @@ from .category import (
     verify,
 )
 from .fflinalg import FpMatrix
-from .repcat import RepCategory, RepMor, RepObj, block_triangular, check_squares, glued_middle
+from .repcat import Arrow, Quiver, RepCategory, RepMor, RepObj, check_squares, square_defect
 
 
-class ConflObj:
-    """A conflation of the base category, as a complex in degrees -1, 0, 1."""
+DEGREES = (1, 2, 3)
 
-    __slots__ = ("ses", "name", "dimv", "_key")
 
-    def __init__(self, ses: Conflation, name: str = ""):
+def _at(name: str, t: int) -> str:
+    """The copy in degree t of a vertex or an arrow of the base quiver."""
+    return f"{name}@{t}"
+
+
+def _d(t: int, v: str) -> str:
+    """The differential of degree t at the base vertex v; it never ends in
+    @t, so it cannot clash with the copy a@t of a base arrow."""
+    return f"d{t}({v})"
+
+
+def conflation_quiver(q: Quiver) -> tuple[Quiver, list]:
+    """Q x A3 and its relations.
+
+    The vertices are v@t, degree then vertex, which is the flat layout of a
+    chain map; the arrows are a@t in each degree, then the differentials
+    d_t(v): v@t -> v@(t+1).  A relation is a list of signed paths
+    (sign, alpha, beta), alpha then beta, summing to zero: the commuting
+    squares d_t(j) a@t = a@(t+1) d_t(i) for a: i -> j and d2(v) d1(v) = 0.
+    """
+    vertices = tuple(_at(v, t) for t in DEGREES for v in q.vertices)
+    arrows = tuple(Arrow(_at(a.name, t), _at(a.src, t), _at(a.dst, t)) for t in DEGREES for a in q.arrows)
+    arrows += tuple(Arrow(_d(t, v), _at(v, t), _at(v, t + 1)) for t in (1, 2) for v in q.vertices)
+    relations = [
+        [(1, _d(t, a.src), _at(a.name, t + 1)), (-1, _at(a.name, t), _d(t, a.dst))] for t in (1, 2) for a in q.arrows
+    ]
+    relations += [[(1, _d(1, v), _d(2, v))] for v in q.vertices]
+    return Quiver(vertices, arrows), relations
+
+
+class ConflObj(RepObj):
+    """A conflation x1 -> x2 -> x3 of the base category, as a representation
+    of Q x A3 (see conflation_quiver): its terms at the vertices v@t and the
+    arrows a@t, its differentials at the arrows d_t(v).
+
+    ses keeps the degree view, the two base morphisms; the key is that of
+    the three terms and the two differentials.
+    """
+
+    __slots__ = ("ses",)
+
+    def __init__(self, quiver: Quiver, ses: Conflation, name: str = ""):
+        terms = (ses.incl.src, ses.incl.dst, ses.defl.dst)
+        base = terms[0].quiver
+        maps = [x.maps[a.name] for x in terms for a in base.arrows]
+        for d in (ses.incl, ses.defl):
+            maps += [ff.from_reduced(d.src.p, m) for m in base.blocks.split(d.vec, d.src.dimv, d.dst.dimv)]
+        dims = dict(zip(quiver.vertices, terms[0].dimv + terms[1].dimv + terms[2].dimv))
+        super().__init__(quiver, terms[0].p, dims, dict(zip((a.name for a in quiver.arrows), maps)), name)
         self.ses = ses
-        self.name = name
-        # the dims of the three terms, one block per degree and vertex
-        self.dimv = ses.incl.src.dimv + ses.incl.dst.dimv + ses.defl.dst.dimv
-        self._key = None
 
     @property
     def t1(self) -> RepObj:
@@ -102,17 +152,18 @@ class ConflObj:
 _new_object = object.__new__
 
 
-class ConflMor:
-    """A chain map between conflation objects: three commuting components.
+class ConflMor(RepMor):
+    """A chain map between conflation objects: a morphism of representations
+    of Q x A3, its vector the three degree components' vectors one after
+    another.
 
-    Stored as one read-only flat vector, the three degree components'
-    vectors one after another (per degree, then per vertex); f1, f2, f3 are
-    RepMor views on its slices, made on first use.  The public constructor
-    concatenates three components and, with check, tests both chain-map
-    squares; `_trusted` wraps a vector known to be a chain map.
+    f1, f2, f3 are RepMor views on its slices, made on first use.  The
+    public constructor concatenates three components and, with check, tests
+    every square of Q x A3: those of the components and the two chain-map
+    squares.
     """
 
-    __slots__ = ("src", "dst", "vec", "_parts")
+    __slots__ = ("_parts",)
 
     def __init__(self, src: ConflObj, dst: ConflObj, f1: RepMor, f2: RepMor, f3: RepMor, check: bool = True):
         vec = np.concatenate([f1.vec, f2.vec, f3.vec])
@@ -122,9 +173,7 @@ class ConflMor:
         self.vec = vec
         self._parts = None
         if check:
-            defect = chain_map_defect(src, dst, vec[None, :])
-            if defect is not None:
-                raise ValueError(defect)
+            check_squares(src, dst, vec[None, :])
 
     @classmethod
     def _trusted(cls, src: ConflObj, dst: ConflObj, vec: np.ndarray) -> "ConflMor":
@@ -169,21 +218,6 @@ def _degree_columns(x: ConflObj, y: ConflObj, rows: np.ndarray) -> list[np.ndarr
     return out
 
 
-def chain_map_defect(x: ConflObj, y: ConflObj, rows: np.ndarray) -> Optional[str]:
-    """None when every row of rows, a flat map x -> y, is a chain map
-    (d_y o f_t = f_(t+1) o d_x for t = 1, 2), else which square fails;
-    batched over the rows."""
-    b = x.t1.quiver.blocks
-    xs, ys = x.terms(), y.terms()
-    f = _degree_columns(x, y, rows)
-    for t, dx, dy, which in ((0, x.d1, y.d1, "first"), (1, x.d2, y.d2, "second")):
-        lhs = b.left_stack(dy.vec, f[t], xs[t].dimv, ys[t].dimv, ys[t + 1].dimv)
-        rhs = b.right_stack(f[t + 1], dx.vec, xs[t].dimv, xs[t + 1].dimv, ys[t + 1].dimv)
-        if ((lhs - rhs) % xs[0].p).any():
-            return f"{which} square of the chain map does not commute"
-    return None
-
-
 class SubstructureTag(Enum):
     """The five degree-splitting exact substructures, FULL coarsest."""
 
@@ -203,34 +237,46 @@ _TAG_DEGREES = {
     SubstructureTag.ALLSPLIT: (1, 2, 3),
 }
 
-class ConflCategory(Category):
-    """Degreewise exact structure on conflations of a base category."""
+class ConflCategory(RepCategory):
+    """Degreewise exact structure on conflations of a base category: the
+    representations of Q x A3 whose rows are exact, so hom solving, kernels,
+    cokernels, direct sums and the conflation check are those of
+    `RepCategory`, vertex-wise on the product quiver."""
 
     _mor = staticmethod(ConflMor._trusted)
 
     def __init__(self, base: RepCategory):
-        super().__init__()
         self.base = base
-        self.p = base.p
-        self.blocks = base.blocks
-        self._zero = ConflObj(
-            Conflation(base.zero_mor(base.zero_obj(), base.zero_obj()), base.zero_mor(base.zero_obj(), base.zero_obj())),
-            name="0",
-        )
+        quiver, self.relations = conflation_quiver(base.quiver)
+        super().__init__(quiver, base.p)
         self._split_form_cache: dict = {}
         self._pair_cache: dict = {}
         # the one subcategory of split conflations, shared by every harness
         self.split_sub = SplitConflationSubcat(self)
 
     # -- object constructors ----------------------------------------------
+    def obj(self, dims: dict[str, int], maps: dict[str, FpMatrix] | None = None, name: str = "") -> ConflObj:
+        """The conflation with these dims and maps on Q x A3 (absent: zero).
+
+        Its differentials are checked to be base morphisms (the commuting
+        squares) and its rows to be exact (d2 d1 = 0 with them)."""
+        b, maps = self.base, maps or {}
+        q = b.quiver
+        terms = [
+            b.obj({v: dims.get(_at(v, t), 0) for v in q.vertices}, {a.name: maps.get(_at(a.name, t)) for a in q.arrows})
+            for t in DEGREES
+        ]
+        diffs = [RepMor(terms[t - 1], terms[t], {v: maps.get(_d(t, v)) for v in q.vertices}) for t in (1, 2)]
+        return self.make_obj(Conflation(*diffs), name)
+
     def make_obj(self, ses: Conflation, name: str = "") -> ConflObj:
         self.base.check_conflation(ses)
-        return ConflObj(ses, name)
+        return ConflObj(self.quiver, ses, name)
 
     def split_obj(self, a: RepObj, b: RepObj, name: str = "") -> ConflObj:
         """The canonical split conflation a -> a (+) b -> b."""
         total, injs, projs = self.base.direct_sum([a, b])
-        return ConflObj(Conflation(injs[0], projs[1]), name)
+        return ConflObj(self.quiver, Conflation(injs[0], projs[1]), name)
 
     def _pair(self, x: RepObj, y: RepObj):
         """The base biproduct x (+) y with its injections and projections, built once."""
@@ -241,41 +287,12 @@ class ConflCategory(Category):
             self._pair_cache[ck] = hit
         return hit
 
-    # -- Category interface -------------------------------------------------
-    def obj_key(self, x: ConflObj):
-        return x.key
-
-    def obj_dim(self, x: ConflObj) -> int:
-        return sum(x.dimv)
-
-    def obj_label(self, x: ConflObj) -> str:
-        return x.label
-
-    def zero_obj(self) -> ConflObj:
-        return self._zero
-
-    def direct_sum(self, xs: Sequence[ConflObj]):
-        if not xs:
-            xs = [self._zero]
-        t1, i1, p1 = self.base.direct_sum([x.t1 for x in xs])
-        t2, i2, p2 = self.base.direct_sum([x.t2 for x in xs])
-        t3, i3, p3 = self.base.direct_sum([x.t3 for x in xs])
-        d1 = self.base.zero_mor(t1, t2)
-        d2 = self.base.zero_mor(t2, t3)
-        for k, x in enumerate(xs):
-            d1 = self.base.add(d1, self.base.compose(i2[k], self.base.compose(x.d1, p1[k])))
-            d2 = self.base.add(d2, self.base.compose(i3[k], self.base.compose(x.d2, p2[k])))
-        total = ConflObj(Conflation(d1, d2))
-        injs = [ConflMor(x, total, i1[k], i2[k], i3[k], check=False) for k, x in enumerate(xs)]
-        projs = [ConflMor(total, x, p1[k], p2[k], p3[k], check=False) for k, x in enumerate(xs)]
-        self._register_sum(total, xs)
-        return total, injs, projs
-
+    # -- hom-spaces -----------------------------------------------------------
     def _is_canonical_split_obj(self, x: ConflObj) -> bool:
         hit = self._split_form_cache.get(x.key)
         if hit is None:
             # the plain biproduct middle with its canonical inclusion and projection
-            mid, inc, prj = glued_middle(x.t1, x.t3, {}, check=False)
+            mid, inc, prj = self.base.glued_middle(x.t1, x.t3, {}, check=False)
             hit = (
                 x.t2.key == mid.key
                 and np.array_equal(x.d1.vec, inc.vec)
@@ -318,28 +335,13 @@ class ConflCategory(Category):
         return rows
 
     def _solve_hom_basis(self, x: ConflObj, y: ConflObj) -> np.ndarray:
+        # out of or into a canonical split conflation a chain map is free on
+        # two base components; otherwise the solve on Q x A3
         if self._is_canonical_split_obj(x):
             return self._hom_from_split(x, y)
         if self._is_canonical_split_obj(y):
             return self._hom_to_split(x, y)
-        quiver = self.base.quiver
-        degrees = list(zip(x.terms(), y.terms()))
-        system = ff.BlockSystem(self.p)
-        for t, (xt, yt) in enumerate(degrees, start=1):
-            self.base.hom_equations(system, xt, yt, key=lambda v, t=t: (t, v))
-        for t, xdiff, ydiff in ((1, x.d1, y.d1), (2, x.d2, y.d2)):
-            # ydiff o f_t = f_{t+1} o xdiff, per vertex
-            for v in quiver.vertices:
-                system.equation((1, ydiff.comp(v).a, (t, v), None), (-1, None, (t + 1, v), xdiff.comp(v).a))
-        # unknowns declared degree by degree in flat order: kernel columns are
-        # chain maps, re-checked for the whole basis at once
-        rows = system.kernel().a.T.copy()
-        for (xt, yt), cols in zip(degrees, _degree_columns(x, y, rows)):
-            check_squares(xt, yt, cols)
-        defect = chain_map_defect(x, y, rows)
-        if defect is not None:
-            raise ValueError(defect)
-        return rows
+        return super()._solve_hom_basis(x, y)
 
     # -- exact structure -----------------------------------------------------
     def degree_component(self, c: Conflation, degree: int) -> Conflation:
@@ -348,14 +350,6 @@ class ConflCategory(Category):
         defl: ConflMor = c.defl
         return Conflation(incl.components()[degree - 1], defl.components()[degree - 1])
 
-    def check_conflation(self, c: Conflation) -> None:
-        incl: ConflMor = c.incl
-        defl: ConflMor = c.defl
-        if incl.dst.key != defl.src.key:
-            raise ValueError("conflation: incl.dst != defl.src")
-        for d in (1, 2, 3):
-            self.base.check_conflation(self.degree_component(c, d))
-
     def degree_split(self, c: Conflation, degree: int) -> Optional[tuple[RepMor, RepMor]]:
         """(retraction, section) of the degree component when it splits, else
         None; decided once per component by the base's witness cache."""
@@ -363,24 +357,6 @@ class ConflCategory(Category):
 
     def degree_splits(self, c: Conflation, degree: int) -> bool:
         return self.degree_split(c, degree) is not None
-
-    def kernel(self, f: ConflMor) -> tuple[ConflObj, ConflMor]:
-        b = self.base
-        parts = [b.kernel(c) for c in f.components()]
-        (k1, m1), (k2, m2), (k3, m3) = parts
-        d1 = _factor_mono(b, m2, b.compose(f.src.d1, m1))
-        d2 = _factor_mono(b, m3, b.compose(f.src.d2, m2))
-        obj = self.make_obj(Conflation(d1, d2))
-        return obj, ConflMor(obj, f.src, m1, m2, m3)
-
-    def cokernel(self, f: ConflMor) -> tuple[ConflObj, ConflMor]:
-        b = self.base
-        parts = [b.cokernel(c) for c in f.components()]
-        (c1, e1), (c2, e2), (c3, e3) = parts
-        d1 = _factor_epi(b, e1, b.compose(e2, f.dst.d1))
-        d2 = _factor_epi(b, e2, b.compose(e3, f.dst.d2))
-        obj = self.make_obj(Conflation(d1, d2))
-        return obj, ConflMor(f.dst, obj, e1, e2, e3)
 
     # -- enumeration -----------------------------------------------------------
     def enumerate_objects(self, bound: int, cap: int = 100_000) -> list[ConflObj]:
@@ -394,7 +370,7 @@ class ConflCategory(Category):
                 ):
                     continue
                 for ses in self.base.enumerate_extensions(x3, x1, cap):
-                    out.append(ConflObj(ses))
+                    out.append(ConflObj(self.quiver, ses))
                     if len(out) > cap:
                         raise EnumerationBound("conflation object enumeration cap exceeded", len(out))
         return out
@@ -421,69 +397,23 @@ class ConflCategory(Category):
     def enumerate_extensions(self, z: ConflObj, x: ConflObj, cap: int = 4096) -> list[Conflation]:
         """All degreewise extensions 0 -> x -> Y -> z -> 0 in standard coordinates.
 
-        Unknowns: a glue block per arrow in each degree (the middle-term
-        representations) and a connecting block per vertex between degrees
-        (the middle differentials).  All constraints are linear, so every
-        extension class appears among the kernel-space solutions.
+        The glue blocks of `RepCategory` on Q x A3 (the middle terms' arrows
+        and the middle differentials), bound by one equation per relation:
+        the glued composite Y_beta Y_alpha has the corner x_beta e_alpha +
+        e_beta z_alpha, so sum sign (x_beta e_alpha + e_beta z_alpha) = 0.
+        All constraints are linear, so every extension class appears among
+        the kernel-space solutions.
         """
-        quiver = self.base.quiver
-        p = self.p
-        xt, zt = x.terms(), z.terms()
-        xd, zd = {1: x.d1, 2: x.d2}, {1: z.d1, 2: z.d2}
-        system = ff.BlockSystem(p)
-        for t in (1, 2, 3):
-            for a in quiver.arrows:
-                system.unknown(("e", t, a.name), xt[t - 1].dims[a.dst], zt[t - 1].dims[a.src])
-        for t in (1, 2):
-            for v in quiver.vertices:
-                system.unknown(("c", t, v), xt[t].dims[v], zt[t - 1].dims[v])
-        # chain-map-compatible representation structure, degrees t -> t+1:
-        # X_{t+1}^a c_t(i) + e_{t+1}^a zdiff_t(i) - xdiff_t(j) e_t^a - c_t(j) Z_t^a = 0
-        for t in (1, 2):
-            for a in quiver.arrows:
-                i, j = a.src, a.dst
-                system.equation(
-                    (1, xt[t].maps[a.name].a, ("c", t, i), None),
-                    (1, None, ("e", t + 1, a.name), zd[t].comp(i).a),
-                    (-1, xd[t].comp(j).a, ("e", t, a.name), None),
-                    (-1, None, ("c", t, j), zt[t - 1].maps[a.name].a),
+        system = self._glue_system(z, x)
+        for relation in self.relations:
+            system.equation(
+                *(
+                    term
+                    for sign, alpha, beta in relation
+                    for term in ((sign, x.maps[beta].a, alpha, None), (sign, None, beta, z.maps[alpha].a))
                 )
-        # composite of the two middle differentials vanishes
-        for v in quiver.vertices:
-            system.equation((1, xd[2].comp(v).a, ("c", 1, v), None), (1, None, ("c", 2, v), zd[1].comp(v).a))
-        null = system.kernel()
-        count = p**null.cols
-        if count > cap:
-            raise EnumerationBound(f"extension enumeration needs cap >= {count}", count)
-        out = []
-        for coeffs in product(range(p), repeat=null.cols):
-            vec = (null.a @ np.array(coeffs, dtype=np.int64)) % p if null.cols else np.zeros(system.n, dtype=np.int64)
-            out.append(self._assemble_extension(z, x, system.blocks(vec)))
-        return out
-
-    def _assemble_extension(self, z: ConflObj, x: ConflObj, blocks: dict) -> Conflation:
-        quiver = self.base.quiver
-        xt, zt = x.terms(), z.terms()
-        mids, incs, prjs = [], [], []
-        for t in (1, 2, 3):
-            glue = {a.name: blocks[("e", t, a.name)] for a in quiver.arrows}
-            mid, inc, prj = glued_middle(xt[t - 1], zt[t - 1], glue, check=False)
-            mids.append(mid)
-            incs.append(inc)
-            prjs.append(prj)
-        diffs = []
-        for t, xdiff, zdiff in ((1, x.d1, z.d1), (2, x.d2, z.d2)):
-            comps = {
-                v: FpMatrix(self.p, block_triangular(xdiff.comp(v).a, blocks[("c", t, v)], zdiff.comp(v).a))
-                for v in quiver.vertices
-            }
-            diffs.append(RepMor(mids[t - 1], mids[t], comps))
-        mid_obj = self.make_obj(Conflation(diffs[0], diffs[1]))
-        incl = ConflMor(x, mid_obj, incs[0], incs[1], incs[2])
-        defl = ConflMor(mid_obj, z, prjs[0], prjs[1], prjs[2])
-        c = Conflation(incl, defl)
-        self.check_conflation(c)
-        return c
+            )
+        return self._glued_extensions(system, z, x, cap)
 
 
 def _factor_mono(cat: Category, m, g):
@@ -773,7 +703,7 @@ def _verify_deflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
         u2 = b.precompose_rows(b.compose_rows(y_obj.d1, u1, t1), p1, y_obj.t2) + b.precompose_rows(s2b, p2, y_obj.t2)
         u3 = b.compose_rows(y_obj.d2, s2b, t3)
         us = np.hstack([u1, u2 % ecat.p, u3])
-        defect = chain_map_defect(t_obj, y_obj, us)
+        defect = square_defect(t_obj, y_obj, us)
         verify(defect is None, f"deflation lift formula from {t_obj.label}: {defect}")
         lifted = ecat.compose_rows(g, us, t_obj)
         verify(np.array_equal(lifted, hs.rows), f"deflation lift formula fails from {t_obj.label}")
@@ -805,7 +735,7 @@ def _verify_inflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
         u2 = b.compose_rows(j1, ar, y_obj.t2) + b.compose_rows(j2, b.precompose_rows(u3, y_obj.d2, t3), y_obj.t2)
         u1 = b.precompose_rows(ar, y_obj.d1, t1)
         us = np.hstack([u1, u2 % ecat.p, u3])
-        defect = chain_map_defect(y_obj, t_obj, us)
+        defect = square_defect(y_obj, t_obj, us)
         verify(defect is None, f"inflation extension formula to {t_obj.label}: {defect}")
         extended = ecat.precompose_rows(us, f, t_obj)
         verify(np.array_equal(extended, hs.rows), f"inflation extension formula fails to {t_obj.label}")

@@ -35,8 +35,8 @@ Three shared patterns sit on top of the primitives:
   order (row-major, one after another), takes each equation as signed
   terms A·X_k·B (a missing A or B is the identity), assembles it with
   vec(AXB) = (A ⊗ Bᵀ)·vec(X), returns the kernel through `kernel_basis`
-  and splits a kernel vector back into blocks.  Hom-spaces on both hosts
-  and conflation extensions are all solved through it.
+  and splits a kernel vector back into blocks.  Hom-spaces and extensions,
+  of representations and of conflations, are all solved through it.
 * Pivot-greedy spans.  The pivot columns of rref([S | c_1 ... c_k]) are
   exactly the candidates a left-to-right greedy pass keeps (each one not
   in the span of S and the kept ones before it), so one elimination
@@ -45,7 +45,7 @@ Three shared patterns sit on top of the primitives:
 * Flat block maps.  `BlockMaps` stores a block-diagonal linear map as one
   vector (its blocks row-major, one after another, the BlockSystem
   unknown order) and composes such vectors, one at a time or a stack of
-  them against one fixed map; both hosts keep every morphism this way.
+  them against one fixed map; the host keeps every morphism this way.
 """
 from __future__ import annotations
 

@@ -24,7 +24,6 @@ from .category import (
     span_matrix,
     verify,
 )
-from .fflinalg import FpMatrix
 
 ENUM_CAP = 4096
 
@@ -85,15 +84,9 @@ def _coset_projection(sub: Subcategory, x, y):
         return hit
     hom = cat.hom_basis(x, y)
     hmat = span_matrix(cat, hom, x, y)
-    icoords = []
-    for i in sub.ideal_spanning(x, y):
-        c = ff.solve_right(hmat, flat_column(cat, i))
-        verify(c is not None, "coset projection: an ideal element lies outside its hom-space")
-        icoords.append(c.a[:, 0])
-    if icoords:
-        mat = FpMatrix(cat.p, np.stack(icoords, axis=1))
-    else:
-        mat = FpMatrix.zeros(cat.p, len(hom), 0)
+    # the hom coordinates of every ideal element, one column each
+    mat = ff.solve_right(hmat, span_matrix(cat, sub.ideal_spanning(x, y), x, y))
+    verify(mat is not None, "coset projection: an ideal element lies outside its hom-space")
     proj, _ = ff.quotient_space(cat.p, len(hom), mat)
     result = (hom, hmat, proj)
     sub._coset_cache[ck] = result
@@ -316,15 +309,10 @@ def q_coim_im(f: QMor) -> CoimImData:
     im = im_incl.src
     x, y = f.src, f.dst
     basis = cat.hom_basis(coim, im)
-    ideal_xy = sub.ideal_spanning(x, y)
-    cols = [cat.flatten(cat.compose(im_incl.rep, cat.compose(h, coim_proj.rep))) for h in basis]
-    cols += [cat.flatten(i) for i in ideal_xy]
-    rhs = cat.flatten(f.rep)
-    if cols:
-        mat = FpMatrix(cat.p, np.stack(cols, axis=1))
-    else:
-        mat = FpMatrix.zeros(cat.p, cat.flat_dim(x, y), 0)
-    sol = ff.solve_right(mat, FpMatrix(cat.p, rhs.reshape(-1, 1)))
+    # columns: im_incl o h o coim_proj for h in the basis, then the ideal of Hom(x, y)
+    through = [cat.compose(im_incl.rep, cat.compose(h, coim_proj.rep)) for h in basis]
+    mat = span_matrix(cat, through + list(sub.ideal_spanning(x, y)), x, y)
+    sol = ff.solve_right(mat, flat_column(cat, f.rep))
     verify(sol is not None, "coimage-image: no mediating morphism Coim f -> Im f")
     hat = cat.combine(basis, sol.a[: len(basis), 0], coim, im)
     # uniqueness modulo the ideal: every nullspace direction in the hat

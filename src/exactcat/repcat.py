@@ -1,4 +1,4 @@
-"""Finite-dimensional quiver representations over F_p: the base exact category.
+"""Finite-dimensional quiver representations over F_p: the one host category.
 
 Objects assign an F_p vector space to every vertex and a matrix to every
 arrow; morphisms are vertex-wise matrices making every arrow square commute.
@@ -6,12 +6,21 @@ The exact structure is all short exact sequences (the category is abelian),
 so kernels and cokernels are computed vertex-wise with induced arrow maps;
 pullbacks, pushouts and images are the generic ones of `Category`, built
 from them.
+
+`RepCategory` builds every object through `self.obj` and every morphism
+through `self._mor`/`self.mor`, so a subclass that binds the quiver by
+relations inherits the whole host: the category of conflations
+(`conflcat.ConflCategory`) is the representations of Q x A3 whose rows are
+exact.  Extensions are enumerated as glue blocks on the split coordinates:
+`_glue_system` declares one block per arrow, a bound quiver adds one
+equation per relation, and `_glued_extensions` builds and checks one
+conflation per solution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -120,18 +129,7 @@ class RepMor:
     __slots__ = ("src", "dst", "vec")
 
     def __init__(self, src: RepObj, dst: RepObj, comps: dict[str, FpMatrix], check: bool = True):
-        parts = []
-        for v in src.quiver.vertices:
-            shape = (dst.dims[v], src.dims[v])
-            m = comps.get(v)
-            if m is None:
-                parts.append(np.zeros(shape[0] * shape[1], dtype=np.int64))
-            elif m.a.shape != shape:
-                raise ValueError(f"vertex {v}: component shape {m.a.shape} != {shape}")
-            else:
-                parts.append(m.a.reshape(-1))
-        vec = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        vec.setflags(write=False)
+        vec = flat_map(src, dst, comps)
         self.src = src
         self.dst = dst
         self.vec = vec
@@ -160,9 +158,27 @@ class RepMor:
         return f"<RepMor {self.src.label} -> {self.dst.label}>"
 
 
-def check_squares(x: RepObj, y: RepObj, rows: np.ndarray) -> None:
-    """Raise ValueError unless every row of rows, a flat map x -> y, makes
-    every arrow square commute; one batched product per arrow end."""
+def flat_map(src: RepObj, dst: RepObj, comps: dict[str, FpMatrix]) -> np.ndarray:
+    """The read-only flat vector of the vertex-wise map src -> dst with
+    component comps[v] at each vertex v (absent: zero); shapes checked."""
+    parts = [np.zeros(0, dtype=np.int64)]
+    for v in src.quiver.vertices:
+        shape = (dst.dims[v], src.dims[v])
+        m = comps.get(v)
+        if m is None:
+            parts.append(np.zeros(shape[0] * shape[1], dtype=np.int64))
+        elif m.a.shape != shape:
+            raise ValueError(f"vertex {v}: component shape {m.a.shape} != {shape}")
+        else:
+            parts.append(m.a.reshape(-1))
+    vec = np.concatenate(parts)
+    vec.setflags(write=False)
+    return vec
+
+
+def square_defect(x: RepObj, y: RepObj, rows: np.ndarray) -> Optional[str]:
+    """None when every row of rows, a flat map x -> y, makes every arrow
+    square commute, else which arrow fails; one batched product per arrow end."""
     k = rows.shape[0]
     mats = {
         v: rows[:, o : o + r * c].reshape(k, r, c)
@@ -171,7 +187,16 @@ def check_squares(x: RepObj, y: RepObj, rows: np.ndarray) -> None:
     for a in x.quiver.arrows:
         diff = mats[a.dst] @ x.maps[a.name].a - y.maps[a.name].a @ mats[a.src]
         if (diff % x.p).any():
-            raise ValueError(f"arrow {a.name}: commuting-square law violated")
+            return f"arrow {a.name}: commuting-square law violated"
+    return None
+
+
+def check_squares(x: RepObj, y: RepObj, rows: np.ndarray) -> None:
+    """Raise ValueError unless every row of rows, a flat map x -> y, makes
+    every arrow square commute (see square_defect)."""
+    defect = square_defect(x, y, rows)
+    if defect is not None:
+        raise ValueError(defect)
 
 
 def block_triangular(a: np.ndarray, b, d: np.ndarray) -> np.ndarray:
@@ -182,35 +207,6 @@ def block_triangular(a: np.ndarray, b, d: np.ndarray) -> np.ndarray:
         out[: a.shape[0], a.shape[1] :] = b
     out[a.shape[0] :, a.shape[1] :] = d
     return out
-
-
-def glued_middle(x: RepObj, z: RepObj, glue: dict, check: bool = True) -> tuple[RepObj, RepMor, RepMor]:
-    """x -> Y -> z on the coordinates x (+) z, Y_a = [[x_a, glue_a], [0, z_a]].
-
-    glue maps an arrow name to its x.dims[dst] x z.dims[src] block (absent:
-    zero, the plain biproduct); returns Y with the canonical inclusion and
-    projection.
-    """
-    q, p = x.quiver, x.p
-    dims = {v: x.dims[v] + z.dims[v] for v in q.vertices}
-    maps = {
-        a.name: FpMatrix(p, block_triangular(x.maps[a.name].a, glue.get(a.name), z.maps[a.name].a))
-        for a in q.arrows
-    }
-    mid = RepObj(q, p, dims, maps)
-    inc, _ = summand_maps(x, mid, (0,) * len(q.vertices))
-    _, prj = summand_maps(z, mid, x.dimv)
-    if check:
-        check_squares(x, mid, inc.vec[None, :])
-        check_squares(mid, z, prj.vec[None, :])
-    return mid, inc, prj
-
-
-def summand_maps(x: RepObj, total: RepObj, before: tuple) -> tuple[RepMor, RepMor]:
-    """The inclusion x -> total and the projection total -> x of a summand
-    whose coordinates start at before[v] in every vertex v."""
-    inj, prj = x.quiver.blocks.summand_maps(x.dimv, total.dimv, before)
-    return RepMor._trusted(x, total, inj), RepMor._trusted(total, x, prj)
 
 
 class RepCategory(Category):
@@ -225,10 +221,11 @@ class RepCategory(Category):
         self.quiver = quiver
         self.p = p
         self.blocks = quiver.blocks
-        self._zero = RepObj(quiver, p, {}, {}, name="0")
+        self._zero = self.obj({}, name="0")
 
     # -- objects ---------------------------------------------------------
     def obj(self, dims: dict[str, int], maps: dict[str, FpMatrix] | None = None, name: str = "") -> RepObj:
+        """The object with these vertex dims and arrow maps (absent: zero)."""
         return RepObj(self.quiver, self.p, dims, maps or {}, name)
 
     def obj_key(self, x: RepObj):
@@ -249,30 +246,59 @@ class RepCategory(Category):
             a.name: ff.block_diag([x.maps[a.name] for x in xs], self.p) if xs else FpMatrix.zeros(self.p, 0, 0)
             for a in self.quiver.arrows
         }
-        total = RepObj(self.quiver, self.p, dims, maps)
+        total = self.obj(dims, maps)
         injs, projs = [], []
         before = (0,) * len(self.quiver.vertices)
         for x in xs:
-            inj, prj = summand_maps(x, total, before)
+            inj, prj = self.summand_maps(x, total, before)
             injs.append(inj)
             projs.append(prj)
             before = tuple(b + d for b, d in zip(before, x.dimv))
         self._register_sum(total, xs)
         return total, injs, projs
 
+    def summand_maps(self, x: RepObj, total: RepObj, before: tuple) -> tuple[RepMor, RepMor]:
+        """The inclusion x -> total and the projection total -> x of a summand
+        whose coordinates start at before[v] in every vertex v."""
+        inj, prj = self.blocks.summand_maps(x.dimv, total.dimv, before)
+        return self._mor(x, total, inj), self._mor(total, x, prj)
+
+    def glued_middle(self, x: RepObj, z: RepObj, glue: dict, check: bool = True) -> tuple[RepObj, RepMor, RepMor]:
+        """x -> Y -> z on the coordinates x (+) z, Y_a = [[x_a, glue_a], [0, z_a]].
+
+        glue maps an arrow name to its x.dims[dst] x z.dims[src] block (absent:
+        zero, the plain biproduct); returns Y with the canonical inclusion and
+        projection.
+        """
+        dims = {v: x.dims[v] + z.dims[v] for v in self.quiver.vertices}
+        maps = {
+            a.name: FpMatrix(self.p, block_triangular(x.maps[a.name].a, glue.get(a.name), z.maps[a.name].a))
+            for a in self.quiver.arrows
+        }
+        mid = self.obj(dims, maps)
+        inc, _ = self.summand_maps(x, mid, (0,) * len(self.quiver.vertices))
+        _, prj = self.summand_maps(z, mid, x.dimv)
+        if check:
+            check_squares(x, mid, inc.vec[None, :])
+            check_squares(mid, z, prj.vec[None, :])
+        return mid, inc, prj
+
     # -- morphisms -------------------------------------------------------
-    def hom_equations(self, system: ff.BlockSystem, x: RepObj, y: RepObj, key=lambda v: v) -> None:
-        """Declare one unknown block y_v x x_v per vertex v, under key(v), and
-        the commuting square X_j x_a = y_a X_i of every arrow a: i -> j."""
-        for v in self.quiver.vertices:
-            system.unknown(key(v), y.dims[v], x.dims[v])
-        for a in self.quiver.arrows:
-            system.equation((1, None, key(a.dst), x.maps[a.name].a), (-1, y.maps[a.name].a, key(a.src), None))
+    def mor(self, src: RepObj, dst: RepObj, comps: dict[str, FpMatrix]) -> RepMor:
+        """The morphism with component comps[v] at every vertex v, its squares checked."""
+        vec = flat_map(src, dst, comps)
+        check_squares(src, dst, vec[None, :])
+        return self._mor(src, dst, vec)
 
     def _solve_hom_basis(self, x: RepObj, y: RepObj) -> np.ndarray:
-        # the unknowns are declared in flat order, so kernel columns are morphisms
+        # one unknown block y_v x x_v per vertex v, declared in flat order so
+        # that kernel columns are morphisms, and the commuting square
+        # y_a X_i = X_j x_a of every arrow a: i -> j
         system = ff.BlockSystem(self.p)
-        self.hom_equations(system, x, y)
+        for v in self.quiver.vertices:
+            system.unknown(v, y.dims[v], x.dims[v])
+        for a in self.quiver.arrows:
+            system.equation((1, None, a.dst, x.maps[a.name].a), (-1, y.maps[a.name].a, a.src, None))
         rows = system.kernel().a.T.copy()
         check_squares(x, y, rows)
         return rows
@@ -308,9 +334,8 @@ class RepCategory(Category):
             sol = ff.solve_right(bases[a.dst], rhs)
             verify(sol is not None, f"kernel: arrow {a.name} does not preserve the vertex kernels")
             maps[a.name] = sol
-        k_obj = RepObj(self.quiver, self.p, dims, maps)
-        k_mor = RepMor(k_obj, f.src, bases)
-        return k_obj, k_mor
+        k_obj = self.obj(dims, maps)
+        return k_obj, self.mor(k_obj, f.src, bases)
 
     def cokernel(self, f: RepMor) -> tuple[RepObj, RepMor]:
         projs, lifts = {}, {}
@@ -321,9 +346,8 @@ class RepCategory(Category):
         maps = {}
         for a in self.quiver.arrows:
             maps[a.name] = projs[a.dst] @ f.dst.maps[a.name] @ lifts[a.src]
-        c_obj = RepObj(self.quiver, self.p, dims, maps)
-        c_mor = RepMor(f.dst, c_obj, projs)
-        return c_obj, c_mor
+        c_obj = self.obj(dims, maps)
+        return c_obj, self.mor(f.dst, c_obj, projs)
 
     # -- enumeration -------------------------------------------------------
     def enumerate_subobjects(self, x: RepObj, bound: int = 8) -> list[RepMor]:
@@ -350,8 +374,8 @@ class RepCategory(Category):
                 if maps[a.name] is None:
                     break
             else:
-                sub = RepObj(self.quiver, self.p, {v: incl[v].cols for v in vs}, maps)
-                out.append(RepMor(sub, x, incl))
+                sub = self.obj({v: incl[v].cols for v in vs}, maps)
+                out.append(self.mor(sub, x, incl))
         out.sort(key=lambda m: (m.src.total_dim, m.src.key, m.vec.tobytes()))
         return out
 
@@ -362,15 +386,27 @@ class RepCategory(Category):
         equivalent to one with canonical inclusion/projection and a glue
         block per arrow); the split one is the all-zero glue.
         """
-        layout = ff.BlockSystem(self.p)  # one glue block per arrow, no equations
+        return self._glued_extensions(self._glue_system(z, x), z, x, cap)
+
+    def _glue_system(self, z: RepObj, x: RepObj) -> ff.BlockSystem:
+        """One unknown glue block x_j x z_i per arrow a: i -> j, in arrow order."""
+        system = ff.BlockSystem(self.p)
         for a in self.quiver.arrows:
-            layout.unknown(a.name, x.dims[a.dst], z.dims[a.src])
-        if self.p**layout.n > cap:
-            raise EnumerationBound(f"extension enumeration needs cap >= {self.p ** layout.n}", self.p**layout.n)
+            system.unknown(a.name, x.dims[a.dst], z.dims[a.src])
+        return system
+
+    def _glued_extensions(self, system: ff.BlockSystem, z: RepObj, x: RepObj, cap: int) -> list[Conflation]:
+        """One checked conflation x -> Y -> z per solution of the glue system,
+        in the order of the coefficient tuples on its kernel basis."""
+        null = system.kernel()
+        count = self.p**null.cols
+        if count > cap:
+            raise EnumerationBound(f"extension enumeration needs cap >= {count}", count)
         out = []
-        for vals in product(range(self.p), repeat=layout.n):
-            _, inc, prj = glued_middle(x, z, layout.blocks(np.array(vals, dtype=np.int64)))
-            out.append(Conflation(inc, prj))
+        for coeffs in product(range(self.p), repeat=null.cols):
+            vec = null.a @ np.array(coeffs, dtype=np.int64) % self.p
+            _, inc, prj = self.glued_middle(x, z, system.blocks(vec))
+            out.append(self.conflation(inc, prj))
         return out
 
     def enumerate_objects(self, max_dim: int, cap: int = 100_000) -> list[RepObj]:
@@ -386,7 +422,7 @@ class RepCategory(Category):
                 raise EnumerationBound("object enumeration cap exceeded", self.p**layout.n)
             for vals in product(range(self.p), repeat=layout.n):
                 blocks = layout.blocks(np.array(vals, dtype=np.int64))
-                out.append(RepObj(self.quiver, self.p, dims, {a: FpMatrix(self.p, m) for a, m in blocks.items()}))
+                out.append(self.obj(dims, {a: FpMatrix(self.p, m) for a, m in blocks.items()}))
                 if len(out) > cap:
                     raise EnumerationBound("object enumeration cap exceeded", len(out))
         return out

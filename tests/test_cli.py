@@ -223,6 +223,8 @@ MALFORMED_SPECS = {
     "non-object top level": (lambda: [_a2_spec()], "JSON object"),
     "objects as a list": (_with(["objects"], ["P1", "S1"]), "objects"),
     "arrow entry not an object": (_with(["quiver", "arrows"], ["a1"]), "arrows"),
+    "arrow without a name": (_with(["quiver", "arrows"], [{"from": "1", "to": "2"}]), "arrow name None"),
+    "vertex name a list": (_with(["quiver", "vertices"], ["1", "2", ["x"]]), "vertex ['x']"),
     "generator string": (_with(["subcategories", "P"], "P1"), "subcategory P"),
     "conflation not an object": (_with(["conflations", "ext"], "P1"), "conflation ext"),
     "ragged component": (_with(["conflations", "ext", "incl", "comps", "2"], [[1], []]), "ext.incl"),

@@ -291,8 +291,8 @@ def rep_triple(draw):
 
 def _check_flat_composition(cat, x, y, z, rng, repeat=1):
     # fs: x -> y; compose with g: y -> z, and precompose fs' : y -> z with f: x -> y
-    fs = cat.hom_basis(x, y) * repeat
-    gs = cat.hom_basis(y, z) * repeat
+    fs = list(cat.hom_basis(x, y)) * repeat
+    gs = list(cat.hom_basis(y, z)) * repeat
     g = _combination(cat, cat.hom_basis(y, z), y, z, rng)
     f = _combination(cat, cat.hom_basis(x, y), x, y, rng)
     got = cat.compose_flat(g, fs, x, y)
