@@ -704,9 +704,10 @@ def _verify_deflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
         u3 = b.compose_rows(y_obj.d2, s2b, t3)
         us = np.hstack([u1, u2 % ecat.p, u3])
         defect = square_defect(t_obj, y_obj, us)
-        verify(defect is None, f"deflation lift formula from {t_obj.label}: {defect}")
-        lifted = ecat.compose_rows(g, us, t_obj)
-        verify(np.array_equal(lifted, hs.rows), f"deflation lift formula fails from {t_obj.label}")
+        if defect is not None:
+            raise VerificationError(f"deflation lift formula from {t_obj.label}: {defect}")
+        if not np.array_equal(ecat.compose_rows(g, us, t_obj), hs.rows):
+            raise VerificationError(f"deflation lift formula fails from {t_obj.label}")
         count += len(hs)
     return count
 
@@ -736,9 +737,10 @@ def _verify_inflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
         u1 = b.precompose_rows(ar, y_obj.d1, t1)
         us = np.hstack([u1, u2 % ecat.p, u3])
         defect = square_defect(y_obj, t_obj, us)
-        verify(defect is None, f"inflation extension formula to {t_obj.label}: {defect}")
-        extended = ecat.precompose_rows(us, f, t_obj)
-        verify(np.array_equal(extended, hs.rows), f"inflation extension formula fails to {t_obj.label}")
+        if defect is not None:
+            raise VerificationError(f"inflation extension formula to {t_obj.label}: {defect}")
+        if not np.array_equal(ecat.precompose_rows(us, f, t_obj), hs.rows):
+            raise VerificationError(f"inflation extension formula fails to {t_obj.label}")
         count += len(hs)
     return count
 

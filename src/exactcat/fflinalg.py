@@ -28,6 +28,26 @@ entries), so the kernel keeps per-matrix overhead low:
   wide and tall shape timed by `scripts/elim_threshold.py`, for p = 2 and
   p = 3: 144 entries.  Between 144 and about 300 entries the faster path
   depends on the shape and on p; from 400 entries on, arrays win.
+* One working copy, distinct columns only.  The array path eliminates one
+  fresh copy in place; its input is already reduced (the `from_reduced`
+  invariant), so there is no `% p` copy.  From PRUNE_ENTRIES entries on,
+  the copy holds only the first occurrence of each distinct column.  This
+  changes no result: rref(A) = T·A column by column, so a repeated
+  column's RREF column is that of its first occurrence (a zero column's is
+  0), and the greedy pivots never land on a zero or repeated column, which
+  lies in the span of the columns before it.  `rref` and `kernel_basis`
+  scatter the reduced columns back to full width, `array_rank` needs no
+  scatter, and `solve_right` prunes A before it builds [A' | b], so A is
+  never copied whole.  The systems `AddSubcat.contains` solves are like
+  that: of the 5,184 columns of a `precover-large` benchmark system (832
+  rows), 70-78% are zero and only 11-13% are distinct.  The threshold is
+  measured by `scripts/elim_threshold.py`: pruning wins on every wide
+  shape with zero and repeated columns it times from a few hundred
+  entries on (192 and 432 in two runs), but the search for repeats costs
+  under 10% on every dense shape, where it finds none, only from 4,096
+  entries on (up to 50% below), and replaying every array-path matrix of
+  one `paper` and one `quotient-p3` op was fastest with the threshold
+  between 2,000 and 10,000 entries: 4,096.
 
 Three shared patterns sit on top of the primitives:
 
@@ -210,6 +230,9 @@ def block_diag(mats: Sequence[FpMatrix], p: int) -> FpMatrix:
 # Matrices with at most this many entries are eliminated on Python int
 # lists, larger ones on int64 arrays; measured, see the module docstring.
 SMALL_ELIM_ENTRIES = 144
+# Array-path matrices with at least this many entries eliminate their
+# distinct columns only; measured, see the module docstring.
+PRUNE_ENTRIES = 4096
 
 _INVERSES = {p: (0,) + tuple(pow(v, p - 2, p) for v in range(1, p)) for p in SUPPORTED_PRIMES}
 
@@ -268,9 +291,61 @@ def _rank_rows(rows: list[list[int]], ncols: int, p: int) -> int:
     return r
 
 
+def _column_keys(a: np.ndarray) -> np.ndarray:
+    """One weighted sum per column of a 2-D array with entries in [0, p).
+    The weights are positive and below 2^31, so the key is exact (no
+    overflow) and 0 only for the zero column."""
+    weights = np.arange(1, a.shape[0] + 1, dtype=np.int64) * 2654435761 % 2147483647 + 1
+    return np.einsum("i,ij->j", weights, a)
+
+
+def _distinct_columns(a: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(first, where) for a 2-D array with entries in [0, p): the ascending
+    indices of the columns that equal no earlier column, and for every
+    column the position in first of the column it equals.  None when the
+    array is below PRUNE_ENTRIES or every column is distinct.
+
+    Equal keys (`_column_keys`) only propose repeats: a column is merged
+    with the first column of its key after an exact comparison, chunked so
+    that nothing of full size is allocated, and a collision keeps the
+    column.  Key 0 is exactly the zero column and needs no comparison.
+    """
+    rows, cols = a.shape
+    if rows * cols < PRUNE_ENTRIES:
+        return None
+    keys = _column_keys(a)
+    _, first_of_key, key_index = np.unique(keys, return_index=True, return_inverse=True)
+    rep = first_of_key[key_index]
+    candidates = np.flatnonzero((rep != np.arange(cols)) & (keys != 0))
+    step = max(1, (1 << 17) // max(rows, 1))
+    for s in range(0, len(candidates), step):
+        chunk = candidates[s : s + step]
+        differ = chunk[(a[:, chunk] != a[:, rep[chunk]]).any(axis=0)]
+        rep[differ] = differ
+    first = np.flatnonzero(rep == np.arange(cols))
+    if len(first) == cols:
+        return None
+    position = np.empty(cols, dtype=np.intp)
+    position[first] = np.arange(len(first))
+    return first, position[rep]
+
+
 def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """RREF on an int64 copy of a, one vectorised row update per pivot."""
-    m = a % p
+    """RREF (a fresh array) and pivot columns of a 2-D array with entries in
+    [0, p), eliminating one working copy of its distinct columns only."""
+    distinct = _distinct_columns(a)
+    if distinct is None:
+        m = a.copy()
+        return m, _eliminate(m, p)
+    first, where = distinct
+    m = a[:, first]
+    pivots = _eliminate(m, p)
+    return m[:, where], tuple(first[list(pivots)].tolist())
+
+
+def _eliminate(m: np.ndarray, p: int) -> tuple[int, ...]:
+    """Reduce m (writable, entries in [0, p)) in place to RREF, one
+    vectorised row update per pivot; return the pivot columns."""
     rows, cols = m.shape
     inv = _INVERSES[p]
     pivots = []
@@ -293,7 +368,7 @@ def _rref_numpy(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
             m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
-    return m, tuple(pivots)
+    return tuple(pivots)
 
 
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -309,7 +384,8 @@ def array_rank(a: np.ndarray, p: int) -> int:
     """Rank over F_p of a 2-D array with entries in [0, p); builds no reduced matrix."""
     if a.size <= SMALL_ELIM_ENTRIES:
         return _rank_rows(a.tolist(), a.shape[1], p)
-    return len(_rref_numpy(a, p)[1])
+    distinct = _distinct_columns(a)
+    return len(_eliminate(a.copy() if distinct is None else a[:, distinct[0]], p))
 
 
 def invertible_stack(stack: np.ndarray, p: int) -> np.ndarray:
@@ -360,14 +436,23 @@ def solve_right(a: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
     if a.rows != b.rows:
         raise ValueError(f"row mismatch: {a.rows} vs {b.rows}")
     p = a.p
-    aug = np.hstack([a.a, b.a])
-    red, pivots = _rref_array(aug, p)
-    pivots_a = [c for c in pivots if c < a.cols]
+    # pivots never land on a repeated column, so only a's distinct columns
+    # enter the one working copy [a' | b]
+    distinct = _distinct_columns(a.a)
+    aug = np.hstack([a.a if distinct is None else a.a[:, distinct[0]], b.a])
+    n = aug.shape[1] - b.cols
+    if aug.size <= SMALL_ELIM_ENTRIES:
+        red, pivots = _rref_array(aug, p)
+    else:
+        red, pivots = aug, _eliminate(aug, p)
+    pivots_a = [c for c in pivots if c < n]
     if len(pivots_a) != len(pivots):
         return None  # a pivot landed in the b block: inconsistent
+    if distinct is not None:
+        pivots_a = distinct[0][pivots_a].tolist()
     x = np.zeros((a.cols, b.cols), dtype=np.int64)
     for r, c in enumerate(pivots_a):
-        x[c] = red[r, a.cols :]
+        x[c] = red[r, n:]
     return from_reduced(p, x)
 
 
@@ -396,14 +481,13 @@ def quotient_space(p: int, ambient_dim: int, sub_basis: FpMatrix) -> tuple[FpMat
         raise ValueError("sub_basis rows must equal ambient dimension")
     # pivot-greedy: a basis of the span, then the unit vectors that extend it
     aug = np.hstack([sub_basis.a, np.eye(ambient_dim, dtype=np.int64)])
-    _, pivots, _ = rref(from_reduced(p, aug))
+    red, pivots, _ = rref(from_reduced(p, aug))
     base_cols = sum(1 for c in pivots if c < sub_basis.cols)
     lift = from_reduced(p, aug[:, list(pivots[base_cols:])])
-    # [base | lift] is square and invertible: aug contains the identity, so
-    # its pivot columns are a basis of the whole space
-    full = from_reduced(p, aug[:, list(pivots)])
-    inv = solve_right(full, FpMatrix.identity(p, ambient_dim))
-    proj = from_reduced(p, inv.a[base_cols:, :].copy())
+    # aug contains the identity, so it has full row rank, its pivot columns
+    # form the invertible full = [base | lift], and rref(aug) = full⁻¹ · aug:
+    # the right block of rref(aug) is full⁻¹, and proj is its rows past base
+    proj = from_reduced(p, red.a[base_cols:, sub_basis.cols :].copy())
     verify((proj @ sub_basis).is_zero(), "quotient_space: the projection does not kill the subspace")
     verify(proj @ lift == FpMatrix.identity(p, lift.cols), "quotient_space: the lift does not split the projection")
     return proj, lift

@@ -178,13 +178,20 @@ def flat_map(src: RepObj, dst: RepObj, comps: dict[str, FpMatrix]) -> np.ndarray
 
 def square_defect(x: RepObj, y: RepObj, rows: np.ndarray) -> Optional[str]:
     """None when every row of rows, a flat map x -> y, makes every arrow
-    square commute, else which arrow fails; one batched product per arrow end."""
+    square commute, else which arrow fails; one batched product per arrow end.
+    The square of an arrow i -> j is empty, so commutes, when y_j x_i = 0."""
     k = rows.shape[0]
+    xd, yd = x.dims, y.dims
+    arrows = [a for a in x.quiver.arrows if yd[a.dst] * xd[a.src]]
+    if not arrows:
+        return None
+    used = {a.src for a in arrows} | {a.dst for a in arrows}
     mats = {
         v: rows[:, o : o + r * c].reshape(k, r, c)
         for v, (o, r, c) in zip(x.quiver.vertices, x.quiver.blocks.layout(x.dimv, y.dimv)[0])
+        if v in used
     }
-    for a in x.quiver.arrows:
+    for a in arrows:
         diff = mats[a.dst] @ x.maps[a.name].a - y.maps[a.name].a @ mats[a.src]
         if (diff % x.p).any():
             return f"arrow {a.name}: commuting-square law violated"

@@ -1,3 +1,5 @@
+import tracemalloc
+from contextlib import ExitStack, contextmanager
 from itertools import product
 
 import numpy as np
@@ -405,3 +407,174 @@ def test_invertible_stack_matches_rank(p, data):
     assert got.dtype == bool and got.shape == (len(stack),)
     assert got.tolist() == [ff.array_rank(m, p) == stack.shape[1] for m in stack]
     assert np.array_equal(stack, before)  # the input is not touched
+
+
+# -- the pruned array kernel against the unpruned elimination ------------------
+
+def _rref_unpruned(a, p):
+    """The array elimination before column pruning: every column of a copy
+    reduced mod p, one vectorised row update per pivot."""
+    m = a % p
+    rows, cols = m.shape
+    inv = ff._INVERSES[p]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        v = int(m[r, c])
+        if v != 1:
+            m[r] = m[r] * inv[v] % p
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        if others.size:
+            m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def _kernel_unpruned(a, p):
+    red, pivots = _rref_unpruned(a, p)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    out = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        out[fc, j] = 1
+        for r, pc in enumerate(pivots):
+            out[pc, j] = (-red[r, fc]) % p
+    return out
+
+
+def _solve_unpruned(a, b, p):
+    red, pivots = _rref_unpruned(np.hstack([a, b]), p)
+    if any(c >= a.shape[1] for c in pivots):
+        return None
+    x = np.zeros((a.shape[1], b.shape[1]), dtype=np.int64)
+    for r, c in enumerate(pivots):
+        x[c] = red[r, a.shape[1] :]
+    return x
+
+
+@contextmanager
+def _patched(name, value):
+    saved = getattr(ff, name)
+    setattr(ff, name, value)
+    try:
+        yield
+    finally:
+        setattr(ff, name, saved)
+
+
+@st.composite
+def prunable_array(draw):
+    """(p, a): an array over F_p whose columns are zero or drawn from a few
+    distinct sparse columns, up to 40 x 160, so both sides of PRUNE_ENTRIES
+    occur, and at most rows columns of low rank."""
+    p = draw(st.sampled_from(ff.SUPPORTED_PRIMES))
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, p, size=(rows, draw(st.integers(1, 12))))
+    pool *= rng.random(pool.shape) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+    a = pool[:, rng.integers(0, pool.shape[1], size=cols)]
+    a *= rng.random(cols) >= draw(st.sampled_from([0.0, 0.3, 0.8]))
+    return p, a.astype(np.int64)
+
+
+def _column_sums(a):
+    """Colliding column keys: many distinct columns share a sum, and only
+    the zero column has sum 0, so every merge rests on the exact comparison."""
+    return a.sum(axis=0)
+
+
+PRUNING = {
+    "threshold": [],
+    "everywhere": [("PRUNE_ENTRIES", 0)],
+    "colliding keys": [("PRUNE_ENTRIES", 0), ("_column_keys", _column_sums)],
+}
+
+
+@given(prunable_array(), st.sampled_from(sorted(PRUNING)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pruned_kernel_matches_unpruned_oracle(pa, mode, data):
+    p, a = pa
+    j = data.draw(st.integers(0, a.shape[1] - 1))
+    # a right-hand side equal to a column of a, beside a random one
+    rhs = np.hstack([a[:, j : j + 1], np.random.default_rng(j).integers(0, p, size=(a.shape[0], 1))])
+    m = ff.from_reduced(p, a.copy())
+    with ExitStack() as stack:
+        for name, value in PRUNING[mode]:
+            stack.enter_context(_patched(name, value))
+        red, pivots, rank = ff.rref(m)
+        kernel = ff.kernel_basis(m)
+        got_rank = ff.array_rank(a, p)
+        x_col = ff.solve_right(m, ff.from_reduced(p, rhs[:, :1].copy()))
+        x_both = ff.solve_right(m, ff.from_reduced(p, rhs))
+    red_o, pivots_o = _rref_unpruned(a, p)
+    assert pivots == pivots_o and rank == got_rank == len(pivots_o)
+    assert np.array_equal(red.a, red_o)
+    assert np.array_equal(kernel.a, _kernel_unpruned(a, p))
+    assert np.array_equal(x_col.a, _solve_unpruned(a, rhs[:, :1], p))
+    want = _solve_unpruned(a, rhs, p)
+    assert (x_both is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(x_both.a, want)
+
+
+def test_distinct_columns_merge_zero_and_repeated_columns_only():
+    # zero columns 0 and 3; columns 2 and 5 repeat column 1; column 6 shares
+    # column 1's sum but not its entries
+    a = np.array([[0, 1, 1, 0, 2, 1, 0], [0, 0, 0, 0, 1, 0, 1]], dtype=np.int64)
+    for patches in PRUNING.values():
+        with ExitStack() as stack:
+            stack.enter_context(_patched("PRUNE_ENTRIES", 0))
+            for name, value in patches:
+                stack.enter_context(_patched(name, value))
+            first, where = ff._distinct_columns(a)
+            assert ff._distinct_columns(np.eye(3, dtype=np.int64)) is None
+        assert first.tolist() == [0, 1, 4, 6]
+        assert where.tolist() == [0, 1, 1, 0, 2, 1, 3]
+    assert ff._distinct_columns(a) is None  # below PRUNE_ENTRIES
+
+
+def test_wide_sparse_solve_peaks_below_half_the_system():
+    # shaped like the systems AddSubcat.contains solves: most columns zero,
+    # the rest repeats of a few hundred distinct columns of about one entry
+    rng = np.random.default_rng(5)
+    rows, cols, p = 800, 5000, 2
+    pool = (rng.random((rows, 600)) < 0.003).astype(np.int64)
+    a = ff.from_reduced(p, pool[:, rng.integers(0, 600, size=cols)] * (rng.random(cols) < 0.3))
+    b = a @ FpMatrix(p, (rng.random((cols, 1)) < 0.01).astype(np.int64))
+    tracemalloc.start()
+    try:
+        x = ff.solve_right(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a @ x == b
+    assert peak < a.a.nbytes / 2, f"solve_right peaked at {peak} bytes for a {a.a.nbytes}-byte system"
+
+
+def _quotient_space_two_eliminations(p, ambient_dim, sub_basis):
+    """quotient_space before the single elimination: proj read off a second
+    solve, full⁻¹ = solve_right(full, I)."""
+    aug = np.hstack([sub_basis.a, np.eye(ambient_dim, dtype=np.int64)])
+    _, pivots, _ = ff.rref(ff.from_reduced(p, aug))
+    base_cols = sum(1 for c in pivots if c < sub_basis.cols)
+    lift = aug[:, list(pivots[base_cols:])]
+    inv = ff.solve_right(ff.from_reduced(p, aug[:, list(pivots)]), FpMatrix.identity(p, ambient_dim))
+    return inv.a[base_cols:, :], lift
+
+
+@given(fp_matrix(max_dim=7, primes=ff.SUPPORTED_PRIMES))
+@settings(max_examples=120, deadline=None)
+def test_quotient_space_matches_two_elimination_oracle(m):
+    proj, lift = ff.quotient_space(m.p, m.rows, m)
+    proj_o, lift_o = _quotient_space_two_eliminations(m.p, m.rows, m)
+    assert np.array_equal(proj.a, proj_o) and np.array_equal(lift.a, lift_o)

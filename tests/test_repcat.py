@@ -13,7 +13,7 @@ from exactcat.category import (
 )
 from exactcat.conflcat import ConflCategory
 from exactcat.fflinalg import FpMatrix
-from exactcat.repcat import RepCategory, RepMor, RepObj, a_n, op_conflation, opposite
+from exactcat.repcat import Arrow, Quiver, RepCategory, RepMor, RepObj, a_n, op_conflation, opposite, square_defect
 
 
 def test_hom_dims_a2(a2):
@@ -497,3 +497,56 @@ def test_cyclic_quiver_supported():
     assert len(cat.hom_basis(x, x)) >= 1
     k_obj, _ = cat.kernel(cat.identity(x))
     assert cat.is_zero_obj(k_obj)
+
+
+@pytest.mark.parametrize(
+    "order, failing",
+    [(("e", "f", "g"), "f"), (("g", "e", "f"), "g"), (("e", "f"), "f"), (("e",), None)],
+)
+def test_square_defect_names_the_first_failing_square_past_empty_ones(order, failing):
+    # e: 1 -> 2 has an empty square (x_1 = 0); f: 2 -> 3 and g: 3 -> 2 both
+    # fail for a map with different components at 2 and 3
+    ends = {"e": ("1", "2"), "f": ("2", "3"), "g": ("3", "2")}
+    q = Quiver(("1", "2", "3"), tuple(Arrow(n, *ends[n]) for n in order))
+    one = FpMatrix(2, [[1]])
+    x = RepObj(q, 2, {"2": 1, "3": 1}, {n: one for n in order if n != "e"})
+    y = RepObj(q, 2, {"1": 1, "2": 1, "3": 1}, {n: one for n in order})
+    good, bad = [1, 1], [1, 0]  # flat x -> y: the 1 x 0 block, then phi_2, phi_3
+    assert square_defect(x, y, np.array([good], dtype=np.int64)) is None
+    want = None if failing is None else f"arrow {failing}: commuting-square law violated"
+    assert square_defect(x, y, np.array([good, bad], dtype=np.int64)) == want
+    assert square_defect(x, y, np.zeros((0, 2), dtype=np.int64)) is None
+
+
+def _square_defect_every_arrow(x, y, rows):
+    """square_defect before empty squares were skipped: every arrow, in order."""
+    k = rows.shape[0]
+    mats = {
+        v: rows[:, o : o + r * c].reshape(k, r, c)
+        for v, (o, r, c) in zip(x.quiver.vertices, x.quiver.blocks.layout(x.dimv, y.dimv)[0])
+    }
+    for a in x.quiver.arrows:
+        diff = mats[a.dst] @ x.maps[a.name].a - y.maps[a.name].a @ mats[a.src]
+        if (diff % x.p).any():
+            return f"arrow {a.name}: commuting-square law violated"
+    return None
+
+
+@given(st.sampled_from(ff.SUPPORTED_PRIMES), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_square_defect_matches_every_arrow_oracle(p, seed):
+    # four vertices, six arrows (loops and parallel arrows allowed), dims in
+    # 0..2 so that empty squares sit among non-empty ones; the zero rows pass
+    rng = np.random.default_rng(seed)
+    vs = ("1", "2", "3", "4")
+    q = Quiver(vs, tuple(Arrow(f"a{i}", *rng.choice(vs, 2)) for i in range(6)))
+
+    def rep():
+        dims = {v: int(rng.integers(0, 3)) for v in vs}
+        maps = {a.name: FpMatrix(p, rng.integers(0, p, size=(dims[a.dst], dims[a.src]))) for a in q.arrows}
+        return RepObj(q, p, dims, maps)
+
+    x, y = rep(), rep()
+    n = q.blocks.size(x.dimv, y.dimv)
+    rows = rng.integers(0, p, size=(int(rng.integers(0, 4)), n)) * (rng.random((1, 1)) < 0.8)
+    assert square_defect(x, y, rows) == _square_defect_every_arrow(x, y, rows)
