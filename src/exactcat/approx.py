@@ -6,12 +6,20 @@ and preenvelopes, the two conflation conditions (a precover deflation with
 kernel in the subcategory, dually a preenvelope inflation with cokernel in
 it), pseudo-cluster-tilting verdicts and self-orthogonality tests all live
 here and are generic over the host category.
+
+The precover of x is built from a generating set of Hom(add G, x) as a
+right End(add G)-module, picked pivot-greedily from the hom bases, not from
+the whole bases; membership, ideal membership, the ideal's spanning sets
+and the precover conflation all run on it, so they solve systems sized by
+that generating set.  The preenvelope is still the coevaluation of the
+whole bases of Hom(x, G_i).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
+from . import fflinalg as ff
 from .category import (
     Category,
     ConditionError,
@@ -22,6 +30,7 @@ from .category import (
     conflation_split,
     hom_exact,
     span_basis,
+    span_matrix,
     verify,
 )
 
@@ -57,11 +66,22 @@ class AddSubcat(Subcategory):
 
     # -- approximations ------------------------------------------------------
     def precover(self, x):
-        """Canonical evaluation: one generator copy per Hom(G_i, x) basis element.
+        """One generator copy per element of a generating set of Hom(add G, x)
+        as a right End(add G)-module, chosen pivot-greedily.
 
-        Every morphism from an object of add(G) to x factors through it, so
-        it is a precover; it is an evaluation of the full hom-space basis,
-        with the summands each map actually uses.
+        For each generator g in order, the maps g -> x already reached are
+        the composites h o e of the pieces h: g_j -> x chosen so far with
+        e in Hom(g, g_j).  The next piece is the first basis element of
+        Hom(g, x) whose pivot in one elimination of [reached | basis] falls
+        past the reached block; its composites with End(g) join the reached
+        ones.  When dim End(g) = 1 those composites are the line through the
+        piece, so every such pivot is taken at once: one at a time would
+        pick the same ones.  The elimination that finds no new pivot proves
+        that every map g -> x factors through the pieces, so every map from
+        add(G) to x factors through their costack, a precover
+        (Auslander-Smalo, "Preprojective modules over Artin algebras",
+        J. Algebra 1980).  Its source is never larger than the evaluation
+        of the whole hom bases.
         """
         ck = self.cat.obj_key(x)
         cached = self._precover_cache.get(ck)
@@ -70,9 +90,26 @@ class AddSubcat(Subcategory):
         cat = self.cat
         pieces, mors = [], []
         for g in self.generators:
-            for h in cat.hom_basis(g, x):
-                pieces.append(g)
-                mors.append(h)
+            basis = cat.hom_basis(g, x)
+            if not basis:
+                continue
+            brick = len(cat.hom_basis(g, g)) == 1
+            reached = [
+                cat.compose_flat(h, cat.hom_basis(g, g_j), g, g_j)
+                for g_j, h in zip(pieces, mors)
+                if cat.hom_basis(g, g_j)
+            ]
+            candidates = span_matrix(cat, basis, g, x)
+            while True:
+                done = sum(m.cols for m in reached)
+                _, pivots, _ = ff.rref(ff.hstack(reached + [candidates]))
+                new = [c - done for c in pivots if c >= done]
+                picked = new if brick else new[:1]
+                pieces += [g] * len(picked)
+                mors += [basis[c] for c in picked]
+                if brick or not new:
+                    break
+                reached.append(cat.compose_flat(mors[-1], cat.hom_basis(g, g), g, g))
         if not pieces:
             beta = cat.zero_mor(cat.zero_obj(), x)
         else:
@@ -105,9 +142,9 @@ class AddSubcat(Subcategory):
     def factors_through(self, f) -> Optional[IdealWitness]:
         """A witness f = left o right through a sum of generators, or None.
 
-        f factors through add(G) iff it factors through the canonical
-        precover of its target (the precover property routes any other
-        factorization through it).
+        f factors through add(G) iff it factors through the precover of its
+        target (the precover property routes any other factorization
+        through it).
         """
         cat = self.cat
         from .category import solve_precompose
@@ -134,8 +171,9 @@ class AddSubcat(Subcategory):
         return compose_with_basis(self.cat, self.precover(y), x)
 
     def contains(self, x) -> bool:
-        """x in add(G), i.e. the canonical precover of x is a split deflation;
-        decided once per object."""
+        """x in add(G), i.e. the precover of x is a split deflation (id_x
+        factors through add(G) iff through the precover); decided once per
+        object."""
         if self.cat.is_zero_obj(x):
             return True
         from .category import solve_precompose
@@ -156,10 +194,15 @@ class AddSubcat(Subcategory):
     def precover_conflation(self, x) -> tuple[Optional[Conflation], Optional[str]]:
         """0 -> K -> G^n -> x -> 0 with K in add(G), when it exists.
 
-        Decided on the canonical precover: if any epi precover exists the
-        canonical one is epi (the epi factors through it), and the kernels
-        of any two epi precovers agree up to add(G)-summands, so testing
-        the canonical kernel decides the condition.
+        Decided on the generating-set precover beta: if any epi precover
+        exists, beta is epi (the epi factors through it).  The kernels of
+        any two epi precovers agree up to add(G)-summands (Schanuel): for
+        epi precovers b: P -> x and b': P' -> x, the pullback of b and b'
+        is an extension of P' by ker b, split because b' factors through
+        the precover b, and likewise an extension of P by ker b'.  So
+        ker b (+) P' = ker b' (+) P, and ker b lies in add(G) exactly when
+        ker b' does: testing the kernel of beta decides the condition,
+        whichever generating set was picked.
         """
         ck = self.cat.obj_key(x)
         if ck in self._down_cache:

@@ -39,8 +39,8 @@ entries), so the kernel keeps per-matrix overhead low:
   scatter the reduced columns back to full width, `array_rank` needs no
   scatter, and `solve_right` prunes A before it builds [A' | b], so A is
   never copied whole.  The systems `AddSubcat.contains` solves are like
-  that: of the 5,184 columns of a `precover-large` benchmark system (832
-  rows), 70-78% are zero and only 11-13% are distinct.  The threshold is
+  that: the largest one on a seeded `precover-large` benchmark spec has
+  832 rows and 2,304 columns, 69% of them zero.  The threshold is
   measured by `scripts/elim_threshold.py`: pruning wins on every wide
   shape with zero and repeated columns it times from a few hundred
   entries on (192 and 432 in two runs), but the search for repeats costs
@@ -557,8 +557,9 @@ class BlockMaps:
     into block i is its r matrices d_i x s_i, each row-major, one after
     another: the order in which a BlockSystem declaring them block by block
     lays out its unknowns.  Source and target are named by their dims tuples
-    (s_1, ..., s_r) and (d_1, ..., d_r); layouts, identities and composition
-    plans depend on nothing else and are built once per tuple pair (triple).
+    (s_1, ..., s_r) and (d_1, ..., d_r); layouts, identities, summand
+    injections and projections and composition plans depend on nothing else
+    and are built once per tuple pair (triple).
     Composition g o f multiplies block by block, skipping blocks whose
     product is empty; nothing block-diagonal is ever stored.
     """
@@ -570,6 +571,7 @@ class BlockMaps:
         self._zeros: dict = {}
         self._positions: dict = {}
         self._corners: dict = {}
+        self._summands: dict = {}
 
     def layout(self, src: tuple, dst: tuple) -> tuple[tuple, int]:
         """((offset, rows, cols) per block, total length) of the maps src -> dst."""
@@ -621,14 +623,19 @@ class BlockMaps:
 
     def summand_maps(self, s: tuple, total: tuple, before: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Flat canonical injection s -> total and projection total -> s of
-        the summand s of total that starts at before (read-only)."""
-        inj = np.zeros(self.size(s, total), dtype=np.int64)
-        inj[self.summand_positions(s, s, total, before, True)] = self.identity(s)
-        prj = np.zeros(self.size(total, s), dtype=np.int64)
-        prj[self.summand_positions(s, s, total, before, False)] = self.identity(s)
-        inj.setflags(write=False)
-        prj.setflags(write=False)
-        return inj, prj
+        the summand s of total that starts at before (read-only), built once
+        per (s, total, before)."""
+        key = (s, total, before)
+        hit = self._summands.get(key)
+        if hit is None:
+            inj = np.zeros(self.size(s, total), dtype=np.int64)
+            inj[self.summand_positions(s, s, total, before, True)] = self.identity(s)
+            prj = np.zeros(self.size(total, s), dtype=np.int64)
+            prj[self.summand_positions(s, s, total, before, False)] = self.identity(s)
+            inj.setflags(write=False)
+            prj.setflags(write=False)
+            hit = self._summands[key] = (inj, prj)
+        return hit
 
     def identity(self, dims: tuple) -> np.ndarray:
         hit = self._identities.get(dims)

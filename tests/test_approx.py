@@ -86,7 +86,7 @@ def test_precover_postcondition_exhaustive(a3, a3_sub):
                 from exactcat.category import solve_precompose
 
                 assert solve_precompose(cat, beta, h) is not None
-    # canonical source: one generator copy per hom-basis element
+    # Hom(add G, S2) is generated by the one map P2 -> S2
     beta = P.precover(o["S2"])
     assert cat.dim_profile(beta.src) == cat.dim_profile(o["P2"])
 
@@ -111,7 +111,7 @@ def test_condition_down_example(a3, a3_sub):
     k, p0, x = down.terms(cat)
     assert P.contains(k) and P.contains(p0)
     assert x.key == o["S2"].key
-    # the canonical construction realizes the minimal resolution here
+    # the generating-set precover realizes the minimal resolution here
     assert cat.dim_profile(p0) == cat.dim_profile(o["P2"])
     assert cat.dim_profile(k) == cat.dim_profile(o["S3"])
     assert hom_exact(cat, down, P.sum, "covariant")
@@ -141,7 +141,7 @@ def test_condition_down_member_object(a3, a3_sub):
 def test_schanuel_crosscheck(a3, a3_sub):
     cat, o = a3
     P = a3_sub
-    # augmenting the canonical precover with an extra generator summand
+    # augmenting the precover with an extra generator summand
     # must not change whether the kernel lies in the subcategory
     for x in (o["S2"], o["S1"], o["P2"]):
         beta = P.precover(x)

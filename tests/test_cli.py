@@ -168,6 +168,24 @@ def test_fixture_reports_match_golden_sha256(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"], name
 
 
+def test_seeded_reports_match_golden_sha256(tmp_path):
+    """Reports on seeded benchmark-shape specs keep their recorded bytes.
+
+    The fixtures hold bricks only; these specs (perfbench/specgen.make_spec
+    with the quotient-p3, classes-p2 and precover-large workload shapes,
+    keys golden.1, golden.2 and golden.3) have non-brick objects such as
+    S2 (+) P2 and the generator X = P1 (+) S1^2 (+) S2, whose precovers are
+    smaller than the evaluation of the whole hom bases.
+    """
+    golden_dir = Path(__file__).parent / "golden"
+    golden = json.loads((golden_dir / "seeded_report_sha256.json").read_text())
+    for name, case in golden.items():
+        command, spec, *rest = case["argv"]
+        out = tmp_path / f"{name}.json"
+        assert cli.main([command, str(golden_dir / spec), *rest, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == case["sha256"], name
+
+
 @pytest.mark.parametrize("name", ["a2_iso_agreement", "a3_iso_agreement"])
 def test_iso_agreement_golden_sha256_under_optimize(tmp_path, name):
     """Under python -O, where asserts are stripped, the iso-agreement reports keep their bytes."""

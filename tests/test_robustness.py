@@ -5,6 +5,10 @@ tests re-run the core machinery over F_3 and on quivers with parallel
 arrows and loops.
 """
 import ast
+import json
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +137,33 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _cap_address_space_2_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_one_vertex_dims_4_check_pct_fits_in_2_gib(tmp_path):
+    """add(X) for X = k^4 on one vertex.  The precover of X is X^4 and the
+    cokernel of the preenvelope X -> X^16 is covered by X^60, where the
+    evaluation of the whole hom bases took X^16 and X^240, so the contains
+    solve on that cokernel fits under a 2 GiB address-space cap.  At dims 5
+    it still asks for 7.7 GiB."""
+    spec = {
+        "schema": "exactcat/1",
+        "field": {"char": 2},
+        "quiver": {"vertices": ["1"], "arrows": []},
+        "objects": {"X": {"dims": {"1": 4}}},
+        "subcategories": {"P": ["X"]},
+    }
+    path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    path.write_text(json.dumps(spec))
+    res = subprocess.run(
+        [sys.executable, "-m", "exactcat", "check-pct", str(path), "--subcategory", "P", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=540,
+        preexec_fn=_cap_address_space_2_gib,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(out.read_text())["verdict"] == "pass"

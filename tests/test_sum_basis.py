@@ -137,8 +137,28 @@ def test_summand_wise_basis_matches_its_rows(case):
                 assert _same(rows, _placed_rows(cat, total, y, summands, projs, False))
 
 
+def test_summand_maps_are_built_once_per_summand_and_read_only():
+    """Two direct sums of the same summands share their injection and
+    projection vectors, and those are the identity placed at the summand."""
+    cat = RepCategory(a_n(2), 3)
+    p1 = cat.obj({"1": 1, "2": 1}, {"a1": FpMatrix(3, [[1]])})
+    s2 = cat.obj({"2": 1})
+    total, injs, projs = cat.direct_sum([p1, s2, p1])
+    _, again_injs, again_projs = cat.direct_sum([p1, s2, p1])
+    for i, (inj, prj) in enumerate(zip(injs, projs)):
+        assert again_injs[i].vec is inj.vec and again_projs[i].vec is prj.vec
+        assert not inj.vec.flags.writeable and not prj.vec.flags.writeable
+        assert cat.mor_eq(cat.compose(prj, inj), cat.identity(inj.src))
+    assert injs[0].vec is not injs[2].vec  # same summand, another place
+    assert cat.mor_eq(
+        cat.add(cat.add(cat.compose(injs[0], projs[0]), cat.compose(injs[1], projs[1])), cat.compose(injs[2], projs[2])),
+        cat.identity(total),
+    )
+
+
 # The precover-large benchmark shape: add(X) on A2 over F_2, X = P1 (+) S1^2 (+) S2
-# in a seeded basis.  Its canonical precovers are powers of X, up to X^72.
+# in a seeded basis.  Its precovers are powers of X, up to X^32 (X^72 for the
+# evaluation of the whole hom bases).
 CAP_BYTES = 512 << 20
 
 COUNTED_CHECK_PCT = """
