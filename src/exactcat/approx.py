@@ -59,6 +59,10 @@ class AddSubcat(Subcategory):
         self._up_cache: dict = {}
         self._contains_cache: dict = {}
         self._hom_exact_cache: dict = {}
+        # generator multiset -> its sum, see multiset_sum
+        self._multiset_sums: dict = {}
+        # extra_dim_cap -> the pad plan of the block iso search, see block_plan
+        self._block_plans: dict = {}
 
     @property
     def is_trivial(self) -> bool:
@@ -250,14 +254,41 @@ class AddSubcat(Subcategory):
             hit = self._hom_exact_cache[key] = hom_exact(self.cat, c, self.sum, side)
         return hit
 
+    def multiset_sum(self, ms: tuple):
+        """The sum of the generators indexed by the multiset ms (a sorted
+        index tuple, see generator_multisets), built at most once."""
+        obj = self._multiset_sums.get(ms)
+        if obj is None:
+            cat, gens = self.cat, self.generators
+            obj = self._multiset_sums[ms] = cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
+        return obj
+
+    def block_plan(self, extra_dim_cap: int) -> tuple[list, dict]:
+        """The pads of the block-completion iso search, built once per cap.
+
+        Returns (order, by_profile): order lists (multiset, dimension
+        profile) for every generator multiset of total dimension <=
+        extra_dim_cap, by total dimension and then multiset; by_profile
+        maps a dimension profile to its multisets in generator_multisets
+        order.  The sums themselves are built lazily by multiset_sum."""
+        hit = self._block_plans.get(extra_dim_cap)
+        if hit is None:
+            cat, gens = self.cat, self.generators
+            zero = cat.dim_profile(cat.zero_obj())
+            multisets = generator_multisets([cat.obj_dim(g) for g in gens], extra_dim_cap)
+            # dimension profiles are additive over direct sums
+            profile = {ms: tuple(map(sum, zip(zero, *(cat.dim_profile(gens[i]) for i in ms)))) for ms in multisets}
+            by_profile: dict = {}
+            for ms in multisets:
+                by_profile.setdefault(profile[ms], []).append(ms)
+            order = sorted(multisets, key=lambda ms: (sum(cat.obj_dim(gens[i]) for i in ms), ms))
+            hit = self._block_plans[extra_dim_cap] = ([(ms, profile[ms]) for ms in order], by_profile)
+        return hit
+
     def sample_objects(self, bound: int) -> list:
         """Multiset sums of generators with total dimension <= bound."""
         cat = self.cat
-        gens = self.generators
-        out = [
-            cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
-            for ms in generator_multisets([cat.obj_dim(g) for g in gens], bound)
-        ]
+        out = [self.multiset_sum(ms) for ms in generator_multisets([cat.obj_dim(g) for g in self.generators], bound)]
         seen, uniq = set(), []
         for o in out:
             k = cat.obj_key(o)

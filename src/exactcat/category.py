@@ -388,21 +388,27 @@ class Category(ABC):
 
     def pullback(self, f, g) -> tuple[Any, Any, Any]:
         """Fiber product of f: x -> z and g: y -> z with its two projections:
-        the kernel of (f, -g): x (+) y -> z."""
+        the kernel of (f, -g): x (+) y -> z.  The square f p1 = g p2 is
+        checked: a sign lost in (f, -g) breaks it over F_p for p > 2."""
         if f.dst is not g.dst and self.obj_key(f.dst) != self.obj_key(g.dst):
             raise ValueError("pullback: f and g do not share a target")
         total, _, (p1, p2) = self.direct_sum([f.src, g.src])
         k_obj, k = self.kernel(self.costack([f, self.neg(g)], total))
-        return k_obj, self.compose(p1, k), self.compose(p2, k)
+        l1, l2 = self.compose(p1, k), self.compose(p2, k)
+        verify(self.mor_eq(self.compose(f, l1), self.compose(g, l2)), "pullback: the square does not commute")
+        return k_obj, l1, l2
 
     def pushout(self, f, g) -> tuple[Any, Any, Any]:
         """Fiber coproduct of f: x -> y and g: x -> z with its two injections:
-        the cokernel of <f, -g>: x -> y (+) z."""
+        the cokernel of <f, -g>: x -> y (+) z.  The square i1 f = i2 g is
+        checked, as for the pullback."""
         if f.src is not g.src and self.obj_key(f.src) != self.obj_key(g.src):
             raise ValueError("pushout: f and g do not share a source")
         total, (i1, i2), _ = self.direct_sum([f.dst, g.dst])
         c_obj, c = self.cokernel(self.stack([f, self.neg(g)], total))
-        return c_obj, self.compose(c, i1), self.compose(c, i2)
+        l1, l2 = self.compose(c, i1), self.compose(c, i2)
+        verify(self.mor_eq(self.compose(l1, f), self.compose(l2, g)), "pushout: the square does not commute")
+        return c_obj, l1, l2
 
     def image(self, f) -> tuple[Any, Any]:
         """Image subobject with its inclusion into dst: the kernel of the cokernel."""
@@ -450,6 +456,11 @@ class Subcategory(ABC):
     a conflation 0 -> P1 -> P0 -> x -> 0 (resp. 0 -> x -> Q0 -> Q1 -> 0)
     with both outer terms in the subcategory whose deflation (inflation) is
     a precover (preenvelope).
+
+    It also holds the quotient's memos, filled by `quotient`: the coset
+    projection of each hom-space, and the quotient kernel, cokernel and
+    zero test of each morphism, so that the sweeps over the same
+    subcategory build each of them once.
     """
 
     def __init__(self, cat: Category, label: str):
@@ -458,6 +469,9 @@ class Subcategory(ABC):
         # (x key, y key) -> hom basis, its coordinate matrix and the coset
         # projection, filled by quotient._coset_projection
         self._coset_cache: dict = {}
+        # (kind, x key, y key, vector bytes) -> the quotient kernel, cokernel
+        # or zero test of that morphism, filled by quotient._memoized
+        self._quotient_memo: dict = {}
 
     @property
     def is_trivial(self) -> bool:

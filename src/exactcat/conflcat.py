@@ -209,13 +209,15 @@ class ConflMor(RepMor):
 
 
 def _degree_columns(x: ConflObj, y: ConflObj, rows: np.ndarray) -> list[np.ndarray]:
-    """The column slices of rows (flat maps x -> y) holding degrees 1, 2, 3."""
-    out, lo = [], 0
-    for xt, yt in zip(x.terms(), y.terms()):
-        hi = lo + xt.quiver.blocks.size(xt.dimv, yt.dimv)
-        out.append(rows[:, lo:hi])
-        lo = hi
-    return out
+    """The column slices of rows (flat maps x -> y) holding degrees 1, 2, 3.
+
+    Q x A3 lists its vertices degree by degree, so degree t starts at the
+    block of its first vertex in the layout of x -> y, which the quiver's
+    BlockMaps keeps per dims pair: nothing is recomputed per call."""
+    layout, _ = x.quiver.blocks.layout(x.dimv, y.dimv)
+    n = len(layout) // 3
+    a, b = (layout[n][0], layout[2 * n][0]) if n else (0, 0)
+    return [rows[:, :a], rows[:, a:b], rows[:, b:]]
 
 
 class SubstructureTag(Enum):

@@ -493,6 +493,13 @@ def quotient_space(p: int, ambient_dim: int, sub_basis: FpMatrix) -> tuple[FpMat
     return proj, lift
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product a ⊗ b of two 2-D arrays, as np.kron, by one
+    broadcast product instead of np.kron's general n-D route."""
+    (m, n), (q, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * q, n * s)
+
+
 class BlockSystem:
     """Homogeneous linear equations in matrix unknowns over F_p.
 
@@ -530,7 +537,7 @@ class BlockSystem:
             if xr * xc:
                 left = np.eye(xr, dtype=np.int64) if a is None else a
                 right = np.eye(xc, dtype=np.int64) if b is None else b
-                parts.append((o, sign * np.kron(left, right.T)))
+                parts.append((o, sign * kron(left, right.T)))
         self._equations.append((r * c, parts))
         self._rows += r * c
 

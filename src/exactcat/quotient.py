@@ -9,12 +9,13 @@ the semi-abelian / abelian certificates sweep entire hom-spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from . import fflinalg as ff
-from .approx import extend_to_inflation, generator_multisets
+from .approx import extend_to_inflation
 from .category import (
     Category,
     ConditionError,
@@ -71,8 +72,23 @@ def qhom(sub: Subcategory, x, y) -> QHomSpace:
     return QHomSpace(len(hom) - ideal_dim, len(hom), ideal_dim)
 
 
+def _memoized(kind: str, f: QMor, build):
+    """build(f), computed once per (kind, morphism) and kept on f.sub.
+
+    A sweep asks for the same kernels, cokernels and zero tests many times
+    (q_coim_im builds them, then the mono and epi tests and the next sweep
+    ask again); the key is the two object keys and the vector's bytes.
+    """
+    cat = f.cat
+    key = (kind, cat.obj_key(f.src), cat.obj_key(f.dst), cat.flatten(f.rep).tobytes())
+    memo = f.sub._quotient_memo
+    if key not in memo:
+        memo[key] = build(f)
+    return memo[key]
+
+
 def q_is_zero(f: QMor) -> bool:
-    return f.sub.is_ideal_member(f.rep)
+    return _memoized("zero", f, lambda f: f.sub.is_ideal_member(f.rep))
 
 
 def _coset_projection(sub: Subcategory, x, y):
@@ -144,6 +160,10 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
     generator multisets of total dimension <= extra_dim_cap with matching
     dimension defect; for each pad pair the p^n choices of (b,c,d), n the
     number of basis maps placed, are enumerated only when p^n <= combo_cap.
+    The multisets, their dimension profiles and the search order are
+    planned once per subcategory and cap (`AddSubcat.block_plan`), and each
+    pad is built at most once per subcategory (`AddSubcat.multiset_sum`);
+    a skipped pair assembles nothing.
     A returned witness is unconditionally sound.  None is not a proof that
     f is not invertible: it means that no completion was found among the
     pad pairs searched, and a pair with p^n > combo_cap is skipped silently.
@@ -151,36 +171,14 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
     cat, sub = f.cat, f.sub
     if not hasattr(sub, "generators"):
         raise ValueError("block search needs a finitely generated subcategory")
-    x, y = f.src, f.dst
-    gens = list(sub.generators)
-
-    def dim_profile(obj_list):
-        # dimension profiles are additive over direct sums
-        zero = cat.dim_profile(cat.zero_obj())
-        return tuple(map(sum, zip(zero, *(cat.dim_profile(o) for o in obj_list))))
-
-    # multiset -> its sum of generators, built at most once in this search
-    pads: dict = {}
-
-    def pad(ms):
-        obj = pads.get(ms)
-        if obj is None:
-            obj = pads[ms] = cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
-        return obj
-
-    px = cat.dim_profile(x)
-    py = cat.dim_profile(y)
-    multisets = generator_multisets([cat.obj_dim(g) for g in gens], extra_dim_cap)
-    # multisets of generators, keyed by total dimension vector
-    q_multis: dict = {}
-    for ms in multisets:
-        q_multis.setdefault(dim_profile([gens[i] for i in ms]), []).append(ms)
-    for p_ms in sorted(multisets, key=lambda ms: (sum(cat.obj_dim(gens[i]) for i in ms), ms)):
-        need = tuple(a + b - c for a, b, c in zip(px, dim_profile([gens[i] for i in p_ms]), py))
+    px, py = cat.dim_profile(f.src), cat.dim_profile(f.dst)
+    order, by_profile = sub.block_plan(extra_dim_cap)
+    for p_ms, p_profile in order:
+        need = tuple(a + b - c for a, b, c in zip(px, p_profile, py))
         if any(v < 0 for v in need):
             continue
-        for q_ms in q_multis.get(need, []):
-            w = _try_block_completion(f, pad(p_ms), pad(q_ms), combo_cap)
+        for q_ms in by_profile.get(need, []):
+            w = _try_block_completion(f, sub.multiset_sum(p_ms), sub.multiset_sum(q_ms), combo_cap)
             if w is not None:
                 return w
     return None
@@ -190,15 +188,21 @@ def _try_block_completion(f: QMor, p_obj, q_obj, combo_cap) -> Optional[BlockWit
     """The first invertible [[f, b], [c, d]]: X (+) P -> Y (+) Q, or None.
 
     (b, c, d) = sum of coefficients times the bases of Hom(P, Y), Hom(X, Q)
-    and Hom(P, Q).  Every block is written straight into the flat map
-    X (+) P -> Y (+) Q; all p^n coefficient tuples are tested one vertex
-    component at a time, each in one batched elimination, and the witness
-    is the first tuple (lexicographic) at which every component is
-    invertible.  The two sums are built only for a witness.
+    and Hom(P, Q).  The size test p^n > combo_cap reads only the lengths of
+    the three bases, so a skipped pair assembles no rows.  Every block is
+    written straight into the flat map X (+) P -> Y (+) Q; all p^n
+    coefficient tuples are tested one vertex component at a time, each in
+    one batched elimination, and the witness is the first tuple
+    (lexicographic) at which every component is invertible.  The two sums
+    are built only for a witness.
     """
     cat = f.cat
     p, blocks = cat.p, cat.blocks
     x, y = f.src, f.dst
+    homs = (cat.hom_basis(p_obj, y), cat.hom_basis(x, q_obj), cat.hom_basis(p_obj, q_obj))
+    n = sum(map(len, homs))
+    if p**n > combo_cap:
+        return None
     # square component by component: the pads balance the dimension vectors
     src = tuple(a + b for a, b in zip(x.dimv, p_obj.dimv))  # X (+) P
     dst = tuple(a + b for a, b in zip(y.dimv, q_obj.dimv))  # Y (+) Q
@@ -206,13 +210,10 @@ def _try_block_completion(f: QMor, p_obj, q_obj, combo_cap) -> Optional[BlockWit
     # (rows, source summand, target summand, where the two start)
     corners = [
         (f.rep.vec[None, :], x.dimv, y.dimv, at0, at0),
-        (cat.hom_basis(p_obj, y).rows, p_obj.dimv, y.dimv, x.dimv, at0),
-        (cat.hom_basis(x, q_obj).rows, x.dimv, q_obj.dimv, at0, y.dimv),
-        (cat.hom_basis(p_obj, q_obj).rows, p_obj.dimv, q_obj.dimv, x.dimv, y.dimv),
+        (homs[0].rows, p_obj.dimv, y.dimv, x.dimv, at0),
+        (homs[1].rows, x.dimv, q_obj.dimv, at0, y.dimv),
+        (homs[2].rows, p_obj.dimv, q_obj.dimv, x.dimv, y.dimv),
     ]
-    n = sum(len(rows) for rows, *_ in corners) - 1
-    if p**n > combo_cap:
-        return None
     # row 0 is f, rows 1..n the placed basis maps b, c, d
     placed = np.zeros((n + 1, blocks.size(src, dst)), dtype=np.int64)
     lo = 0
@@ -220,8 +221,7 @@ def _try_block_completion(f: QMor, p_obj, q_obj, combo_cap) -> Optional[BlockWit
         placed[lo : lo + len(rows), blocks.corner_positions(s, t, src, dst, s_at, t_at)] = rows
         lo += len(rows)
     base, lifted = placed[0], placed[1:]
-    # every coefficient tuple, one row each, in lexicographic order
-    coeffs = np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    coeffs = _coefficient_tuples(p, n)
     alive = np.arange(len(coeffs))
     for o, r, _ in blocks.layout(src, dst)[0]:
         if r == 0:
@@ -246,6 +246,16 @@ def _try_block_completion(f: QMor, p_obj, q_obj, combo_cap) -> Optional[BlockWit
     return BlockWitness(p_obj, q_obj, total, inv)
 
 
+@lru_cache(maxsize=None)
+def _coefficient_tuples(p: int, n: int) -> np.ndarray:
+    """Every coefficient tuple of F_p^n, one row each, in lexicographic
+    order, read-only; built once per (p, n), and the block search asks only
+    for p^n <= combo_cap."""
+    coeffs = np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def _two_sided_inverse(cat: Category, f) -> Optional[Any]:
     from .category import solve_precompose
 
@@ -262,8 +272,12 @@ def q_kernel(f: QMor) -> QMor:
     """Kernel class: pull f back along a precover deflation of its target.
 
     With a zero ideal the quotient is the host itself, so the host kernel
-    is the kernel.
+    is the kernel.  Memoized per morphism on the subcategory.
     """
+    return _memoized("kernel", f, _kernel)
+
+
+def _kernel(f: QMor) -> QMor:
     cat, sub = f.cat, f.sub
     if sub.is_trivial:
         _, k = cat.kernel(f.rep)
@@ -277,7 +291,12 @@ def q_kernel(f: QMor) -> QMor:
 
 
 def q_cokernel(f: QMor) -> QMor:
-    """Cokernel class: deflation of the preenvelope-extended conflation at the source."""
+    """Cokernel class: deflation of the preenvelope-extended conflation at
+    the source.  Memoized per morphism on the subcategory."""
+    return _memoized("cokernel", f, _cokernel)
+
+
+def _cokernel(f: QMor) -> QMor:
     cat, sub = f.cat, f.sub
     if sub.is_trivial:
         _, c = cat.cokernel(f.rep)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exactcat import cli
+from exactcat import cli, conflcat
 from exactcat import quotient as qt
 from exactcat.approx import AddSubcat
 from exactcat.category import (
@@ -386,3 +386,23 @@ def test_is_hom_exact_checks_its_conflation(a2, econf):
     cat, o = a2
     with pytest.raises(ValueError, match="defl o incl"):
         AddSubcat(cat, [o["P1"]]).is_hom_exact(Conflation(cat.identity(o["S1"]), cat.identity(o["S1"])), "covariant")
+
+
+def test_degree_columns_are_the_term_blocks(econf, monkeypatch):
+    ecat, sub, nonsplit = econf
+    b = ecat.base
+    objs = [nonsplit] + sub.sample_objects(1)[:4]
+    pairs = [(x, y) for x in objs for y in objs]
+    for x, y in pairs:
+        rows = np.arange(2 * ecat.flat_dim(x, y)).reshape(2, -1)
+        cols = conflcat._degree_columns(x, y, rows)
+        assert [c.shape[1] for c in cols] == [b.flat_dim(xt, yt) for xt, yt in zip(x.terms(), y.terms())]
+        assert np.array_equal(np.hstack(cols), rows)
+    # the bounds come from the layout kept per dims pair: a second call
+    # builds no layout and reads no term
+    monkeypatch.setattr(conflcat.ConflObj, "terms", lambda self: pytest.fail("degree bounds recomputed"))
+    layouts = dict(nonsplit.quiver.blocks._layouts)
+    for x, y in pairs:
+        rows = np.zeros((1, ecat.flat_dim(x, y)), dtype=np.int64)
+        assert sum(c.shape[1] for c in conflcat._degree_columns(x, y, rows)) == rows.shape[1]
+    assert nonsplit.quiver.blocks._layouts == layouts

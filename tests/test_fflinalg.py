@@ -363,6 +363,22 @@ def test_block_system_kernel_matches_brute_force(case):
     assert len(solutions) == p**null.cols  # the kernel columns are independent
 
 
+@given(st.sampled_from([2, 3]), st.lists(st.integers(0, 3), min_size=4, max_size=4), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_kron_matches_numpy(p, shape, seed):
+    # shapes include zero-size dims; entries are reduced or negated, as in BlockSystem terms
+    m, n, q, s = shape
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(m, n), dtype=np.int64)
+    b = rng.integers(0, p, size=(q, s), dtype=np.int64)
+    for sign in (1, -1):
+        got, want = ff.kron(sign * a, b), np.kron(sign * a, b)
+        assert got.shape == want.shape == (m * q, n * s)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(ff.kron(a, sign * b.T), np.kron(a, sign * b.T))
+
+
 def test_block_system_rejects_mismatched_terms():
     system = ff.BlockSystem(2)
     system.unknown("X", 2, 1)

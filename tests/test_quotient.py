@@ -9,7 +9,7 @@ import pytest
 
 from exactcat import fflinalg as ff
 from exactcat import quotient as qt
-from exactcat.approx import AddSubcat
+from exactcat.approx import AddSubcat, generator_multisets
 from exactcat.category import enumerate_hom
 from exactcat.cli import build_spec, parse_spec
 from exactcat.fflinalg import FpMatrix
@@ -308,12 +308,12 @@ def _reference_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
     return None
 
 
-def _sweep_witnesses(source, search):
+def _sweep_witnesses(source, search, sub_name="P"):
     """(pad_src key, pad_dst key, total bytes) or None for every class the
     iso-agreement sweep of the spec decides, in sweep order, on a category
     of its own."""
     doc = parse_spec(source) if isinstance(source, str) else build_spec(source)
-    sub = doc.subcategories["P"]
+    sub = doc.subcategories[sub_name]
     cat = sub.cat
     found = []
 
@@ -359,6 +359,220 @@ def test_block_search_witness_matches_reference_loop(source):
     ref = _sweep_witnesses(make(), _reference_blocksearch)
     assert new == ref
     assert any(w is None for w in new) and any(w is not None for w in new)
+
+
+# -- the block search planned once per subcategory against the per-search one -------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _per_search_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
+    """The block search as it was before its plan and pads moved onto the
+    subcategory: the multisets, their dimension profiles and the pads are
+    built afresh in every search, and each attempt assembles the rows of
+    its three pad hom bases before the size test."""
+    cat, sub = f.cat, f.sub
+    x, y = f.src, f.dst
+    gens = list(sub.generators)
+
+    def dim_profile(obj_list):
+        zero = cat.dim_profile(cat.zero_obj())
+        return tuple(map(sum, zip(zero, *(cat.dim_profile(o) for o in obj_list))))
+
+    pads = {}
+
+    def pad(ms):
+        obj = pads.get(ms)
+        if obj is None:
+            obj = pads[ms] = cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
+        return obj
+
+    multisets = generator_multisets([cat.obj_dim(g) for g in gens], extra_dim_cap)
+    q_multis = {}
+    for ms in multisets:
+        q_multis.setdefault(dim_profile([gens[i] for i in ms]), []).append(ms)
+    for p_ms in sorted(multisets, key=lambda ms: (sum(cat.obj_dim(gens[i]) for i in ms), ms)):
+        need = tuple(a + b - c for a, b, c in zip(cat.dim_profile(x), dim_profile([gens[i] for i in p_ms]), cat.dim_profile(y)))
+        if any(v < 0 for v in need):
+            continue
+        for q_ms in q_multis.get(need, []):
+            w = _per_search_completion(f, pad(p_ms), pad(q_ms), combo_cap)
+            if w is not None:
+                return w
+    return None
+
+
+def _per_search_completion(f, p_obj, q_obj, combo_cap):
+    cat = f.cat
+    p, blocks = cat.p, cat.blocks
+    x, y = f.src, f.dst
+    src = tuple(a + b for a, b in zip(x.dimv, p_obj.dimv))
+    dst = tuple(a + b for a, b in zip(y.dimv, q_obj.dimv))
+    at0 = (0,) * len(src)
+    corners = [
+        (f.rep.vec[None, :], x.dimv, y.dimv, at0, at0),
+        (cat.hom_basis(p_obj, y).rows, p_obj.dimv, y.dimv, x.dimv, at0),
+        (cat.hom_basis(x, q_obj).rows, x.dimv, q_obj.dimv, at0, y.dimv),
+        (cat.hom_basis(p_obj, q_obj).rows, p_obj.dimv, q_obj.dimv, x.dimv, y.dimv),
+    ]
+    n = sum(len(rows) for rows, *_ in corners) - 1
+    if p**n > combo_cap:
+        return None
+    placed = np.zeros((n + 1, blocks.size(src, dst)), dtype=np.int64)
+    lo = 0
+    for rows, s, t, s_at, t_at in corners:
+        placed[lo : lo + len(rows), blocks.corner_positions(s, t, src, dst, s_at, t_at)] = rows
+        lo += len(rows)
+    base, lifted = placed[0], placed[1:]
+    coeffs = np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    alive = np.arange(len(coeffs))
+    for o, r, _ in blocks.layout(src, dst)[0]:
+        if r == 0:
+            continue
+        comp = slice(o, o + r * r)
+        span = placed[:, comp].reshape(n + 1, r, r)
+        if ff.array_rank(span.transpose(1, 0, 2).reshape(r, -1), p) < r or ff.array_rank(span.reshape(-1, r), p) < r:
+            return None
+        stack = coeffs[alive] @ lifted[:, comp] + base[comp]
+        stack %= p
+        alive = alive[ff.invertible_stack(stack.reshape(-1, r, r), p)]
+        if not alive.size:
+            return None
+    vec = coeffs[alive[0]] @ lifted + base
+    vec %= p
+    vec.setflags(write=False)
+    return p_obj, q_obj, cat._mor(cat.direct_sum([x, p_obj])[0], cat.direct_sum([y, q_obj])[0], vec)
+
+
+@pytest.mark.parametrize(
+    "spec, sub_name",
+    [
+        ("seeded_quotient_p3.json", "P"),
+        ("seeded_classes_p2.json", "P"),
+        ("seeded_precover_large.json", "addX"),
+        # A3 over F_3 under specgen key "7.3", where a skipped pad pair turns
+        # two true isomorphisms into disagreements (ROADMAP item 6)
+        ("seeded_classes_f3_7_3.json", "P"),
+    ],
+)
+def test_planned_block_search_matches_per_search_oracle(spec, sub_name):
+    new = _sweep_witnesses(str(GOLDEN / spec), _blocksearch, sub_name)
+    ref = _sweep_witnesses(str(GOLDEN / spec), _per_search_blocksearch, sub_name)
+    assert new == ref
+    assert any(w is None for w in new)
+
+
+def _pad_builds(sub, search, monkeypatch):
+    """The generator multisets whose sums `search` builds while the
+    iso-agreement sweep of sub runs over the spec objects."""
+    cat, gens = sub.cat, sub.generators
+    built, searching = [], []
+    real_sum = cat.direct_sum
+
+    def counting_sum(xs):
+        # a pad is a sum of generators only; a witness's X (+) P is not
+        if searching and all(any(x is g for g in gens) for x in xs):
+            built.append(tuple(next(i for i, g in enumerate(gens) if x is g) for x in xs))
+        return real_sum(xs)
+
+    def traced_search(qf):
+        searching.append(True)
+        try:
+            return search(qf)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(cat, "direct_sum", counting_sum)
+    monkeypatch.setattr(qt, "q_is_iso_blocksearch", traced_search)
+    return built
+
+
+def test_block_search_builds_each_pad_once_per_subcategory(monkeypatch):
+    spec = str(GOLDEN / "seeded_quotient_p3.json")
+    doc = parse_spec(spec)
+    sub = doc.subcategories["P"]
+    sample = [doc.objects[n] for n in sorted(doc.objects)]
+    built = _pad_builds(sub, qt.q_is_iso_blocksearch, monkeypatch)
+    qt.iso_agreement_sweep(sub, sample)
+    assert built and len(built) == len(set(built))
+    assert len(built) <= len(sub.block_plan(6)[0])
+    # a second sweep over the same subcategory builds no pad at all
+    built.clear()
+    qt.iso_agreement_sweep(sub, sample)
+    assert built == []
+    # the per-search oracle rebuilds its pads in every search
+    monkeypatch.undo()
+    old_doc = parse_spec(spec)
+    old_sub = old_doc.subcategories["P"]
+    rebuilt = _pad_builds(old_sub, _per_search_blocksearch, monkeypatch)
+    qt.iso_agreement_sweep(old_sub, [old_doc.objects[n] for n in sorted(old_doc.objects)])
+    assert len(rebuilt) > 10 * len(set(rebuilt))
+
+
+def test_block_plan_is_built_once_per_cap(a3):
+    cat, o = a3
+    # P2 and S2 (+) S3 share a dimension profile
+    sub = AddSubcat(cat, [o["P2"], o["S2"], o["S3"]], label="P")
+    order, by_profile = sub.block_plan(3)
+    assert sub.block_plan(3)[0] is order
+    multisets = generator_multisets([2, 1, 1], 3)
+    assert [ms for ms, _ in order] == sorted(multisets, key=lambda ms: (sum([2, 1, 1][i] for i in ms), ms))
+    for ms, profile in order:
+        assert profile == sub.multiset_sum(ms).dimv
+        assert by_profile[profile] == [m for m in multisets if sub.multiset_sum(m).dimv == profile]
+    assert len(by_profile[(0, 1, 1)]) == 2
+    assert sub.multiset_sum((1, 2)) is sub.multiset_sum((1, 2))
+    assert [cat.obj_key(x) for x in sub.sample_objects(3)] == sorted(
+        {cat.obj_key(sub.multiset_sum(ms)) for ms, _ in order}, key=lambda k: (sum(k[0]), k)
+    )
+
+
+# -- quotient kernels, cokernels and zero tests once per morphism --------------------
+
+def test_quotient_constructions_are_memoized(a3, a3_sub, monkeypatch):
+    cat, o = a3
+    sub = AddSubcat(cat, a3_sub.generators, label=a3_sub.label)
+    f = cat.hom_basis(o["P2"], o["S2"])[0]
+    qf = qt.QMor(sub, f)
+    same = qt.QMor(sub, cat.combine([f], np.array([1]), o["P2"], o["S2"]))  # equal bytes, another object
+    kernel, cokernel = qt.q_kernel(qf), qt.q_cokernel(qf)
+    assert qt.q_kernel(same) is kernel and qt.q_cokernel(same) is cokernel
+    zero = qt.q_is_zero(qf)
+    calls = []
+    monkeypatch.setattr(sub, "is_ideal_member", lambda g: calls.append(g))
+    assert qt.q_is_zero(same) == zero and calls == []
+    # another morphism is decided afresh
+    qt.q_is_zero(qt.QMor(sub, cat.zero_mor(o["P2"], o["S2"])))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", ["a3_projinj", "seeded_quotient_p3"])
+def test_memoized_constructions_match_a_fresh_subcategory(spec):
+    path = FIXTURES / "a3_projinj.json" if spec == "a3_projinj" else GOLDEN / "seeded_quotient_p3.json"
+    doc = parse_spec(str(path))
+    sub = doc.subcategories["P"]
+    cat = sub.cat
+    sample = [doc.objects[n] for n in sorted(doc.objects)]
+    qt.verify_semiabelian(sub, sample)
+    qt.verify_abelian(sub, sample)
+    fresh = AddSubcat(cat, sub.generators, label=sub.label)
+    hits = 0
+    for x in sample:
+        for y in sample:
+            for f in enumerate_hom(cat, x, y, 64)[0]:
+                key = (cat.obj_key(x), cat.obj_key(y), f.vec.tobytes())
+                for kind, op in (("kernel", qt.q_kernel), ("cokernel", qt.q_cokernel)):
+                    if (kind, *key) not in sub._quotient_memo:
+                        continue
+                    hits += 1
+                    kept, made = op(qt.QMor(sub, f)).rep, op(qt.QMor(fresh, f)).rep
+                    assert cat.obj_key(kept.src) == cat.obj_key(made.src)
+                    assert cat.obj_key(kept.dst) == cat.obj_key(made.dst)
+                    assert kept.vec.tobytes() == made.vec.tobytes()
+                if ("zero", *key) in sub._quotient_memo:
+                    hits += 1
+                    assert qt.q_is_zero(qt.QMor(sub, f)) == qt.q_is_zero(qt.QMor(fresh, f))
+    assert hits > len(sample) ** 2
 
 
 # -- a failed inverse check ends iso-agreement with a fail report, with and without -O ----

@@ -167,3 +167,30 @@ def test_one_vertex_dims_4_check_pct_fits_in_2_gib(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert json.loads(out.read_text())["verdict"] == "pass"
+
+
+# -- an F_3 sign flip on the quotient and classes paths, with and without -O --------
+
+SIGN_FLIP_MAIN = """
+import sys
+from exactcat import category, cli
+# every negation dropped: each -g of a pullback or pushout becomes +g, which
+# F_2 cannot see
+category.Category.neg = lambda self, f: f
+sys.exit(cli.main([sys.argv[2], sys.argv[1], "--subcategory", "P", "--out", sys.argv[3]]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("command", ["quotient", "classes"])
+def test_f3_sign_flip_fails_the_quotient_and_classes_reports(tmp_path, command, optimize):
+    # A3 over F_3 with a conflation (specgen key "7.3")
+    spec = Path(__file__).parent / "golden" / "seeded_classes_f3_7_3.json"
+    out = tmp_path / "report.json"
+    argv = [sys.executable] + (["-O"] if optimize else []) + ["-c", SIGN_FLIP_MAIN, str(spec), command, str(out)]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail" and payload["exit_code"] == 1
+    assert any("square does not commute" in e for e in payload["report"]["errors"])
