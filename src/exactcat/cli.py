@@ -9,6 +9,7 @@ stderr only.  Exit codes: 0 all verdicts pass, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -521,30 +522,16 @@ def _fixture_path(name: str) -> str:
 
 
 def cmd_verify_paper(args) -> dict:
-    """Run every suite on the bundled fixtures."""
+    """Run every suite on the bundled fixtures.
+
+    Each fixture's tasks run in their own scope, and its document (with the
+    caches of its categories) is released before the next fixture: the
+    caches hold reference cycles (a hom basis and its category, a quotient
+    morphism and the quotient memo), so one collection frees them."""
     t0 = time.monotonic()
-    a3 = parse_spec(_fixture_path("a3_projinj.json"))
-    a2 = parse_spec(_fixture_path("a2_base.json"))
-    tasks = []
-    ns = argparse.Namespace(**vars(args))
-    ns.subcategory = "P"
-    ns.testset = None
-    ns.conflation = None
-    tasks.append(_tagged("a3", cmd_check_pct(a3, ns)))
-    tasks.append(_tagged("a3", cmd_quotient(a3, ns)))
-    ns.bound = 5
-    tasks.append(_tagged("a3", cmd_classes(a3, ns)))
-    tasks.append(_tagged("a3", cmd_iso_agreement(a3, ns)))
-    ns2 = argparse.Namespace(**vars(args))
-    ns2.subcategory = "all"
-    ns2.testset = None
-    ns2.conflation = None
-    ns2.bound = 2 if args.bound is None else args.bound
-    ns2.test_bound = args.test_bound
-    tasks.append(_tagged("a2", cmd_confl(a2, ns2)))
-    ns2.bound = 4
-    tasks.append(_tagged("a2", cmd_classes(a2, ns2)))
-    tasks.append(_tagged("a2", cmd_iso_agreement(a2, ns2)))
+    tasks = _a3_tasks(args)
+    gc.collect()
+    tasks += _a2_tasks(args)
     verdicts = {t["verdict"] for t in tasks}
     ok = verdicts <= {"pass", "sampled-pass"}
     print(f"verify-paper wall time: {time.monotonic() - t0:.1f}s", file=sys.stderr)
@@ -556,9 +543,31 @@ def cmd_verify_paper(args) -> dict:
     }
 
 
-def _tagged(fixture: str, report: dict) -> dict:
-    report["fixture"] = fixture
-    return report
+def _fixture_args(args, subcategory: str) -> argparse.Namespace:
+    ns = argparse.Namespace(**vars(args))
+    ns.subcategory = subcategory
+    ns.testset = None
+    ns.conflation = None
+    return ns
+
+
+def _a3_tasks(args) -> list[dict]:
+    a3 = parse_spec(_fixture_path("a3_projinj.json"))
+    ns = _fixture_args(args, "P")
+    tasks = [cmd_check_pct(a3, ns), cmd_quotient(a3, ns)]
+    ns.bound = 5
+    tasks += [cmd_classes(a3, ns), cmd_iso_agreement(a3, ns)]
+    return [dict(t, fixture="a3") for t in tasks]
+
+
+def _a2_tasks(args) -> list[dict]:
+    a2 = parse_spec(_fixture_path("a2_base.json"))
+    ns = _fixture_args(args, "all")
+    ns.bound = 2 if args.bound is None else args.bound
+    tasks = [cmd_confl(a2, ns)]
+    ns.bound = 4
+    tasks += [cmd_classes(a2, ns), cmd_iso_agreement(a2, ns)]
+    return [dict(t, fixture="a2") for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +595,15 @@ def render_text(report: dict, out) -> None:
     walk(report)
 
 
+def nonnegative(text: str) -> int:
+    """argparse type of the bounds, caps and seeds: a non-negative integer
+    (a negative one would sweep nothing and pass, or fail inside numpy)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 EXIT_BY_VERDICT = {"pass": 0, "sampled-pass": 0, "fail": 1, "refused-bound": 2}
 
 
@@ -596,11 +614,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     def common(p, with_spec=True):
         if with_spec:
             p.add_argument("spec", help="JSON spec file (schema exactcat/1)")
-        p.add_argument("--bound", type=int, default=None, help="enumeration bound")
-        p.add_argument("--test-bound", dest="test_bound", type=int, default=None)
+        p.add_argument("--bound", type=nonnegative, default=None, help="enumeration bound")
+        p.add_argument("--test-bound", dest="test_bound", type=nonnegative, default=None)
         p.add_argument("--subobject-bound", dest="subobject_bound", type=int, default=8)
-        p.add_argument("--cap", type=int, default=4096, help="hom-space enumeration cap")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
+        p.add_argument("--cap", type=nonnegative, default=4096, help="hom-space enumeration cap")
+        p.add_argument("--seed", type=nonnegative, default=0, help="sampling seed")
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
 
@@ -620,7 +638,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument(
         "--search-random",
         dest="search_random",
-        type=int,
+        type=nonnegative,
         default=0,
         help="also hunt for a non-abelian counterexample among N random subcategories",
     )

@@ -303,6 +303,10 @@ class ConflCategory(RepCategory):
             self._split_form_cache[x.key] = hit
         return hit
 
+    def forget(self, x: ConflObj, since: int) -> None:
+        super().forget(x, since)
+        self._split_form_cache.pop(x.key, None)
+
     def _hom_from_split(self, s: ConflObj, y: ConflObj) -> np.ndarray:
         # a chain map out of a -> a(+)c -> c is freely determined by its
         # restriction h: a -> Y1 and its middle component k: c -> Y2, giving
@@ -681,19 +685,26 @@ def check_hom_exactness_matches_splitting(
     return cov, member_down, contra, member_up
 
 
+def _require_canonical_split(ecat: ConflCategory, t_obj: ConflObj) -> None:
+    """The lift formulas hold for canonical split test objects only; any
+    other would silently lose its lift checks."""
+    if not ecat._is_canonical_split_obj(t_obj):
+        raise ValueError(f"lift formula test object {t_obj.label} is not a canonical split conflation")
+
+
 def _verify_deflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_objects, s1: RepMor, s2: RepMor) -> int:
     """The closed-form lift through the deflation g: Y -> Z, from sections
     s1, s2 of its degree -1 and 0 components, checked on a whole hom basis
     at once: for h: T -> Z with T canonical split,
     u = (s1 h1, d1 s1 h1 p1 + s2 h2 j2 p2, d2 s2 h2 j2) is a chain map
-    T -> Y with g o u = h.  Returns the number of basis morphisms lifted."""
+    T -> Y with g o u = h.  Returns the number of basis morphisms lifted;
+    a test object that is not canonical split is a ValueError."""
     b = ecat.base
     g: ConflMor = dses.defl
     y_obj, z_obj = g.src, g.dst
     count = 0
     for t_obj in test_objects:
-        if not ecat._is_canonical_split_obj(t_obj):
-            continue
+        _require_canonical_split(ecat, t_obj)
         t1, _, t3 = t_obj.terms()
         _, (j1, j2), (p1, p2) = ecat._pair(t1, t3)
         hs = ecat.hom_basis(t_obj, z_obj)
@@ -719,14 +730,14 @@ def _verify_inflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_o
     retractions r2, r3 of its degree 0 and 1 components, checked on a whole
     hom basis at once: for h: X -> T with T canonical split,
     u = (p1 h2 r2 d1, j1 p1 h2 r2 + j2 h3 r3 d2, h3 r3) is a chain map
-    Y -> T with u o f = h.  Returns the number of basis morphisms extended."""
+    Y -> T with u o f = h.  Returns the number of basis morphisms extended;
+    a test object that is not canonical split is a ValueError."""
     b = ecat.base
     f: ConflMor = dses.incl
     x_obj, y_obj = f.src, f.dst
     count = 0
     for t_obj in test_objects:
-        if not ecat._is_canonical_split_obj(t_obj):
-            continue
+        _require_canonical_split(ecat, t_obj)
         t1, _, t3 = t_obj.terms()
         _, (j1, j2), (p1, p2) = ecat._pair(t1, t3)
         hs = ecat.hom_basis(x_obj, t_obj)
@@ -958,9 +969,15 @@ def sweep_hom_exactness_biconditional(
     cap: int = 4096,
 ) -> BiconditionalReport:
     """Run the hom-exactness/degree-splitting biconditional over every
-    enumerated degreewise conflation with vertex dims <= bound."""
+    enumerated degreewise conflation with vertex dims <= bound.
+
+    What one check caches for an extension's middle object is forgotten
+    after it, so memory stays that of one check whatever the number of
+    extensions; a middle that is (key-equal to) a swept object is kept, as
+    later checks read it again as an end term."""
     sub = ecat.split_sub
     objs = ecat.enumerate_objects(bound)
+    swept = {o.key for o in objs}
     test_objects = sub.sample_objects(test_bound)
     report = BiconditionalReport(passed=True, checked=0)
     for z in objs:
@@ -970,10 +987,14 @@ def sweep_hom_exactness_biconditional(
             ):
                 continue
             for d in ecat.enumerate_extensions(z, x, cap):
+                mark = ecat.cache_mark()
                 try:
                     check_hom_exactness_matches_splitting(ecat, d, test_objects=test_objects)
                 except VerificationError as exc:
                     report.failures.append(f"{x.label} -> {z.label}: {exc}")
                 report.checked += 1
+                y = ecat.dst(d.incl)
+                if y.key not in swept:
+                    ecat.forget(y, mark)
     report.passed = not report.failures
     return report

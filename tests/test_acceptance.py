@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (run pytest with -s to see them
 as they complete).  All checks are exact finite-field computations; the
 only tolerances are wall-clock budgets.
 """
+import hashlib
 import json
 import subprocess
 import sys
@@ -25,6 +26,9 @@ from exactcat.conflcat import (
 from exactcat.fflinalg import FpMatrix
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "exactcat" / "fixtures"
+# the bytes of the verify-paper report; perfbench/expected.json pins the
+# same digest for every benchmark seed
+VERIFY_PAPER_SHA256 = "9eab3ec7be7bba7d774d8abbddd2a14ac1f5a4ade1d4df7f54f8549ab04927bc"
 
 
 def announce(number, name, started):
@@ -251,7 +255,7 @@ def test_acceptance_8_qhom_golden_table():
 
 def test_acceptance_9_verify_paper_end_to_end(tmp_path):
     """The bundled verification suite exits 0 with byte-identical reports
-    across runs."""
+    across runs, and those bytes are the recorded ones."""
     started = time.monotonic()
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     res1 = subprocess.run(
@@ -269,6 +273,7 @@ def test_acceptance_9_verify_paper_end_to_end(tmp_path):
     )
     assert res2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == VERIFY_PAPER_SHA256
     payload = json.loads(out1.read_text())
     assert payload["verdict"] == "pass"
     assert {t["name"] for t in payload["report"]["tasks"]} == {

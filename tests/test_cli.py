@@ -131,6 +131,29 @@ def test_jobs_option_is_a_usage_error(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["confl", A2, "--bound", "-1"],
+        ["confl", A2, "--test-bound", "-2"],
+        ["check-pct", A3, "--cap", "-5"],
+        ["quotient", A3, "--seed", "-1"],
+        ["verify-paper", "--seed", "-1"],
+        ["classes", A3, "--search-random", "-1"],
+    ],
+    ids=["bound", "test-bound", "cap", "seed", "verify-paper-seed", "search-random"],
+)
+def test_negative_counts_are_a_usage_error(argv, capsys):
+    """A negative bound, cap, seed or search count is refused by argparse
+    (exit 2, the flag named), not swept as nothing and passed, or handed to
+    numpy."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be a non-negative integer" in err
+
+
 def test_check_pct_unknown_testset_objects_are_a_validation_error():
     res = run_cli("check-pct", A3, "--subcategory", "P", "--testset", "P1,NOPE,GONE")
     assert res.returncode == 1

@@ -406,3 +406,75 @@ def test_degree_columns_are_the_term_blocks(econf, monkeypatch):
         rows = np.zeros((1, ecat.flat_dim(x, y)), dtype=np.int64)
         assert sum(c.shape[1] for c in conflcat._degree_columns(x, y, rows)) == rows.shape[1]
     assert nonsplit.quiver.blocks._layouts == layouts
+
+
+def test_lift_formulas_refuse_a_test_object_that_is_not_canonical_split(econf):
+    """A test object the closed-form lifts do not apply to is an error naming
+    it, not a silently smaller count of lift checks."""
+    ecat, sub, x = econf
+    b = ecat.base
+    x1, x2, x3 = x.terms()
+    pre, env = s_precover(ecat, x), s_preenvelope(ecat, x)
+    tests = sub.sample_objects(1) + [x]
+    with pytest.raises(ValueError, match=r"test object X is not a canonical split"):
+        _verify_deflation_lift_formula(ecat, pre.dses, tests, b.identity(x1), ecat._pair(x1, x2)[1][1])
+    with pytest.raises(ValueError, match=r"test object X is not a canonical split"):
+        _verify_inflation_lift_formula(ecat, env.dses, tests, ecat._pair(x2, x3)[2][0], b.identity(x3))
+
+
+# -- forgetting what one check cached --------------------------------------------------
+
+def test_forget_drops_only_the_entries_since_the_mark_at_the_object(a2):
+    """forget(x, mark) drops exactly the hom bases cached after the mark with
+    x at an end, and x's split-form entry; a recomputed basis is byte-equal,
+    sum registrations stay, and an object without entries changes nothing."""
+    cat, o = a2
+    ecat = ConflCategory(cat)
+    x = ecat.make_obj(
+        cat.conflation(cat.hom_basis(o["S2"], o["P1"])[0], cat.hom_basis(o["P1"], o["S1"])[0]), name="X"
+    )
+    t, u = ecat.split_obj(o["S2"], o["S1"]), ecat.split_obj(o["S1"], cat.zero_obj())
+    ecat.hom_basis(t, x)  # before the mark: kept
+    ecat.direct_sum([x, t])
+    registry = dict(ecat._sum_registry)
+    mark = ecat.cache_mark()
+    before = list(ecat._hom_cache)
+    dropped = [(a, b, ecat.hom_basis(a, b)) for a, b in ((x, u), (u, x), (x, x))]
+    kept = ecat.hom_basis(t, u)
+    assert x.key in ecat._split_form_cache
+
+    ecat.forget(x, mark)
+    assert list(ecat._hom_cache) == before + [(t.key, u.key)]
+    assert ecat._hom_cache[(t.key, u.key)] is kept
+    assert x.key not in ecat._split_form_cache
+    assert ecat._sum_registry == registry
+    for src, dst, old in dropped:
+        new = ecat.hom_basis(src, dst)
+        assert new is not old and new.rows.tobytes() == old.rows.tobytes()
+
+    cached, forms = list(ecat._hom_cache), dict(ecat._split_form_cache)
+    ecat.forget(ecat.split_obj(o["P1"], o["S2"]), mark)
+    assert list(ecat._hom_cache) == cached and ecat._split_form_cache == forms
+
+
+def test_biconditional_sweep_forgets_the_middle_objects(a2):
+    """After the bound-2 sweep no cached hom basis and no split-form entry
+    mentions an extension's middle object outside the swept set, and the
+    sweep still checks every one of its 1,462 extensions."""
+    cat, _ = a2
+    ecat = ConflCategory(cat)
+    middles = set()
+    real = ecat.enumerate_extensions
+
+    def recorded(z, x, cap=4096):
+        out = real(z, x, cap)
+        middles.update(ecat.dst(d.incl).key for d in out)
+        return out
+
+    ecat.enumerate_extensions = recorded
+    report = sweep_hom_exactness_biconditional(ecat, bound=2, test_bound=1)
+    assert report.passed and report.checked == 1462
+    outside = middles - {o.key for o in ecat.enumerate_objects(2)}
+    assert outside
+    assert not any(k in outside for ck in ecat._hom_cache for k in ck)
+    assert not outside & ecat._split_form_cache.keys()
