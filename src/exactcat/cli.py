@@ -431,13 +431,18 @@ def _task_default(doc: SpecDocument, command: str, key: str, fallback):
 
 
 def cmd_confl(doc: SpecDocument, args) -> dict:
-    ecat = ConflCategory(doc.cat)
     bound = args.bound if args.bound is not None else _task_default(doc, "confl", "bound", 1)
     test_bound = (
         args.test_bound
         if args.test_bound is not None
         else _task_default(doc, "confl", "test_bound", min(bound, 1))
     )
+    # below 1 the sweeps check only the zero object, or test against the
+    # zero conflation alone, and would pass having checked nothing
+    for name, value in (("bound", bound), ("test bound", test_bound)):
+        if value < 1:
+            raise EnumerationBound(f"confl: the {name} must be at least 1, got {value}", 1)
+    ecat = ConflCategory(doc.cat)
     harness_bound = _task_default(doc, "confl", "harness_bound", min(bound, 1))
     pct = verify_splitting_pseudo_cluster_tilting(ecat, bound=bound, test_bound=test_bound)
     bic = sweep_hom_exactness_biconditional(ecat, bound=bound, test_bound=test_bound)

@@ -19,7 +19,9 @@ theory on bounded enumerations.  One closed-form lift per side, built from
 degree sections (retractions) and checked on a whole hom basis at once,
 serves both the split-approximation sweep (canonical sections) and the
 hom-exactness biconditional (solved sections); self-orthogonality is
-decided by `approx.is_self_orthogonal`.
+decided by `approx.is_self_orthogonal`.  Both sweeps test a family of split
+objects a bounded group at a time, through the group's direct sum (see
+`SplitConflationSubcat.test_groups`).
 """
 from __future__ import annotations
 
@@ -51,6 +53,11 @@ from .repcat import Arrow, Quiver, RepCategory, RepMor, RepObj, check_squares, s
 
 
 DEGREES = (1, 2, 3)
+
+# the most total dimension one group of split test objects may have: a
+# family is tested through the direct sums of its groups, and one sum of a
+# whole family grows its dense hom rows quadratically
+TEST_GROUP_DIM = 16
 
 
 def _at(name: str, t: int) -> str:
@@ -455,6 +462,16 @@ def substructure_member(ecat: ConflCategory, dses: Conflation, tag: Substructure
 # the subcategory of split conflations, with explicit approximations
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SplitTestGroup:
+    """Consecutive members of a split test family and the canonical split
+    conflation on their summed end terms, which stands for all of them:
+    Hom(+ t_i, -) = + Hom(t_i, -) and Hom(-, + t_i) = + Hom(-, t_i)."""
+
+    sum: ConflObj
+    members: tuple
+
+
 @dataclass
 class SplitPrecover:
     p1: ConflObj
@@ -525,6 +542,7 @@ class SplitConflationSubcat(Subcategory):
         super().__init__(ecat, label)
         self._pre_cache: dict = {}
         self._env_cache: dict = {}
+        self._test_groups: dict = {}
 
     def _precover_data(self, x: ConflObj) -> SplitPrecover:
         hit = self._pre_cache.get(x.key)
@@ -600,6 +618,41 @@ class SplitConflationSubcat(Subcategory):
         out.sort(key=lambda o: (self.cat.obj_dim(o), o.key))
         return out
 
+    def test_groups(self, family: list[ConflObj]) -> list[SplitTestGroup]:
+        """The family's nonzero members, in order, packed greedily into groups
+        of total dimension at most TEST_GROUP_DIM (a larger member is a group
+        of its own), each with its canonical split sum; built once per family.
+
+        The zero conflation contributes no morphism, so it is in no group.  A
+        member that is not canonical split is a ValueError: the sum is built
+        from the end terms alone."""
+        ck = tuple(t.key for t in family)
+        hit = self._test_groups.get(ck)
+        if hit is None:
+            ecat = self.cat
+            packs, total = [], 0
+            for t in family:
+                _require_canonical_split(ecat, t)
+                dim = ecat.obj_dim(t)
+                if dim == 0:
+                    continue
+                if packs and total + dim <= TEST_GROUP_DIM:
+                    packs[-1].append(t)
+                    total += dim
+                else:
+                    packs.append([t])
+                    total = dim
+            hit = self._test_groups[ck] = [SplitTestGroup(self._split_sum(ms), tuple(ms)) for ms in packs]
+        return hit
+
+    def _split_sum(self, members: list[ConflObj]) -> ConflObj:
+        """The canonical split conflation on (+ first terms, + last terms),
+        one registered base sum per end; a lone member stands for itself."""
+        if len(members) == 1:
+            return members[0]
+        b = self.cat.base
+        return self.cat.split_obj(b.direct_sum([t.t1 for t in members])[0], b.direct_sum([t.t3 for t in members])[0])
+
 
 # ---------------------------------------------------------------------------
 # instance generators and theorem harnesses
@@ -659,30 +712,70 @@ def check_hom_exactness_matches_splitting(
 
     Returns (cov_exact, in_split0m1, contra_exact, in_split01) and raises
     VerificationError if either biconditional or a lift formula fails.  The
-    covariant test family always contains the split precover source of the
-    end term, which the converse direction needs, so the bounded decision is
-    complete; dually for the inflation.
+    test family (canonical split objects, by default those of the bound) is
+    tested a group at a time through the sums of `test_groups`: the rank of
+    g o - on Hom(+ t_i, Y) is the sum of the members' ranks, each at most
+    its dim Hom(t_i, Z), so the sum is hom-exact exactly when every member
+    is.  The covariant family always contains the split precover source of
+    the end term as well, which the converse direction needs, so the bounded
+    decision is complete; dually for the inflation.
     """
     sub = ecat.split_sub
     z_obj: ConflObj = ecat.dst(dses.defl)
     x_obj: ConflObj = ecat.src(dses.incl)
     if test_objects is None:
         test_objects = sub.sample_objects(bound)
-    cov_family = test_objects + [sub._precover_data(z_obj).p0]
-    contra_family = test_objects + [sub._preenvelope_data(x_obj).q0]
-    cov = all(hom_exact(ecat, dses, t, "covariant") for t in cov_family)
+    groups = sub.test_groups(test_objects)
+    cov = _hom_exact_by_group(ecat, dses, groups, "covariant") and hom_exact(
+        ecat, dses, sub._precover_data(z_obj).p0, "covariant"
+    )
     member_down = substructure_member(ecat, dses, SubstructureTag.SPLIT0M1)
-    contra = all(hom_exact(ecat, dses, t, "contravariant") for t in contra_family)
+    contra = _hom_exact_by_group(ecat, dses, groups, "contravariant") and hom_exact(
+        ecat, dses, sub._preenvelope_data(x_obj).q0, "contravariant"
+    )
     member_up = substructure_member(ecat, dses, SubstructureTag.SPLIT01)
     verify(cov == member_down, "covariant hom-exactness disagrees with degree (-1,0) splitting")
     verify(contra == member_up, "contravariant hom-exactness disagrees with degree (0,1) splitting")
     if member_down:
         s1, s2 = (ecat.degree_split(dses, d)[1] for d in (1, 2))
-        _verify_deflation_lift_formula(ecat, dses, test_objects, s1, s2)
+        _lift_formula_by_group(_verify_deflation_lift_formula, ecat, dses, groups, s1, s2)
     if member_up:
         r2, r3 = (ecat.degree_split(dses, d)[0] for d in (2, 3))
-        _verify_inflation_lift_formula(ecat, dses, test_objects, r2, r3)
+        _lift_formula_by_group(_verify_inflation_lift_formula, ecat, dses, groups, r2, r3)
     return cov, member_down, contra, member_up
+
+
+def _hom_exact_by_group(ecat: ConflCategory, dses: Conflation, groups: list[SplitTestGroup], side: str) -> bool:
+    """Is dses hom-exact against every member of every group?  One test per
+    group sum; a sum whose left-exactness check fails is re-tested member by
+    member, in order, as a test of the members alone would have gone."""
+    for g in groups:
+        try:
+            exact = hom_exact(ecat, dses, g.sum, side)
+        except VerificationError:
+            if all(hom_exact(ecat, dses, t, side) for t in g.members):
+                raise
+            exact = False
+        if not exact:
+            return False
+    return True
+
+
+def _lift_formula_by_group(
+    lift_formula, ecat: ConflCategory, dses: Conflation, groups: list[SplitTestGroup], m1, m2
+) -> int:
+    """lift_formula on each group sum in turn, returning the basis morphisms
+    lifted (Hom dimensions add, so the members' total).  A sum that fails is
+    re-checked member by member, in order, so the error raised is the first
+    failing member's, and the sum's own only if no member fails."""
+    count = 0
+    for g in groups:
+        try:
+            count += lift_formula(ecat, dses, [g.sum], m1, m2)
+        except VerificationError:
+            lift_formula(ecat, dses, g.members, m1, m2)
+            raise
+    return count
 
 
 def _require_canonical_split(ecat: ConflCategory, t_obj: ConflObj) -> None:
@@ -817,15 +910,19 @@ def verify_splitting_pseudo_cluster_tilting(
     precover (preenvelope) conflation is valid and lies in the expected
     substructure (checked when it is built), and every morphism from (to)
     every bounded split object factors through it.  Two independent paths
-    decide the factoring: one solve per (x, sample object) shows that a lift
-    exists, and the closed-form lift through the canonical sections
-    (1, (0;1)) of the precover deflation, dually the retractions ((1|0), 1)
-    of the preenvelope inflation, is re-verified on every hom basis.
+    decide the factoring: one solve per side and group of split objects
+    (`test_groups`: a morphism lifts from a sum exactly when its restriction
+    to each member does) shows that a lift exists, and the closed-form lift
+    through the canonical sections (1, (0;1)) of the precover deflation,
+    dually the retractions ((1|0), 1) of the preenvelope inflation, is
+    re-verified on every group sum's hom basis.  A group that fails either
+    check is re-checked member by member, in order, and its members'
+    failures are recorded.
     """
     b = ecat.base
     sub = ecat.split_sub
     test_bound = bound if test_bound is None else test_bound
-    samples = sub.sample_objects(test_bound)
+    groups = sub.test_groups(sub.sample_objects(test_bound))
     objs = ecat.enumerate_objects(bound)
     report = SplitPctReport(passed=True, objects_checked=len(objs), lift_tests=0)
     for x in objs:
@@ -835,16 +932,10 @@ def verify_splitting_pseudo_cluster_tilting(
         except VerificationError as exc:
             report.failures.append(str(exc))
             continue
-        for s in samples:
-            # every basis morphism at once: one solve per sample object
-            incoming = ecat.hom_basis(s, x)
-            through = ecat.compose_flat(pre.alpha, ecat.hom_basis(s, pre.p0), s, pre.p0)
-            if ff.solve_right(through, span_matrix(ecat, incoming, s, x)) is None:
-                report.failures.append(f"{x.label}: precover lift fails against {s.label}")
-            outgoing = ecat.hom_basis(x, s)
-            through = ecat.precompose_flat(ecat.hom_basis(env.q0, s), env.beta, env.q0, s)
-            if ff.solve_right(through, span_matrix(ecat, outgoing, x, s)) is None:
-                report.failures.append(f"{x.label}: preenvelope lift fails against {s.label}")
+        for g in groups:
+            failed = _lift_failures(ecat, x, pre, env, g.sum)
+            if failed:
+                report.failures += [m for t in g.members for m in _lift_failures(ecat, x, pre, env, t)] or failed
         x1, x2, x3 = x.terms()
         sides = (
             (_verify_deflation_lift_formula, pre.dses, b.identity(x1), ecat._pair(x1, x2)[1][1]),
@@ -852,11 +943,28 @@ def verify_splitting_pseudo_cluster_tilting(
         )
         for lift_formula, dses, m1, m2 in sides:
             try:
-                report.lift_tests += lift_formula(ecat, dses, samples, m1, m2)
+                report.lift_tests += _lift_formula_by_group(lift_formula, ecat, dses, groups, m1, m2)
             except VerificationError as exc:
                 report.failures.append(f"{x.label}: {exc}")
     report.passed = not report.failures
     return report
+
+
+def _lift_failures(
+    ecat: ConflCategory, x: ConflObj, pre: SplitPrecover, env: SplitPreenvelope, s: ConflObj
+) -> list[str]:
+    """Which of the two approximations of x some morphism from (to) s does
+    not factor through: every basis morphism at once, one solve per side."""
+    failed = []
+    incoming = ecat.hom_basis(s, x)
+    through = ecat.compose_flat(pre.alpha, ecat.hom_basis(s, pre.p0), s, pre.p0)
+    if ff.solve_right(through, span_matrix(ecat, incoming, s, x)) is None:
+        failed.append(f"{x.label}: precover lift fails against {s.label}")
+    outgoing = ecat.hom_basis(x, s)
+    through = ecat.precompose_flat(ecat.hom_basis(env.q0, s), env.beta, env.q0, s)
+    if ff.solve_right(through, span_matrix(ecat, outgoing, x, s)) is None:
+        failed.append(f"{x.label}: preenvelope lift fails against {s.label}")
+    return failed
 
 
 @dataclass

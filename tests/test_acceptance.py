@@ -165,7 +165,8 @@ def test_acceptance_4_split_approximations(a2):
     report = verify_splitting_pseudo_cluster_tilting(ecat, bound=2, test_bound=2)
     assert report.passed, report.failures[:3]
     assert report.objects_checked == 153
-    assert report.lift_tests > 10_000
+    # Hom dimensions add over each test group's sum, so grouping keeps the count
+    assert report.lift_tests == 80_528
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"budget exceeded: {elapsed:.1f}s"
     announce(4, "split approximations exhaustive", started)

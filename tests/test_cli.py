@@ -106,6 +106,34 @@ def test_classes_refused_bound_exit_two():
     assert payload["report"]["required"] >= 2
 
 
+@pytest.mark.parametrize(
+    "flags, task, message",
+    [
+        (["--bound", "0"], {}, "the bound must be at least 1, got 0"),
+        (["--test-bound", "0"], {}, "the test bound must be at least 1, got 0"),
+        ([], {"bound": 0}, "the bound must be at least 1, got 0"),
+        ([], {"test_bound": 0}, "the test bound must be at least 1, got 0"),
+    ],
+    ids=["bound-flag", "test-bound-flag", "spec-bound", "spec-test-bound"],
+)
+def test_confl_refuses_a_sweep_that_checks_nothing(tmp_path, flags, task, message):
+    """Bound 0 checks only the zero object and test bound 0 tests against
+    the zero conflation alone; from a flag or from the spec's confl task,
+    either is a refused-bound report (exit 2, required 1), not a pass."""
+    raw = json.loads(Path(A2).read_text())
+    for t in raw["tasks"]:
+        if t["command"] == "confl":
+            t.update(task)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    out = tmp_path / "report.json"
+    assert cli.main(["confl", str(spec), *flags, "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "refused-bound" and payload["exit_code"] == 2
+    assert payload["report"]["required"] == 1
+    assert payload["report"]["error"] == f"confl: {message}"
+
+
 def test_unknown_subcategory_fails():
     res = run_cli("quotient", A3, "--subcategory", "nope")
     assert res.returncode == 1
