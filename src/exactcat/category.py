@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -204,25 +203,6 @@ class Category(ABC):
             basis = HomBasis(self, x, y, _frozen(self._solve_hom_basis(x, y)))
         self._hom_cache[ck] = basis
         return basis
-
-    def cache_mark(self) -> int:
-        """The mark for `forget`: how many hom bases are cached now."""
-        return len(self._hom_cache)
-
-    def forget(self, x, since: int) -> None:
-        """Drop the hom bases with x at either end that were cached after
-        `since`, a `cache_mark()` taken when a check began: what that check
-        built for an object no later check reads.
-
-        The cache is insertion-ordered, so they are found by a reverse scan
-        of its tail, at the cost of the entries added since the mark.  Sum
-        registrations stay: they decide whether a recomputed basis comes
-        back summand-wise."""
-        key = self.obj_key(x)
-        cache = self._hom_cache
-        tail = islice(reversed(cache), max(len(cache) - since, 0))
-        for ck in [ck for ck in tail if key in ck]:
-            del cache[ck]
 
     @abstractmethod
     def _solve_hom_basis(self, x, y) -> np.ndarray:

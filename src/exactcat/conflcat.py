@@ -40,6 +40,7 @@ from .category import (
     Subcategory,
     VerificationError,
     compose_with_basis,
+    conflation_key,
     conflation_split,
     hom_exact,
     solve_postcompose,
@@ -260,6 +261,8 @@ class ConflCategory(RepCategory):
         super().__init__(quiver, base.p)
         self._split_form_cache: dict = {}
         self._pair_cache: dict = {}
+        # (degree component key, end key, side) -> hom-exact, see split_hom_exact
+        self._component_exact: dict = {}
         # the one subcategory of split conflations, shared by every harness
         self.split_sub = SplitConflationSubcat(self)
 
@@ -309,10 +312,6 @@ class ConflCategory(RepCategory):
             )
             self._split_form_cache[x.key] = hit
         return hit
-
-    def forget(self, x: ConflObj, since: int) -> None:
-        super().forget(x, since)
-        self._split_form_cache.pop(x.key, None)
 
     def _hom_from_split(self, s: ConflObj, y: ConflObj) -> np.ndarray:
         # a chain map out of a -> a(+)c -> c is freely determined by its
@@ -370,6 +369,28 @@ class ConflCategory(RepCategory):
 
     def degree_splits(self, c: Conflation, degree: int) -> bool:
         return self.degree_split(c, degree) is not None
+
+    def split_hom_exact(self, dses: Conflation, t: ConflObj, side: str) -> bool:
+        """Is dses Hom(t, -)- ('covariant') or Hom(-, t)-exact ('contravariant'),
+        for t canonical split, a -> a (+) c -> c?  Hom(t, Y) = Hom(a, Y1) (+)
+        Hom(c, Y2) naturally in Y (`_hom_from_split`), so g o - is block-
+        diagonal, its rank the sum of two base ranks: the base decides Hom(a, -)
+        on degree -1 and Hom(c, -) on degree 0; dually (`_hom_to_split`)
+        Hom(-, a) on degree 0 and Hom(-, c) on degree 1, each base decision
+        (with its left-exactness check) once per (component, end, side)."""
+        degrees = {"covariant": (1, 2), "contravariant": (2, 3)}.get(side)
+        if degrees is None:
+            raise ValueError(f"unknown side {side!r}")
+        _require_canonical_split(self, t)
+        for degree, end in zip(degrees, (t.t1, t.t3)):
+            comp = self.degree_component(dses, degree)
+            key = (conflation_key(self.base, comp), end.key, side)
+            hit = self._component_exact.get(key)
+            if hit is None:
+                hit = self._component_exact[key] = hom_exact(self.base, comp, end, side)
+            if not hit:
+                return False
+        return True
 
     # -- enumeration -----------------------------------------------------------
     def enumerate_objects(self, bound: int, cap: int = 100_000) -> list[ConflObj]:
@@ -595,9 +616,11 @@ class SplitConflationSubcat(Subcategory):
         return solve_precompose(self.cat, self.precover(f.dst), f) is not None
 
     def is_hom_exact(self, c: Conflation, side: str) -> bool:
-        # hom-exactness against all split conflations is equivalent to
-        # degree splitting; the equivalence is itself re-verified by the
-        # bounded-exhaustive checks in check_hom_exactness_matches_splitting
+        """Degree (-1, 0) splitting (covariant), degree (0, 1) splitting
+        (contravariant): against a split a -> a (+) c -> c, exactness is that
+        of two degree components against a and c (`split_hom_exact`), which
+        a split component has; the converse is re-verified, bounded-
+        exhaustively, by `check_hom_exactness_matches_splitting`."""
         self.cat.check_conflation(c)
         if side == "covariant":
             return substructure_member(self.cat, c, SubstructureTag.SPLIT0M1)
@@ -718,7 +741,9 @@ def check_hom_exactness_matches_splitting(
     its dim Hom(t_i, Z), so the sum is hom-exact exactly when every member
     is.  The covariant family always contains the split precover source of
     the end term as well, which the converse direction needs, so the bounded
-    decision is complete; dually for the inflation.
+    decision is complete; dually for the inflation.  The base decides each
+    test object on two degree components (`ConflCategory.split_hom_exact`);
+    the degree splittings, decided once, give memberships and lift sections.
     """
     sub = ecat.split_sub
     z_obj: ConflObj = ecat.dst(dses.defl)
@@ -726,22 +751,21 @@ def check_hom_exactness_matches_splitting(
     if test_objects is None:
         test_objects = sub.sample_objects(bound)
     groups = sub.test_groups(test_objects)
-    cov = _hom_exact_by_group(ecat, dses, groups, "covariant") and hom_exact(
-        ecat, dses, sub._precover_data(z_obj).p0, "covariant"
+    cov = _hom_exact_by_group(ecat, dses, groups, "covariant") and ecat.split_hom_exact(
+        dses, sub._precover_data(z_obj).p0, "covariant"
     )
-    member_down = substructure_member(ecat, dses, SubstructureTag.SPLIT0M1)
-    contra = _hom_exact_by_group(ecat, dses, groups, "contravariant") and hom_exact(
-        ecat, dses, sub._preenvelope_data(x_obj).q0, "contravariant"
+    contra = _hom_exact_by_group(ecat, dses, groups, "contravariant") and ecat.split_hom_exact(
+        dses, sub._preenvelope_data(x_obj).q0, "contravariant"
     )
-    member_up = substructure_member(ecat, dses, SubstructureTag.SPLIT01)
+    s1, s2, s3 = (ecat.degree_split(dses, d) for d in DEGREES)
+    member_down = s1 is not None and s2 is not None
+    member_up = s2 is not None and s3 is not None
     verify(cov == member_down, "covariant hom-exactness disagrees with degree (-1,0) splitting")
     verify(contra == member_up, "contravariant hom-exactness disagrees with degree (0,1) splitting")
     if member_down:
-        s1, s2 = (ecat.degree_split(dses, d)[1] for d in (1, 2))
-        _lift_formula_by_group(_verify_deflation_lift_formula, ecat, dses, groups, s1, s2)
+        _lift_formula_by_group(_verify_deflation_lift_formula, ecat, dses, groups, s1[1], s2[1])
     if member_up:
-        r2, r3 = (ecat.degree_split(dses, d)[0] for d in (2, 3))
-        _lift_formula_by_group(_verify_inflation_lift_formula, ecat, dses, groups, r2, r3)
+        _lift_formula_by_group(_verify_inflation_lift_formula, ecat, dses, groups, s2[0], s3[0])
     return cov, member_down, contra, member_up
 
 
@@ -751,9 +775,9 @@ def _hom_exact_by_group(ecat: ConflCategory, dses: Conflation, groups: list[Spli
     member, in order, as a test of the members alone would have gone."""
     for g in groups:
         try:
-            exact = hom_exact(ecat, dses, g.sum, side)
+            exact = ecat.split_hom_exact(dses, g.sum, side)
         except VerificationError:
-            if all(hom_exact(ecat, dses, t, side) for t in g.members):
+            if all(ecat.split_hom_exact(dses, t, side) for t in g.members):
                 raise
             exact = False
         if not exact:
@@ -779,10 +803,10 @@ def _lift_formula_by_group(
 
 
 def _require_canonical_split(ecat: ConflCategory, t_obj: ConflObj) -> None:
-    """The lift formulas hold for canonical split test objects only; any
-    other would silently lose its lift checks."""
+    """The lift formulas and the split-end exactness test hold for canonical
+    split test objects only; any other would silently get wrong checks."""
     if not ecat._is_canonical_split_obj(t_obj):
-        raise ValueError(f"lift formula test object {t_obj.label} is not a canonical split conflation")
+        raise ValueError(f"test object {t_obj.label} is not a canonical split conflation")
 
 
 def _verify_deflation_lift_formula(ecat: ConflCategory, dses: Conflation, test_objects, s1: RepMor, s2: RepMor) -> int:
@@ -1079,30 +1103,22 @@ def sweep_hom_exactness_biconditional(
     """Run the hom-exactness/degree-splitting biconditional over every
     enumerated degreewise conflation with vertex dims <= bound.
 
-    What one check caches for an extension's middle object is forgotten
-    after it, so memory stays that of one check whatever the number of
-    extensions; a middle that is (key-equal to) a swept object is kept, as
-    later checks read it again as an end term."""
+    A check caches no conflation hom basis of an extension's middle: the base
+    decides hom-exactness on degree components, and the lift formulas read
+    only the end terms' hom-spaces, so memory does not grow with extensions."""
     sub = ecat.split_sub
     objs = ecat.enumerate_objects(bound)
-    swept = {o.key for o in objs}
     test_objects = sub.sample_objects(test_bound)
     report = BiconditionalReport(passed=True, checked=0)
     for z in objs:
         for x in objs:
-            if any(
-                x.t2.dims[v] + z.t2.dims[v] > bound for v in ecat.base.quiver.vertices
-            ):
+            if any(x.t2.dims[v] + z.t2.dims[v] > bound for v in ecat.base.quiver.vertices):
                 continue
             for d in ecat.enumerate_extensions(z, x, cap):
-                mark = ecat.cache_mark()
                 try:
                     check_hom_exactness_matches_splitting(ecat, d, test_objects=test_objects)
                 except VerificationError as exc:
                     report.failures.append(f"{x.label} -> {z.label}: {exc}")
                 report.checked += 1
-                y = ecat.dst(d.incl)
-                if y.key not in swept:
-                    ecat.forget(y, mark)
     report.passed = not report.failures
     return report

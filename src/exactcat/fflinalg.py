@@ -603,18 +603,19 @@ class BlockMaps:
         """Where the coordinates of a flat map x -> s (into) or s -> x land in
         the flat map x -> total (resp. total -> x) composed with the canonical
         injection (projection) of the summand s of total that starts at
-        before: rows, resp. columns, before_i onwards of every block i."""
+        before: rows, resp. columns, before_i onwards of every block i.
+
+        Runs (start, length), one per block (per row of a block), written out
+        by Python ranges: most are a few entries long, and often uncached."""
         key = (x, s, total, before, into)
         hit = self._positions.get(key)
         if hit is None:
-            parts = [np.zeros(0, dtype=np.int64)]
             if into:
-                for (o, _, c), s_i, b_i in zip(self.layout(x, total)[0], s, before):
-                    parts.append(o + b_i * c + np.arange(s_i * c))
+                runs = [(o + b_i * c, s_i * c) for (o, _, c), s_i, b_i in zip(self.layout(x, total)[0], s, before)]
             else:
-                for (o, r, c), s_i, b_i in zip(self.layout(total, x)[0], s, before):
-                    parts.append((o + b_i + np.arange(r)[:, None] * c + np.arange(s_i)[None, :]).reshape(-1))
-            hit = self._positions[key] = np.concatenate(parts)
+                blocks = self.layout(total, x)[0]
+                runs = [(o + b_i + i * c, s_i) for (o, r, c), s_i, b_i in zip(blocks, s, before) for i in range(r)]
+            hit = self._positions[key] = np.array([k for a, n in runs for k in range(a, a + n)], dtype=np.int64)
         return hit
 
     def corner_positions(self, s: tuple, t: tuple, src: tuple, dst: tuple, s_at: tuple, t_at: tuple) -> np.ndarray:

@@ -13,8 +13,8 @@ relations inherits the whole host: the category of conflations
 (`conflcat.ConflCategory`) is the representations of Q x A3 whose rows are
 exact.  Extensions are enumerated as glue blocks on the split coordinates:
 `_glue_system` declares one block per arrow, a bound quiver adds one
-equation per relation, and `_glued_extensions` builds and checks one
-conflation per solution.
+equation per relation, and `_glued_extensions` builds one conflation per
+solution, checking each middle and the pair's maps once.
 """
 from __future__ import annotations
 
@@ -403,8 +403,11 @@ class RepCategory(Category):
         return system
 
     def _glued_extensions(self, system: ff.BlockSystem, z: RepObj, x: RepObj, cap: int) -> list[Conflation]:
-        """One checked conflation x -> Y -> z per solution of the glue system,
-        in the order of the coefficient tuples on its kernel basis."""
+        """One conflation x -> Y -> z per solution of the glue system, in the
+        order of the coefficient tuples on its kernel basis.  Each middle and
+        its squares are checked; its canonical maps are the pair's vectors
+        (`BlockMaps.summand_maps`), all that `check_conflation` reads besides
+        the dims, so the pair is checked as a conflation once, on the first."""
         null = system.kernel()
         count = self.p**null.cols
         if count > cap:
@@ -413,7 +416,7 @@ class RepCategory(Category):
         for coeffs in product(range(self.p), repeat=null.cols):
             vec = null.a @ np.array(coeffs, dtype=np.int64) % self.p
             _, inc, prj = self.glued_middle(x, z, system.blocks(vec))
-            out.append(self.conflation(inc, prj))
+            out.append(Conflation(inc, prj) if out else self.conflation(inc, prj))
         return out
 
     def enumerate_objects(self, max_dim: int, cap: int = 100_000) -> list[RepObj]:

@@ -34,7 +34,7 @@ from exactcat.conflcat import (
     verify_splitting_pseudo_cluster_tilting,
 )
 from exactcat.fflinalg import FpMatrix
-from exactcat.repcat import RepMor
+from exactcat.repcat import RepCategory, RepMor
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "exactcat" / "fixtures"
 
@@ -422,45 +422,15 @@ def test_lift_formulas_refuse_a_test_object_that_is_not_canonical_split(econf):
         _verify_inflation_lift_formula(ecat, env.dses, tests, ecat._pair(x2, x3)[2][0], b.identity(x3))
 
 
-# -- forgetting what one check cached --------------------------------------------------
+# -- what the biconditional sweep keeps -------------------------------------------------
 
-def test_forget_drops_only_the_entries_since_the_mark_at_the_object(a2):
-    """forget(x, mark) drops exactly the hom bases cached after the mark with
-    x at an end, and x's split-form entry; a recomputed basis is byte-equal,
-    sum registrations stay, and an object without entries changes nothing."""
-    cat, o = a2
-    ecat = ConflCategory(cat)
-    x = ecat.make_obj(
-        cat.conflation(cat.hom_basis(o["S2"], o["P1"])[0], cat.hom_basis(o["P1"], o["S1"])[0]), name="X"
-    )
-    t, u = ecat.split_obj(o["S2"], o["S1"]), ecat.split_obj(o["S1"], cat.zero_obj())
-    ecat.hom_basis(t, x)  # before the mark: kept
-    ecat.direct_sum([x, t])
-    registry = dict(ecat._sum_registry)
-    mark = ecat.cache_mark()
-    before = list(ecat._hom_cache)
-    dropped = [(a, b, ecat.hom_basis(a, b)) for a, b in ((x, u), (u, x), (x, x))]
-    kept = ecat.hom_basis(t, u)
-    assert x.key in ecat._split_form_cache
-
-    ecat.forget(x, mark)
-    assert list(ecat._hom_cache) == before + [(t.key, u.key)]
-    assert ecat._hom_cache[(t.key, u.key)] is kept
-    assert x.key not in ecat._split_form_cache
-    assert ecat._sum_registry == registry
-    for src, dst, old in dropped:
-        new = ecat.hom_basis(src, dst)
-        assert new is not old and new.rows.tobytes() == old.rows.tobytes()
-
-    cached, forms = list(ecat._hom_cache), dict(ecat._split_form_cache)
-    ecat.forget(ecat.split_obj(o["P1"], o["S2"]), mark)
-    assert list(ecat._hom_cache) == cached and ecat._split_form_cache == forms
-
-
-def test_biconditional_sweep_forgets_the_middle_objects(a2):
-    """After the bound-2 sweep no cached hom basis and no split-form entry
-    mentions an extension's middle object outside the swept set, and the
-    sweep still checks every one of its 1,462 extensions."""
+def test_biconditional_sweep_caches_no_middle_hom_basis(a2):
+    """After the bound-2 sweep no cached conflation hom basis and no
+    split-form entry has an extension's middle object outside the swept set
+    at either end: hom-exactness is decided on the base, and the lift
+    formulas read the end terms only, so every cached basis is between a
+    test group's sum and a swept object.  The sweep checks all 1,462
+    extensions, and some middle is outside the swept set."""
     cat, _ = a2
     ecat = ConflCategory(cat)
     middles = set()
@@ -474,7 +444,54 @@ def test_biconditional_sweep_forgets_the_middle_objects(a2):
     ecat.enumerate_extensions = recorded
     report = sweep_hom_exactness_biconditional(ecat, bound=2, test_bound=1)
     assert report.passed and report.checked == 1462
-    outside = middles - {o.key for o in ecat.enumerate_objects(2)}
+    swept = {o.key for o in ecat.enumerate_objects(2)}
+    outside = middles - swept
     assert outside
     assert not any(k in outside for ck in ecat._hom_cache for k in ck)
     assert not outside & ecat._split_form_cache.keys()
+    sums = {g.sum.key for g in ecat.split_sub.test_groups(ecat.split_sub.sample_objects(1))}
+    assert ecat._hom_cache
+    assert all((a in sums and b in swept) or (a in swept and b in sums) for a, b in ecat._hom_cache)
+
+
+# -- extensions of a pair: one conflation check --------------------------------------
+
+@pytest.mark.parametrize("host", ["base", "conflations"])
+def test_extensions_of_a_pair_carry_the_one_checked_pair_of_maps(a2, monkeypatch, host):
+    """Each pair's extensions are checked as conflations once: every one
+    carries the inclusion and projection bytes of the checked conflation,
+    over its own middle.  A broken canonical projection then fails the whole
+    pair, not one extension of it."""
+    cat, _ = a2
+    c = cat if host == "base" else ConflCategory(cat)
+    objs = c.enumerate_objects(1)
+    kind = type(c)
+    checked = []
+    real = kind.check_conflation
+    monkeypatch.setattr(kind, "check_conflation", lambda self, conf: checked.append(conf) or real(self, conf))
+    several = []
+    for z in objs:
+        for x in objs:
+            checked.clear()
+            exts = c.enumerate_extensions(z, x)
+            assert len(checked) == 1
+            first = checked[0]
+            assert len({c.dst(d.incl).key for d in exts}) == len(exts)
+            for d in exts:
+                assert d.incl.vec.tobytes() == first.incl.vec.tobytes()
+                assert d.defl.vec.tobytes() == first.defl.vec.tobytes()
+                assert c.dst(d.incl) is c.src(d.defl)
+            if len(exts) > 1:
+                several.append((z, x))
+    assert several
+
+    real_maps = RepCategory.summand_maps
+
+    def zero_projection(self, x, total, before):
+        inj, _ = real_maps(self, x, total, before)
+        return inj, self.zero_mor(total, x)
+
+    monkeypatch.setattr(RepCategory, "summand_maps", zero_projection)
+    for z, x in several:
+        with pytest.raises(ValueError, match="not vertex-wise surjective"):
+            c.enumerate_extensions(z, x)

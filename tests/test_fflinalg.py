@@ -594,3 +594,40 @@ def test_quotient_space_matches_two_elimination_oracle(m):
     proj, lift = ff.quotient_space(m.p, m.rows, m)
     proj_o, lift_o = _quotient_space_two_eliminations(m.p, m.rows, m)
     assert np.array_equal(proj.a, proj_o) and np.array_equal(lift.a, lift_o)
+
+
+# -- summand positions, against the per-block numpy build they replaced -------------
+
+def numpy_summand_positions(blocks, x, s, total, before, into):
+    """BlockMaps.summand_positions as it was: one np.arange per block, or an
+    outer sum per block, concatenated."""
+    parts = [np.zeros(0, dtype=np.int64)]
+    if into:
+        for (o, _, c), s_i, b_i in zip(blocks.layout(x, total)[0], s, before):
+            parts.append(o + b_i * c + np.arange(s_i * c))
+    else:
+        for (o, r, c), s_i, b_i in zip(blocks.layout(total, x)[0], s, before):
+            parts.append((o + b_i + np.arange(r)[:, None] * c + np.arange(s_i)[None, :]).reshape(-1))
+    return np.concatenate(parts)
+
+
+@st.composite
+def summand_in_sum(draw):
+    """(x, s, total, before): dims tuples of r blocks, with the summand s of
+    total starting at before in every block."""
+    r = draw(st.integers(0, 5))
+    dims = st.lists(st.integers(0, 4), min_size=r, max_size=r)
+    x, s, before, after = (tuple(draw(dims)) for _ in range(4))
+    total = tuple(b + d + a for b, d, a in zip(before, s, after))
+    return x, s, total, before
+
+
+@given(summand_in_sum(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_summand_positions_match_the_numpy_build(args, into):
+    blocks = ff.BlockMaps()
+    got = blocks.summand_positions(*args, into)
+    want = numpy_summand_positions(blocks, *args, into)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert blocks.summand_positions(*args, into) is got

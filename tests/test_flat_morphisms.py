@@ -273,6 +273,27 @@ conflcat.ConflCategory.degree_split = wrong_section
         "hom_exactness_biconditional",
         "deflation lift formula",
     ),
+    # the base's Hom(t, -) left-exactness count, off by one in every degree
+    # component decision the biconditional makes against a split end
+    "component-left-exactness": (
+        """
+from exactcat.category import verify
+real = conflcat.hom_exact
+
+def miscounted(cat, c, t, side):
+    if side != "covariant":
+        return real(cat, c, t, side)
+    a, b, z = c.terms(cat)
+    dom = cat.hom_basis(t, b)
+    rank = cat.compose_flat(c.defl, dom, t, b).rank()
+    verify(len(cat.hom_basis(t, a)) + 1 == len(dom) - rank, "hom_exact: Hom(t, -) is not left exact on c")
+    return rank == len(cat.hom_basis(t, z))
+
+conflcat.hom_exact = miscounted
+""",
+        "hom_exactness_biconditional",
+        "is not left exact",
+    ),
     # a zeroed middle section handed to the deflation lift formula
     "lift-canonical-section": (
         """

@@ -16,7 +16,7 @@ import pytest
 
 from exactcat import conflcat
 from exactcat import fflinalg as ff
-from exactcat.category import VerificationError, hom_exact, span_matrix, verify
+from exactcat.category import VerificationError, conflation_key, hom_exact, span_matrix, verify
 from exactcat.conflcat import (
     TEST_GROUP_DIM,
     ConflCategory,
@@ -241,46 +241,60 @@ def test_groups_refuse_a_member_that_is_not_canonical_split(a2):
         ecat.split_sub.test_groups(ecat.split_sub.sample_objects(1) + [x])
 
 
-def test_one_check_makes_at_most_two_hom_exact_calls_per_group(a2, monkeypatch):
-    """One hom-exactness test per group and side, plus the end term's own
-    split approximation: at most 2 (groups + 1) calls per check."""
+def test_each_component_decision_is_made_once_and_only_on_the_base(a2, monkeypatch):
+    """Exactness against a split test object is decided on degree components
+    by the base: a sweep makes no conflation-level hom_exact call, decides
+    each (component, end, side) at most once per category, and a second
+    sweep on the same category decides nothing anew."""
     ecat = ConflCategory(a2[0])
-    groups = ecat.split_sub.test_groups(ecat.split_sub.sample_objects(1))
     calls = []
     real = conflcat.hom_exact
     monkeypatch.setattr(conflcat, "hom_exact", lambda *args: calls.append(args) or real(*args))
-    objs = ecat.enumerate_objects(1)
-    checked = 0
-    for z in objs:
-        for x in objs:
-            for d in ecat.enumerate_extensions(z, x):
-                calls.clear()
-                check_hom_exactness_matches_splitting(ecat, d)
-                assert 0 < len(calls) <= 2 * (len(groups) + 1)
-                checked += 1
-    assert checked > 0
+    report = sweep_hom_exactness_biconditional(ecat, bound=2, test_bound=1)
+    assert report.passed and report.checked == 1462
+    assert calls and all(cat is ecat.base for cat, _, _, _ in calls)
+    keys = [(conflation_key(ecat.base, c), t.key, side) for _, c, t, side in calls]
+    assert len(set(keys)) == len(keys) == len(ecat._component_exact)
+    assert {side for *_, side in keys} == {"covariant", "contravariant"}
+    calls.clear()
+    assert sweep_hom_exactness_biconditional(ecat, bound=2, test_bound=1) == report
+    assert not calls
 
 
 def test_a_sum_failing_its_left_exactness_check_is_retested_per_member(a2, monkeypatch):
-    """hom_exact's left-exactness check names no test object.  When it fails
-    on a group sum the members decide, in order: a member that is not
+    """The base's left-exactness check names no test object.  When it fails
+    on a group sum's end the members decide, in order: a member that is not
     hom-exact before any failing one is the verdict, as a per-member test
     would have stopped there; members that all pass leave the sum's error."""
     ecat = ConflCategory(a2[0])
     groups = ecat.split_sub.test_groups(ecat.split_sub.sample_objects(1))
     assert all(len(g.members) > 1 for g in groups)
-    sums = {g.sum.key for g in groups}
-    dses = conflcat.nonsplit_with_split_ends(ecat)
+    members = groups[0].members
+    # the end term of the sum that no member has: its base decision fails
+    sum_end = groups[0].sum.t3.key
+    assert sum_end not in {e.key for t in members for e in (t.t1, t.t3)}
 
-    def fake(not_exact):
-        def he(ecat, dses, t, side):
-            if t.key in sums:
+    def run(not_exact):
+        ecat = ConflCategory(a2[0])
+        dses = conflcat.nonsplit_with_split_ends(ecat)
+
+        def he(cat, comp, end, side):
+            assert cat is ecat.base
+            if end.key == sum_end:
                 raise VerificationError("sum not left exact")
-            return t.key not in not_exact
-        return he
+            return end.key not in not_exact
 
-    monkeypatch.setattr(conflcat, "hom_exact", fake({groups[0].members[1].key}))
-    assert conflcat._hom_exact_by_group(ecat, dses, groups, "covariant") is False
-    monkeypatch.setattr(conflcat, "hom_exact", fake(set()))
+        monkeypatch.setattr(conflcat, "hom_exact", he)
+        tested = []
+        real = ecat.split_hom_exact
+        ecat.split_hom_exact = lambda c, t, side: tested.append(t) or real(c, t, side)
+        try:
+            return conflcat._hom_exact_by_group(ecat, dses, groups, "covariant")
+        finally:
+            assert tested[0] is groups[0].sum and tested[1:] == list(members[: len(tested) - 1])
+
+    # the second member's degree 0 decision, against its end S1, fails; the first has no end S1
+    assert members[1].t3.key not in {members[0].t1.key, members[0].t3.key}
+    assert run({members[1].t3.key}) is False
     with pytest.raises(VerificationError, match="sum not left exact"):
-        conflcat._hom_exact_by_group(ecat, dses, groups, "covariant")
+        run(set())
