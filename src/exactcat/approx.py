@@ -87,7 +87,7 @@ class AddSubcat(Subcategory):
         J. Algebra 1980).  Its source is never larger than the evaluation
         of the whole hom bases.
         """
-        ck = self.cat.obj_key(x)
+        ck = x.key
         cached = self._precover_cache.get(ck)
         if cached is not None:
             return cached
@@ -124,7 +124,7 @@ class AddSubcat(Subcategory):
 
     def preenvelope(self, x):
         """Canonical coevaluation: one generator copy per Hom(x, G_i) basis element."""
-        ck = self.cat.obj_key(x)
+        ck = x.key
         cached = self._preenvelope_cache.get(ck)
         if cached is not None:
             return cached
@@ -153,16 +153,16 @@ class AddSubcat(Subcategory):
         cat = self.cat
         from .category import solve_precompose
 
-        beta = self.precover(cat.dst(f))
+        beta = self.precover(f.dst)
         right = solve_precompose(cat, beta, f)
         if right is None:
             return None
-        return IdealWitness(cat.src(beta), beta, right)
+        return IdealWitness(beta.src, beta, right)
 
     def ideal_basis(self, x, y) -> list:
         """Basis of the morphisms x -> y factoring through add(G)."""
         cat = self.cat
-        ck = (cat.obj_key(x), cat.obj_key(y))
+        ck = (x.key, y.key)
         cached = self._ideal_cache.get(ck)
         if cached is not None:
             return cached
@@ -178,12 +178,12 @@ class AddSubcat(Subcategory):
         """x in add(G), i.e. the precover of x is a split deflation (id_x
         factors through add(G) iff through the precover); decided once per
         object."""
-        if self.cat.is_zero_obj(x):
+        if x.total_dim == 0:
             return True
         from .category import solve_precompose
 
         cat = self.cat
-        ck = cat.obj_key(x)
+        ck = x.key
         hit = self._contains_cache.get(ck)
         if hit is None:
             hit = self._contains_cache[ck] = solve_precompose(cat, self.precover(x), cat.identity(x)) is not None
@@ -193,7 +193,7 @@ class AddSubcat(Subcategory):
         from .category import solve_precompose
 
         cat = self.cat
-        return solve_precompose(cat, self.precover(cat.dst(f)), f) is not None
+        return solve_precompose(cat, self.precover(f.dst), f) is not None
 
     def precover_conflation(self, x) -> tuple[Optional[Conflation], Optional[str]]:
         """0 -> K -> G^n -> x -> 0 with K in add(G), when it exists.
@@ -208,18 +208,18 @@ class AddSubcat(Subcategory):
         ker b' does: testing the kernel of beta decides the condition,
         whichever generating set was picked.
         """
-        ck = self.cat.obj_key(x)
+        ck = x.key
         if ck in self._down_cache:
             return self._down_cache[ck]
         cat = self.cat
         beta = self.precover(x)
         result: tuple[Optional[Conflation], Optional[str]]
         if not cat.is_deflation(beta):
-            result = (None, f"canonical precover of {cat.obj_label(x)} is not a deflation")
+            result = (None, f"canonical precover of {x.label} is not a deflation")
         else:
             k_obj, k_mor = cat.kernel(beta)
             if not self.contains(k_obj):
-                result = (None, f"kernel of the canonical precover of {cat.obj_label(x)} is not in add({self.label})")
+                result = (None, f"kernel of the canonical precover of {x.label} is not in add({self.label})")
             else:
                 result = (Conflation(k_mor, beta), None)
         self._down_cache[ck] = result
@@ -227,18 +227,18 @@ class AddSubcat(Subcategory):
 
     def preenvelope_conflation(self, x) -> tuple[Optional[Conflation], Optional[str]]:
         """0 -> x -> G^m -> C -> 0 with C in add(G), when it exists."""
-        ck = self.cat.obj_key(x)
+        ck = x.key
         if ck in self._up_cache:
             return self._up_cache[ck]
         cat = self.cat
         alpha = self.preenvelope(x)
         result: tuple[Optional[Conflation], Optional[str]]
         if not cat.is_inflation(alpha):
-            result = (None, f"canonical preenvelope of {cat.obj_label(x)} is not an inflation")
+            result = (None, f"canonical preenvelope of {x.label} is not an inflation")
         else:
             c_obj, c_mor = cat.cokernel(alpha)
             if not self.contains(c_obj):
-                result = (None, f"cokernel of the canonical preenvelope of {cat.obj_label(x)} is not in add({self.label})")
+                result = (None, f"cokernel of the canonical preenvelope of {x.label} is not in add({self.label})")
             else:
                 result = (Conflation(alpha, c_mor), None)
         self._up_cache[ck] = result
@@ -247,7 +247,7 @@ class AddSubcat(Subcategory):
     def is_hom_exact(self, c: Conflation, side: str) -> bool:
         # testing against the generator sum covers every object of add(G);
         # each conflation is decided once per side
-        key = (conflation_key(self.cat, c), side)
+        key = (conflation_key(c), side)
         hit = self._hom_exact_cache.get(key)
         if hit is None:
             self.cat.check_conflation(c)
@@ -274,28 +274,27 @@ class AddSubcat(Subcategory):
         hit = self._block_plans.get(extra_dim_cap)
         if hit is None:
             cat, gens = self.cat, self.generators
-            zero = cat.dim_profile(cat.zero_obj())
-            multisets = generator_multisets([cat.obj_dim(g) for g in gens], extra_dim_cap)
+            zero = cat.zero_obj().dimv
+            multisets = generator_multisets([g.total_dim for g in gens], extra_dim_cap)
             # dimension profiles are additive over direct sums
-            profile = {ms: tuple(map(sum, zip(zero, *(cat.dim_profile(gens[i]) for i in ms)))) for ms in multisets}
+            profile = {ms: tuple(map(sum, zip(zero, *(gens[i].dimv for i in ms)))) for ms in multisets}
             by_profile: dict = {}
             for ms in multisets:
                 by_profile.setdefault(profile[ms], []).append(ms)
-            order = sorted(multisets, key=lambda ms: (sum(cat.obj_dim(gens[i]) for i in ms), ms))
+            order = sorted(multisets, key=lambda ms: (sum(gens[i].total_dim for i in ms), ms))
             hit = self._block_plans[extra_dim_cap] = ([(ms, profile[ms]) for ms in order], by_profile)
         return hit
 
     def sample_objects(self, bound: int) -> list:
         """Multiset sums of generators with total dimension <= bound."""
-        cat = self.cat
-        out = [self.multiset_sum(ms) for ms in generator_multisets([cat.obj_dim(g) for g in self.generators], bound)]
+        out = [self.multiset_sum(ms) for ms in generator_multisets([g.total_dim for g in self.generators], bound)]
         seen, uniq = set(), []
         for o in out:
-            k = cat.obj_key(o)
+            k = o.key
             if k not in seen:
                 seen.add(k)
                 uniq.append(o)
-        uniq.sort(key=lambda o: (cat.obj_dim(o), cat.obj_key(o)))
+        uniq.sort(key=lambda o: (o.total_dim, o.key))
         return uniq
 
 
@@ -328,12 +327,12 @@ def extend_to_inflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
     canonical injection Y -> Y (+) Q.
     """
     cat = sub.cat
-    x, y = cat.src(f), cat.dst(f)
+    x, y = f.src, f.dst
     up, reason = sub.preenvelope_conflation(x)
     if up is None:
-        raise ConditionError("preenvelope-conflation", cat.obj_label(x), reason or "")
+        raise ConditionError("preenvelope-conflation", x.label, reason or "")
     alpha = up.incl
-    q0 = cat.dst(alpha)
+    q0 = alpha.dst
     _, (iy, iq), _ = cat.direct_sum([y, q0])
     m = cat.add(cat.compose(iy, f), cat.neg(cat.compose(iq, alpha)))
     verify(cat.is_inflation(m), "extend_to_inflation: (f; -preenvelope) is not an inflation")
@@ -347,12 +346,12 @@ def extend_to_inflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
 def extend_to_deflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
     """Conflation 0 -> K -> Y (+) P -> Z -> 0 around f: Y -> Z, Hom(sub,-)-exact."""
     cat = sub.cat
-    y, z = cat.src(f), cat.dst(f)
+    y, z = f.src, f.dst
     down, reason = sub.precover_conflation(z)
     if down is None:
-        raise ConditionError("precover-conflation", cat.obj_label(z), reason or "")
+        raise ConditionError("precover-conflation", z.label, reason or "")
     beta = down.defl
-    p0 = cat.src(beta)
+    p0 = beta.src
     _, (iy, ip), (py, pp) = cat.direct_sum([y, p0])
     d = cat.add(cat.compose(f, py), cat.compose(beta, pp))
     verify(cat.is_deflation(d), "extend_to_deflation: (f | precover) is not a deflation")
@@ -384,10 +383,9 @@ def is_pseudo_cluster_tilting(sub: Subcategory, testset: Sequence) -> ConditionR
     The verdict is testset-relative: the host category has infinitely many
     objects, so this is evidence at the stated bound, not a universal claim.
     """
-    cat = sub.cat
     report = ConditionReport(sub_label=sub.label, passed=True)
     for x in testset:
-        lab = cat.obj_label(x)
+        lab = x.label
         report.testset_labels.append(lab)
         down, down_reason = sub.precover_conflation(x)
         up, up_reason = sub.preenvelope_conflation(x)
@@ -414,7 +412,7 @@ def is_self_orthogonal(sub: Subcategory, conflations: Sequence[Conflation]) -> O
     cat = sub.cat
     checked = 0
     for c in conflations:
-        a, _, z = c.terms(cat)
+        a, _, z = c.terms()
         if not (sub.contains(a) and sub.contains(z)):
             continue
         checked += 1

@@ -1,33 +1,27 @@
-"""Generic additive-category contract of the host category.
+"""The base class of the one host category, and linear algebra over hom-spaces.
 
-The quotient, approximation and conflation-class machinery only ever talks
-to a host category through this interface.  There is one host,
-`repcat.RepCategory`, the representations of a quiver; the category of
-conflations is the same host on the quiver Q x A3 with relations
-(`conflcat.ConflCategory`), so the same code runs unchanged on quiver
-representations and on conflations of them.
+The host is `repcat.RepCategory`, the representations of a quiver over F_p;
+the category of conflations is the same host on Q x A3 with relations
+(`conflcat.ConflCategory`), so the quotient, approximation and class
+machinery runs unchanged on both.  Its base class `Category` holds the hom
+cache, the flat-vector morphism arithmetic and the limits built from
+kernels and cokernels: pullback, pushout and image, on the canonical
+biproducts of `stack`/`costack`.
 
-A host stores a morphism as its coordinate vector: `flatten` is the
-storage, not a conversion.  An object has a dims tuple (`dimv`, its
-`dim_profile`), and a morphism f: x -> y is a block-diagonal map between
-them, kept as one read-only int64 vector `f.vec` holding its blocks
-y_i x x_i row-major one after another (`fflinalg.BlockMaps`): the vertex
-blocks of a representation map, the degree-then-vertex blocks of a chain
-map.  So composition, sums, multiples, linear combinations and equality
-are a few array operations here; a host supplies its
-objects, its trusted morphism constructor `_mor` and the exact structure.
-Every factorization/exactness question is then F_p linear algebra on these
-vectors.
+Objects and morphisms are read by their attributes: `x.key`, `x.label`,
+`x.dimv` (dims tuple), `x.total_dim`; `f.src`, `f.dst` and the coordinate
+vector `f.vec`, one read-only int64 vector holding the blocks y_i x x_i of
+f: x -> y row-major one after another (`fflinalg.BlockMaps`), vertex blocks
+for a representation map, degree-then-vertex blocks for a chain map.  So
+composition, sums, multiples, linear combinations and equality are a few
+array operations, and every factorization/exactness question is F_p
+linear algebra on these vectors.
 
 A hom-space into or out of a registered direct sum is kept summand-wise
 (`HomBasis`): its basis is the bases of the summands' hom-spaces with where
 each summand starts, and compose_flat, precompose_flat and combine work
 through these parts, so the dense basis of, say, Hom(K, G^n) for a precover
 G^n is never built unless a caller asks for its rows.
-
-Of the limits and colimits, a host writes only `kernel` and `cokernel`;
-pullback, pushout and image are built here from them, on the canonical
-biproducts of `stack`/`costack`.
 """
 from __future__ import annotations
 
@@ -66,8 +60,8 @@ class Conflation:
     incl: Any
     defl: Any
 
-    def terms(self, cat: "Category"):
-        return cat.src(self.incl), cat.dst(self.incl), cat.dst(self.defl)
+    def terms(self):
+        return self.incl.src, self.incl.dst, self.defl.dst
 
 
 class HomBasis(Sequence):
@@ -153,15 +147,15 @@ class HomBasis(Sequence):
 FLAT_CHUNK = 256
 
 
-class Category(ABC):
-    """Host-category operations used by the generic machinery.
+class Category:
+    """The base class of `repcat.RepCategory`, which supplies `_mor`,
+    `_solve_hom_basis`, `direct_sum`, `kernel` and `cokernel`.
 
-    Hom-space solving is delegated to `_solve_hom_basis`; the base class
-    caches results and keeps hom-spaces of registered direct sums
-    summand-wise (see `HomBasis`), which keeps both the linear systems and
-    the stored bases small when approximation constructions build large
-    biproducts.  Morphism arithmetic works on the flat vectors (see the
-    module docstring), with the composition plans of `self.blocks`.
+    The base class caches the hom solves and keeps hom-spaces of registered
+    direct sums summand-wise (see `HomBasis`), which keeps both the linear
+    systems and the stored bases small when approximation constructions
+    build large biproducts.  Morphism arithmetic works on the flat vectors
+    (see the module docstring), with the composition plans of `self.blocks`.
     """
 
     p: int
@@ -173,21 +167,16 @@ class Category(ABC):
         # conflation key -> split witnesses or None, see conflation_split
         self._split_witnesses: dict = {}
 
-    @staticmethod
-    @abstractmethod
-    def _mor(src, dst, vec: np.ndarray):
-        """Trusted morphism constructor: vec is a reduced, read-only flat map src -> dst."""
-
     def _register_sum(self, total, summands) -> None:
         """Record a biproduct whose injections and projections are canonical
         (see _offsets)."""
         # zero summands would alias the total's key and loop the decomposition
-        parts = [(s, before) for s, before in zip(summands, _offsets(summands)) if self.obj_dim(s) > 0]
+        parts = [(s, before) for s, before in zip(summands, _offsets(summands)) if s.total_dim > 0]
         if len(parts) > 1:
-            self._sum_registry[self.obj_key(total)] = parts
+            self._sum_registry[total.key] = parts
 
     def hom_basis(self, x, y) -> HomBasis:
-        ck = (self.obj_key(x), self.obj_key(y))
+        ck = (x.key, y.key)
         cached = self._hom_cache.get(ck)
         if cached is not None:
             return cached
@@ -204,38 +193,7 @@ class Category(ABC):
         self._hom_cache[ck] = basis
         return basis
 
-    @abstractmethod
-    def _solve_hom_basis(self, x, y) -> np.ndarray:
-        """k x flat_dim(x, y) array whose rows are a basis of Hom(x, y), reduced."""
-
-    # -- objects ---------------------------------------------------------
-    @abstractmethod
-    def obj_key(self, x) -> Any: ...
-
-    @abstractmethod
-    def obj_dim(self, x) -> int: ...
-
-    def dim_profile(self, x) -> tuple[int, ...]:
-        """Componentwise dimension vector; isomorphic objects share it."""
-        return x.dimv
-
-    @abstractmethod
-    def obj_label(self, x) -> str: ...
-
-    @abstractmethod
-    def zero_obj(self): ...
-
-    def is_zero_obj(self, x) -> bool:
-        return self.obj_dim(x) == 0
-
-    @abstractmethod
-    def direct_sum(self, xs: Sequence) -> tuple[Any, list, list]:
-        """Biproduct with canonical injections and projections."""
-
     # -- morphisms -------------------------------------------------------
-    def flatten(self, f) -> np.ndarray:
-        return f.vec
-
     def flat_dim(self, x, y) -> int:
         return self.blocks.size(x.dimv, y.dimv)
 
@@ -264,11 +222,9 @@ class Category(ABC):
         r %= self.p
         return self._mor(f.src, f.dst, _frozen(r))
 
+    # kept for perfbench/layertrace.py: Tracer._observe reads cat.obj_dim(cat.src(precover))
     def src(self, f):
         return f.src
-
-    def dst(self, f):
-        return f.dst
 
     def compose_rows(self, g, rows: np.ndarray, x) -> np.ndarray:
         """Rows g o f_i, reduced, for the rows f_i: x -> src(g) of rows."""
@@ -283,16 +239,16 @@ class Category(ABC):
         return out
 
     def compose_flat(self, g, fs: Sequence, x, y) -> FpMatrix:
-        """Matrix whose columns are flatten(g o f) for the morphisms f: x -> y in fs."""
+        """Matrix whose columns are the vectors of g o f for the morphisms f: x -> y in fs."""
         return self._flat_columns(fs, x, y, g.vec, g.dst.dimv, True)
 
     def precompose_flat(self, fs: Sequence, m, x, y) -> FpMatrix:
-        """Matrix whose columns are flatten(f o m) for the morphisms f: x -> y in fs."""
+        """Matrix whose columns are the vectors of f o m for the morphisms f: x -> y in fs."""
         return self._flat_columns(fs, x, y, m.vec, m.src.dimv, False)
 
     def _flat_columns(self, fs, x, y, h: np.ndarray, other: tuple, post: bool) -> FpMatrix:
-        """The columns flatten(h o f) for a flat h: y -> other (post) resp.
-        flatten(f o h) for h: other -> x, for the maps f: x -> y of fs.
+        """The columns h o f for a flat h: y -> other (post) resp. f o h for
+        h: other -> x, for the maps f: x -> y of fs.
 
         A summand-wise basis goes part by part, on the parts' rows.  When h
         acts on the sum's side it is cut down to the summand (g o inj_s,
@@ -377,20 +333,11 @@ class Category(ABC):
         """Every component surjective."""
         return all(ff.array_rank(m, self.p) == m.shape[0] for m in self.mor_components(f))
 
-    @abstractmethod
-    def check_conflation(self, c: Conflation) -> None: ...
-
-    @abstractmethod
-    def kernel(self, f) -> tuple[Any, Any]: ...
-
-    @abstractmethod
-    def cokernel(self, f) -> tuple[Any, Any]: ...
-
     def pullback(self, f, g) -> tuple[Any, Any, Any]:
         """Fiber product of f: x -> z and g: y -> z with its two projections:
         the kernel of (f, -g): x (+) y -> z.  The square f p1 = g p2 is
         checked: a sign lost in (f, -g) breaks it over F_p for p > 2."""
-        if f.dst is not g.dst and self.obj_key(f.dst) != self.obj_key(g.dst):
+        if f.dst is not g.dst and f.dst.key != g.dst.key:
             raise ValueError("pullback: f and g do not share a target")
         total, _, (p1, p2) = self.direct_sum([f.src, g.src])
         k_obj, k = self.kernel(self.costack([f, self.neg(g)], total))
@@ -402,7 +349,7 @@ class Category(ABC):
         """Fiber coproduct of f: x -> y and g: x -> z with its two injections:
         the cokernel of <f, -g>: x -> y (+) z.  The square i1 f = i2 g is
         checked, as for the pullback."""
-        if f.src is not g.src and self.obj_key(f.src) != self.obj_key(g.src):
+        if f.src is not g.src and f.src.key != g.src.key:
             raise ValueError("pushout: f and g do not share a source")
         total, (i1, i2), _ = self.direct_sum([f.dst, g.dst])
         c_obj, c = self.cokernel(self.stack([f, self.neg(g)], total))
@@ -413,13 +360,6 @@ class Category(ABC):
     def image(self, f) -> tuple[Any, Any]:
         """Image subobject with its inclusion into dst: the kernel of the cokernel."""
         return self.kernel(self.cokernel(f)[1])
-
-    # -- enumeration -------------------------------------------------------
-    @abstractmethod
-    def enumerate_subobjects(self, x, bound: int) -> list: ...
-
-    @abstractmethod
-    def enumerate_extensions(self, z, x, cap: int) -> list[Conflation]: ...
 
 
 def _offsets(summands: Sequence) -> list[tuple]:
@@ -523,12 +463,12 @@ def span_matrix(cat: Category, mors: Sequence, x, y) -> FpMatrix:
 
 
 def flat_column(cat: Category, f) -> FpMatrix:
-    """flatten(f) as a one-column matrix."""
-    return ff.from_reduced(cat.p, cat.flatten(f).reshape(-1, 1))
+    """The vector of f as a one-column matrix."""
+    return ff.from_reduced(cat.p, f.vec.reshape(-1, 1))
 
 
 def _solve_combination(cat: Category, cols: FpMatrix, basis: Sequence, g, x, y) -> Optional[Any]:
-    """sum c_i basis_i: x -> y for a solution c of cols @ c = flatten(g), or None."""
+    """sum c_i basis_i: x -> y for a solution c of cols @ c = g.vec, or None."""
     sol = ff.solve_right(cols, flat_column(cat, g))
     if sol is None:
         return None
@@ -545,22 +485,22 @@ def span_basis(cat: Category, mors: Sequence, x, y) -> list:
 def compose_with_basis(cat: Category, g, x) -> list:
     """The morphisms g o u: x -> dst(g), u over the basis of Hom(x, src(g)) in
     its order, as the columns of one compose_flat."""
-    y = cat.src(g)
+    y = g.src
     rows = cat.compose_flat(g, cat.hom_basis(x, y), x, y).a.T.copy()
     rows.setflags(write=False)
-    return [cat._mor(x, cat.dst(g), r) for r in rows]
+    return [cat._mor(x, g.dst, r) for r in rows]
 
 
 def solve_precompose(cat: Category, e, g) -> Optional[Any]:
     """u with e o u = g, where e: Y -> Z, g: X -> Z; None if impossible."""
-    x, y = cat.src(g), cat.src(e)
+    x, y = g.src, e.src
     basis = cat.hom_basis(x, y)
     return _solve_combination(cat, cat.compose_flat(e, basis, x, y), basis, g, x, y)
 
 
 def solve_precompose_pair(cat: Category, e1, g1, e2, g2) -> Optional[Any]:
     """u with e1 o u = g1 and e2 o u = g2 simultaneously, or None."""
-    x, y = cat.src(g1), cat.src(e1)
+    x, y = g1.src, e1.src
     basis = cat.hom_basis(x, y)
     cols = ff.vstack([cat.compose_flat(e1, basis, x, y), cat.compose_flat(e2, basis, x, y)])
     rhs = ff.vstack([flat_column(cat, g1), flat_column(cat, g2)])
@@ -572,7 +512,7 @@ def solve_precompose_pair(cat: Category, e1, g1, e2, g2) -> Optional[Any]:
 
 def solve_postcompose(cat: Category, m, g) -> Optional[Any]:
     """u with u o m = g, where m: X -> Y, g: X -> Z; None if impossible."""
-    y, z = cat.dst(m), cat.dst(g)
+    y, z = m.dst, g.dst
     basis = cat.hom_basis(y, z)
     return _solve_combination(cat, cat.precompose_flat(basis, m, y, z), basis, g, y, z)
 
@@ -580,11 +520,11 @@ def solve_postcompose(cat: Category, m, g) -> Optional[Any]:
 _UNSEEN = object()
 
 
-def conflation_key(cat: Category, c: Conflation) -> tuple:
+def conflation_key(c: Conflation) -> tuple:
     """The keys of the three terms and the two maps' bytes: equal keys, equal
     conflations."""
-    a, b, z = c.terms(cat)
-    return (cat.obj_key(a), cat.obj_key(b), cat.obj_key(z), c.incl.vec.tobytes(), c.defl.vec.tobytes())
+    a, b, z = c.terms()
+    return (a.key, b.key, z.key, c.incl.vec.tobytes(), c.defl.vec.tobytes())
 
 
 def conflation_split(cat: Category, c: Conflation) -> Optional[tuple[Any, Any]]:
@@ -594,11 +534,11 @@ def conflation_split(cat: Category, c: Conflation) -> Optional[tuple[Any, Any]]:
     their consistency checked.  Each conflation is decided once: the result
     is cached on cat, keyed by the three object keys and the two maps.
     """
-    key = conflation_key(cat, c)
+    key = conflation_key(c)
     hit = cat._split_witnesses.get(key, _UNSEEN)
     if hit is _UNSEEN:
-        retr = solve_postcompose(cat, c.incl, cat.identity(cat.src(c.incl)))
-        sect = solve_precompose(cat, c.defl, cat.identity(cat.dst(c.defl)))
+        retr = solve_postcompose(cat, c.incl, cat.identity(c.incl.src))
+        sect = solve_precompose(cat, c.defl, cat.identity(c.defl.dst))
         verify(
             (retr is None) == (sect is None),
             "conflation: a retraction of the inflation without a section of the deflation, or vice versa",
@@ -614,7 +554,7 @@ def hom_exact(cat: Category, c: Conflation, t, side: str) -> bool:
     Right-exactness is the actual test; left-exactness is automatic and
     verified as a sanity check.
     """
-    a, b, z = c.terms(cat)
+    a, b, z = c.terms()
     if side == "covariant":
         dom_basis = cat.hom_basis(t, b)
         target_dim = len(cat.hom_basis(t, z))
@@ -647,7 +587,7 @@ def enumerate_hom(cat: Category, x, y, cap: int = 4096, rng=None) -> tuple[list,
 
 def find_iso(cat: Category, x, y, cap: int = 4096) -> Optional[Any]:
     """Search an isomorphism x -> y by enumerating the hom-space."""
-    if cat.obj_dim(x) != cat.obj_dim(y):
+    if x.total_dim != y.total_dim:
         return None
     mors, exhaustive = enumerate_hom(cat, x, y, cap)
     for f in mors:

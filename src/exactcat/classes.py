@@ -70,7 +70,7 @@ def in_class_s(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
     generated by such a subobject.
     """
     cat = sub.cat
-    s1, s2, s3 = s.terms(cat)
+    s1, s2, s3 = s.terms()
     a, b = s.incl, s.defl
     result = ClassSearch(member=None)
     for u in cat.enumerate_subobjects(s1, bound):
@@ -85,7 +85,7 @@ def in_class_s(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
         # is_hom_exact checks that column and row are conflations
         col_ok = sub.is_hom_exact(column, "covariant")
         row_ok = sub.is_hom_exact(row, "contravariant")
-        result.examined.append((cat.obj_label(cat.src(u)), col_ok, row_ok))
+        result.examined.append((u.src.label, col_ok, row_ok))
         if col_ok and row_ok:
             witness = ClassWitness(
                 kind="S",
@@ -93,7 +93,7 @@ def in_class_s(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
                 column=column,
                 row=row,
                 grid={
-                    "subobject-killed-by-deflation": (cat.compose(b, au), cat.zero_mor(cat.src(u), s3)),
+                    "subobject-killed-by-deflation": (cat.compose(b, au), cat.zero_mor(u.src, s3)),
                     "first-quotient-square": (cat.compose(m, c1), cat.compose(c2, a)),
                     "second-quotient-square": (cat.compose(n, c2), b),
                 },
@@ -107,11 +107,11 @@ def in_class_s(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
 def in_class_t(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
     """Dual search over quotients of the last term (via their kernels)."""
     cat = sub.cat
-    t1, t2, t3 = s.terms(cat)
+    t1, t2, t3 = s.terms()
     a, b = s.incl, s.defl
     result = ClassSearch(member=None)
     for w in cat.enumerate_subobjects(t3, bound):
-        n3_obj = cat.src(w)
+        n3_obj = w.src
         v_obj, cv = cat.cokernel(w)
         n2_obj, n_mor, q_mor = cat.pullback(b, w)
         t_mor = solve_precompose_pair(
@@ -123,7 +123,7 @@ def in_class_t(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
         # is_hom_exact checks that row and column are conflations
         row_ok = sub.is_hom_exact(row, "covariant")
         col_ok = sub.is_hom_exact(column, "contravariant")
-        result.examined.append((cat.obj_label(v_obj), col_ok, row_ok))
+        result.examined.append((v_obj.label, col_ok, row_ok))
         if col_ok and row_ok:
             witness = ClassWitness(
                 kind="T",
@@ -143,22 +143,6 @@ def in_class_t(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
             result.member = witness
             return result
     return result
-
-
-def hom_exactness_sufficient(s: Conflation, sub: Subcategory) -> tuple[bool, bool]:
-    """Covariant/contravariant hom-exactness verdicts for the conflation.
-
-    Either one forces membership in both classes; the crosscheck below
-    uses this as an oracle against the searches.
-    """
-    return sub.is_hom_exact(s, "covariant"), sub.is_hom_exact(s, "contravariant")
-
-
-def crosscheck_sufficiency(s: Conflation, sub: Subcategory, bound: int = 8) -> None:
-    cov, contra = hom_exactness_sufficient(s, sub)
-    if cov or contra:
-        verify(in_class_s(s, sub, bound).is_member, "hom-exact conflation missing from class S")
-        verify(in_class_t(s, sub, bound).is_member, "hom-exact conflation missing from class T")
 
 
 @dataclass
@@ -199,12 +183,12 @@ def abelianness_crosscheck(
     failures: list[str] = []
     for z in universe:
         for x in universe:
-            if cat.obj_dim(z) + cat.obj_dim(x) > bound:
+            if z.total_dim + x.total_dim > bound:
                 continue
             pairs += 1
             for s in cat.enumerate_extensions(z, x, cap):
                 examined += 1
-                if not (sub.contains(cat.src(s.incl)) and sub.contains(cat.dst(s.defl))):
+                if not (sub.contains(s.incl.src) and sub.contains(s.defl.dst)):
                     continue
                 if conflation_split(cat, s) is not None:
                     continue
@@ -213,7 +197,7 @@ def abelianness_crosscheck(
                     verdict_a = False
                     nonsplit_members.append(
                         f"nonsplit class-S conflation with subcategory ends: "
-                        f"{cat.obj_label(x)} -> {cat.obj_label(z)}"
+                        f"{x.label} -> {z.label}"
                     )
     abelian = verify_abelian(sub, sample, cap=cap, seed=seed)
     consistent = verdict_a == abelian.passed
@@ -269,7 +253,7 @@ def random_crosscheck_search(
             return RandomSearchReport(
                 counterexample_found=True,
                 tried=tried,
-                detail=f"non-abelian quotient for generators {[cat.obj_label(g) for g in gens]}",
+                detail=f"non-abelian quotient for generators {[g.label for g in gens]}",
             )
     return RandomSearchReport(
         counterexample_found=False,

@@ -20,7 +20,7 @@ from typing import Any, Optional
 from . import classes as confclasses
 from . import quotient as qt
 from .approx import AddSubcat, is_pseudo_cluster_tilting, is_self_orthogonal
-from .category import ConditionError, Conflation, EnumerationBound, VerificationError, conflation_split
+from .category import ConditionError, Conflation, EnumerationBound, VerificationError, conflation_split, verify
 from .conflcat import (
     ConflCategory,
     SubstructureTag,
@@ -287,10 +287,10 @@ def _mor_json(cat: RepCategory, f: RepMor) -> dict:
     }
 
 
-def _confl_json(cat, c: Conflation) -> dict:
-    a, b, z = c.terms(cat)
+def _confl_json(c: Conflation) -> dict:
+    a, b, z = c.terms()
     return {
-        "terms": [cat.obj_label(a), cat.obj_label(b), cat.obj_label(z)],
+        "terms": [a.label, b.label, z.label],
     }
 
 
@@ -368,13 +368,16 @@ def cmd_classes(doc: SpecDocument, args) -> dict:
         c = doc.conflations[name]
         s_res = confclasses.in_class_s(c, sub, args.subobject_bound)
         t_res = confclasses.in_class_t(c, sub, args.subobject_bound)
-        cov, contra = confclasses.hom_exactness_sufficient(c, sub)
-        confclasses.crosscheck_sufficiency(c, sub, args.subobject_bound)
+        cov, contra = sub.is_hom_exact(c, "covariant"), sub.is_hom_exact(c, "contravariant")
+        # either hom-exactness forces membership in both classes
+        if cov or contra:
+            verify(s_res.is_member, "hom-exact conflation missing from class S")
+            verify(t_res.is_member, "hom-exact conflation missing from class T")
         split = conflation_split(sub.cat, c) is not None
         items.append(
             {
                 "conflation": name,
-                "terms": _confl_json(sub.cat, c)["terms"],
+                "terms": _confl_json(c)["terms"],
                 "splits": split,
                 "in_class_S": s_res.is_member,
                 "in_class_T": t_res.is_member,
@@ -457,7 +460,7 @@ def cmd_confl(doc: SpecDocument, args) -> dict:
     obstruction_info = None
     if obstruction is not None:
         obstruction_info = {
-            "middle_degree_terms": _confl_json(doc.cat, ecat.degree_component(obstruction, 2)),
+            "middle_degree_terms": _confl_json(ecat.degree_component(obstruction, 2)),
             "in_full": substructure_member(ecat, obstruction, SubstructureTag.FULL),
             "in_split0": substructure_member(ecat, obstruction, SubstructureTag.SPLIT0),
         }
@@ -621,7 +624,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             p.add_argument("spec", help="JSON spec file (schema exactcat/1)")
         p.add_argument("--bound", type=nonnegative, default=None, help="enumeration bound")
         p.add_argument("--test-bound", dest="test_bound", type=nonnegative, default=None)
-        p.add_argument("--subobject-bound", dest="subobject_bound", type=int, default=8)
+        p.add_argument("--subobject-bound", dest="subobject_bound", type=nonnegative, default=8)
         p.add_argument("--cap", type=nonnegative, default=4096, help="hom-space enumeration cap")
         p.add_argument("--seed", type=nonnegative, default=0, help="sampling seed")
         p.add_argument("--format", choices=["json", "text"], default="json")

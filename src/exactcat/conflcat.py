@@ -165,10 +165,10 @@ class ConflMor(RepMor):
     of Q x A3, its vector the three degree components' vectors one after
     another.
 
-    f1, f2, f3 are RepMor views on its slices, made on first use.  The
-    public constructor concatenates three components and, with check, tests
-    every square of Q x A3: those of the components and the two chain-map
-    squares.
+    `components()` gives RepMor views on its three slices, made on first
+    use.  The public constructor concatenates three components and, with
+    check, tests every square of Q x A3: those of the components and the two
+    chain-map squares.
     """
 
     __slots__ = ("_parts",)
@@ -199,18 +199,6 @@ class ConflMor(RepMor):
                 RepMor._trusted(x, y, c[0]) for x, y, c in zip(self.src.terms(), self.dst.terms(), cols)
             )
         return self._parts
-
-    @property
-    def f1(self) -> RepMor:
-        return self.components()[0]
-
-    @property
-    def f2(self) -> RepMor:
-        return self.components()[1]
-
-    @property
-    def f3(self) -> RepMor:
-        return self.components()[2]
 
     def __repr__(self):
         return f"<ConflMor {self.src.label} -> {self.dst.label}>"
@@ -384,7 +372,7 @@ class ConflCategory(RepCategory):
         _require_canonical_split(self, t)
         for degree, end in zip(degrees, (t.t1, t.t3)):
             comp = self.degree_component(dses, degree)
-            key = (conflation_key(self.base, comp), end.key, side)
+            key = (conflation_key(comp), end.key, side)
             hit = self._component_exact.get(key)
             if hit is None:
                 hit = self._component_exact[key] = hom_exact(self.base, comp, end, side)
@@ -425,7 +413,7 @@ class ConflCategory(RepCategory):
             delta2 = _factor_mono(b, m, top)
             sub = self.make_obj(Conflation(w2, delta2))
             out.append(ConflMor(sub, x, w1, u2, m))
-        out.sort(key=lambda f: (self.obj_dim(f.src), f.vec.tobytes()))
+        out.sort(key=lambda f: (f.src.total_dim, f.vec.tobytes()))
         return out
 
     def enumerate_extensions(self, z: ConflObj, x: ConflObj, cap: int = 4096) -> list[Conflation]:
@@ -638,7 +626,7 @@ class SplitConflationSubcat(Subcategory):
                 if any(a.dims[v] + c.dims[v] > bound for v in b.quiver.vertices):
                     continue
                 out.append(self.cat.split_obj(a, c))
-        out.sort(key=lambda o: (self.cat.obj_dim(o), o.key))
+        out.sort(key=lambda o: (o.total_dim, o.key))
         return out
 
     def test_groups(self, family: list[ConflObj]) -> list[SplitTestGroup]:
@@ -656,7 +644,7 @@ class SplitConflationSubcat(Subcategory):
             packs, total = [], 0
             for t in family:
                 _require_canonical_split(ecat, t)
-                dim = ecat.obj_dim(t)
+                dim = t.total_dim
                 if dim == 0:
                     continue
                 if packs and total + dim <= TEST_GROUP_DIM:
@@ -746,8 +734,8 @@ def check_hom_exactness_matches_splitting(
     the degree splittings, decided once, give memberships and lift sections.
     """
     sub = ecat.split_sub
-    z_obj: ConflObj = ecat.dst(dses.defl)
-    x_obj: ConflObj = ecat.src(dses.incl)
+    z_obj: ConflObj = dses.defl.dst
+    x_obj: ConflObj = dses.incl.src
     if test_objects is None:
         test_objects = sub.sample_objects(bound)
     groups = sub.test_groups(test_objects)
@@ -888,7 +876,7 @@ def factor_split0_conflation(ecat: ConflCategory, dses: Conflation) -> tuple[Con
         raise ValueError("conflation does not split in degree 0")
     f: ConflMor = dses.incl
     g: ConflMor = dses.defl
-    x_obj, y_obj, z_obj = ecat.src(f), ecat.dst(f), ecat.dst(g)
+    x_obj, y_obj, z_obj = f.src, f.dst, g.dst
     env = ecat.split_sub._preenvelope_data(x_obj)
     r = env.beta
     delta = env.dses.defl  # Q0 -> Q1
@@ -911,7 +899,7 @@ def factor_split0_conflation(ecat: ConflCategory, dses: Conflation) -> tuple[Con
 
 def _induced_from_pushout(ecat: ConflCategory, t_mor: ConflMor, s_mor: ConflMor, a: ConflMor, bmor: ConflMor) -> ConflMor:
     """Unique u with u o t = a and u o s = b out of a pushout: (t s) is epi."""
-    total, _, _ = ecat.direct_sum([ecat.src(t_mor), ecat.src(s_mor)])
+    total, _, _ = ecat.direct_sum([t_mor.src, s_mor.src])
     return _factor_epi(ecat, ecat.costack([t_mor, s_mor], total), ecat.costack([a, bmor], total))
 
 

@@ -42,11 +42,11 @@ class QMor:
 
     @property
     def src(self):
-        return self.cat.src(self.rep)
+        return self.rep.src
 
     @property
     def dst(self):
-        return self.cat.dst(self.rep)
+        return self.rep.dst
 
 
 @dataclass
@@ -79,8 +79,7 @@ def _memoized(kind: str, f: QMor, build):
     (q_coim_im builds them, then the mono and epi tests and the next sweep
     ask again); the key is the two object keys and the vector's bytes.
     """
-    cat = f.cat
-    key = (kind, cat.obj_key(f.src), cat.obj_key(f.dst), cat.flatten(f.rep).tobytes())
+    key = (kind, f.src.key, f.dst.key, f.rep.vec.tobytes())
     memo = f.sub._quotient_memo
     if key not in memo:
         memo[key] = build(f)
@@ -94,7 +93,7 @@ def q_is_zero(f: QMor) -> bool:
 def _coset_projection(sub: Subcategory, x, y):
     """(hom basis, flat hom matrix, coset projection matrix), memoized on sub."""
     cat = sub.cat
-    ck = (cat.obj_key(x), cat.obj_key(y))
+    ck = (x.key, y.key)
     hit = sub._coset_cache.get(ck)
     if hit is not None:
         return hit
@@ -168,10 +167,10 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
     f is not invertible: it means that no completion was found among the
     pad pairs searched, and a pair with p^n > combo_cap is skipped silently.
     """
-    cat, sub = f.cat, f.sub
+    sub = f.sub
     if not hasattr(sub, "generators"):
         raise ValueError("block search needs a finitely generated subcategory")
-    px, py = cat.dim_profile(f.src), cat.dim_profile(f.dst)
+    px, py = f.src.dimv, f.dst.dimv
     order, by_profile = sub.block_plan(extra_dim_cap)
     for p_ms, p_profile in order:
         need = tuple(a + b - c for a, b, c in zip(px, p_profile, py))
@@ -259,8 +258,8 @@ def _coefficient_tuples(p: int, n: int) -> np.ndarray:
 def _two_sided_inverse(cat: Category, f) -> Optional[Any]:
     from .category import solve_precompose
 
-    x, y = cat.src(f), cat.dst(f)
-    if cat.obj_dim(x) != cat.obj_dim(y):
+    x, y = f.src, f.dst
+    if x.total_dim != y.total_dim:
         return None
     g = solve_precompose(cat, f, cat.identity(y))
     if g is None or not cat.mor_eq(cat.compose(g, f), cat.identity(x)):
@@ -285,7 +284,7 @@ def _kernel(f: QMor) -> QMor:
     y = f.dst
     down, reason = sub.precover_conflation(y)
     if down is None:
-        raise ConditionError("precover-conflation", cat.obj_label(y), reason or "")
+        raise ConditionError("precover-conflation", y.label, reason or "")
     _, k, _ = cat.pullback(f.rep, down.defl)
     return QMor(sub, k)
 
@@ -395,7 +394,7 @@ def _sweep_classes(sub: Subcategory, sample: Sequence, cap: int, seed: Optional[
             for m in mors:
                 qf = QMor(sub, m)
                 report.checked += 1
-                key = (cat.obj_key(x), cat.obj_key(y), q_class_key(qf))
+                key = (x.key, y.key, q_class_key(qf))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -407,7 +406,7 @@ def _sweep_classes(sub: Subcategory, sample: Sequence, cap: int, seed: Optional[
 
 
 def _mor_label(f: QMor) -> str:
-    return f"{f.cat.obj_label(f.src)} -> {f.cat.obj_label(f.dst)}"
+    return f"{f.src.label} -> {f.dst.label}"
 
 
 def verify_semiabelian(sub: Subcategory, sample: Sequence, cap: int = ENUM_CAP, seed: Optional[int] = None) -> VerifyReport:

@@ -235,14 +235,9 @@ class RepCategory(Category):
         """The object with these vertex dims and arrow maps (absent: zero)."""
         return RepObj(self.quiver, self.p, dims, maps or {}, name)
 
-    def obj_key(self, x: RepObj):
-        return x.key
-
+    # kept for perfbench/layertrace.py: Tracer._observe reads cat.obj_dim(cat.src(precover))
     def obj_dim(self, x: RepObj) -> int:
         return x.total_dim
-
-    def obj_label(self, x: RepObj) -> str:
-        return x.label
 
     def zero_obj(self) -> RepObj:
         return self._zero

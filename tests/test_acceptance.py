@@ -42,14 +42,14 @@ def factor_mod_ideal_unique(sub, through, g):
     whether any two solutions differ by an ideal element.
     """
     cat = sub.cat
-    t = cat.src(g)
-    mid = cat.src(through)
+    t = g.src
+    mid = through.src
     basis = cat.hom_basis(t, mid)
-    cols = [cat.flatten(cat.compose(through, h)) for h in basis]
-    cols += [cat.flatten(i) for i in sub.ideal_spanning(t, cat.dst(through))]
-    width = cat.flat_dim(t, cat.dst(through))
+    cols = [cat.compose(through, h).vec for h in basis]
+    cols += [i.vec for i in sub.ideal_spanning(t, through.dst)]
+    width = cat.flat_dim(t, through.dst)
     mat = FpMatrix(cat.p, np.stack(cols, axis=1)) if cols else FpMatrix.zeros(cat.p, width, 0)
-    sol = ff.solve_right(mat, FpMatrix(cat.p, cat.flatten(g).reshape(-1, 1)))
+    sol = ff.solve_right(mat, FpMatrix(cat.p, g.vec.reshape(-1, 1)))
     if sol is None:
         return False, True
     null = ff.kernel_basis(mat)
@@ -65,14 +65,14 @@ def factor_mod_ideal_unique(sub, through, g):
 def cofactor_mod_ideal_unique(sub, through, g):
     """Dual: solvability and uniqueness of h o through + ideal = g."""
     cat = sub.cat
-    t = cat.dst(g)
-    mid = cat.dst(through)
+    t = g.dst
+    mid = through.dst
     basis = cat.hom_basis(mid, t)
-    cols = [cat.flatten(cat.compose(h, through)) for h in basis]
-    cols += [cat.flatten(i) for i in sub.ideal_spanning(cat.src(through), t)]
-    width = cat.flat_dim(cat.src(through), t)
+    cols = [cat.compose(h, through).vec for h in basis]
+    cols += [i.vec for i in sub.ideal_spanning(through.src, t)]
+    width = cat.flat_dim(through.src, t)
     mat = FpMatrix(cat.p, np.stack(cols, axis=1)) if cols else FpMatrix.zeros(cat.p, width, 0)
-    sol = ff.solve_right(mat, FpMatrix(cat.p, cat.flatten(g).reshape(-1, 1)))
+    sol = ff.solve_right(mat, FpMatrix(cat.p, g.vec.reshape(-1, 1)))
     if sol is None:
         return False, True
     null = ff.kernel_basis(mat)
@@ -143,7 +143,7 @@ def test_acceptance_3_abelian_iff_self_orthogonal(a3, a3_sub, a3_nonsplit):
     assert report.consistent
 
     s = a3_nonsplit
-    ends = (cat.src(s.incl), cat.dst(s.defl))
+    ends = (s.incl.src, s.defl.dst)
     assert all(P.contains(e) for e in ends)
     assert conflation_split(cat, s) is None
     search = cl.in_class_s(s, P)

@@ -168,13 +168,14 @@ def test_jobs_option_is_a_usage_error(capsys):
         ["quotient", A3, "--seed", "-1"],
         ["verify-paper", "--seed", "-1"],
         ["classes", A3, "--search-random", "-1"],
+        ["classes", A3, "--subcategory", "P", "--subobject-bound", "-1"],
     ],
-    ids=["bound", "test-bound", "cap", "seed", "verify-paper-seed", "search-random"],
+    ids=["bound", "test-bound", "cap", "seed", "verify-paper-seed", "search-random", "subobject-bound"],
 )
 def test_negative_counts_are_a_usage_error(argv, capsys):
-    """A negative bound, cap, seed or search count is refused by argparse
-    (exit 2, the flag named), not swept as nothing and passed, or handed to
-    numpy."""
+    """A negative bound, subobject bound, cap, seed or search count is refused
+    by argparse (exit 2, the flag named), not swept as nothing and passed, or
+    handed to numpy."""
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

@@ -138,9 +138,9 @@ def test_s_precover_structure(econf):
     ecat, sub, x = econf
     pre = s_precover(ecat, x)
     assert pre.p1.t1.total_dim == 0
-    assert ecat.base.dim_profile(pre.p1.t2) == ecat.base.dim_profile(x.t1)
-    assert ecat.base.dim_profile(pre.p0.t2) == tuple(
-        a + b for a, b in zip(ecat.base.dim_profile(x.t1), ecat.base.dim_profile(x.t2))
+    assert pre.p1.t2.dimv == x.t1.dimv
+    assert pre.p0.t2.dimv == tuple(
+        a + b for a, b in zip(x.t1.dimv, x.t2.dimv)
     )
     assert sub.contains(pre.p0) and sub.contains(pre.p1)
     assert substructure_member(ecat, pre.dses, SubstructureTag.SPLIT0M1)
@@ -228,8 +228,8 @@ def test_substructure_lattice_monotone(econf, a2):
 def test_nonsplit_with_split_ends(econf):
     ecat, sub, _ = econf
     d = nonsplit_with_split_ends(ecat)
-    p_obj = ecat.src(d.incl)
-    q_obj = ecat.dst(d.defl)
+    p_obj = d.incl.src
+    q_obj = d.defl.dst
     assert sub.contains(p_obj) and sub.contains(q_obj)
     assert substructure_member(ecat, d, SubstructureTag.FULL)
     assert not substructure_member(ecat, d, SubstructureTag.SPLIT0)
@@ -256,7 +256,7 @@ def test_hom_exactness_biconditional_cases(econf):
     assert not cov and not down and not contra and not up
     # explicit non-lifting witness: the split precover of the end term does
     # not lift through the deflation
-    z_obj = ecat.dst(d.defl)
+    z_obj = d.defl.dst
     r = s_precover(ecat, z_obj).alpha
     assert solve_precompose(ecat, d.defl, r) is None
 
@@ -351,7 +351,7 @@ def test_kernel_cokernel_of_chain_maps(econf, a2):
 
     assert find_iso(ecat, k_obj, pre.p1) is not None
     c_obj, c = ecat.cokernel(ecat.compose(pre.dses.incl, ecat.identity(pre.p1)))
-    assert ecat.obj_dim(c_obj) == ecat.obj_dim(pre.p0) - ecat.obj_dim(pre.p1)
+    assert c_obj.total_dim == pre.p0.total_dim - pre.p1.total_dim
 
 
 # -- each conflation is checked once, by the code that builds it ----------------------
@@ -438,7 +438,7 @@ def test_biconditional_sweep_caches_no_middle_hom_basis(a2):
 
     def recorded(z, x, cap=4096):
         out = real(z, x, cap)
-        middles.update(ecat.dst(d.incl).key for d in out)
+        middles.update(d.incl.dst.key for d in out)
         return out
 
     ecat.enumerate_extensions = recorded
@@ -476,11 +476,11 @@ def test_extensions_of_a_pair_carry_the_one_checked_pair_of_maps(a2, monkeypatch
             exts = c.enumerate_extensions(z, x)
             assert len(checked) == 1
             first = checked[0]
-            assert len({c.dst(d.incl).key for d in exts}) == len(exts)
+            assert len({d.incl.dst.key for d in exts}) == len(exts)
             for d in exts:
                 assert d.incl.vec.tobytes() == first.incl.vec.tobytes()
                 assert d.defl.vec.tobytes() == first.defl.vec.tobytes()
-                assert c.dst(d.incl) is c.src(d.defl)
+                assert d.incl.dst is d.defl.src
             if len(exts) > 1:
                 several.append((z, x))
     assert several

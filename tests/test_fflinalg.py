@@ -267,7 +267,7 @@ def _flat_columns(cat, mors, x, y):
     """The reference: flatten every composite separately."""
     if not mors:
         return np.zeros((cat.flat_dim(x, y), 0), dtype=np.int64)
-    return np.stack([cat.flatten(m) for m in mors], axis=1)
+    return np.stack([m.vec for m in mors], axis=1)
 
 
 def _combination(cat, basis, x, y, rng):

@@ -283,7 +283,7 @@ real = conflcat.hom_exact
 def miscounted(cat, c, t, side):
     if side != "covariant":
         return real(cat, c, t, side)
-    a, b, z = c.terms(cat)
+    a, b, z = c.terms()
     dom = cat.hom_basis(t, b)
     rank = cat.compose_flat(c.defl, dom, t, b).rank()
     verify(len(cat.hom_basis(t, a)) + 1 == len(dom) - rank, "hom_exact: Hom(t, -) is not left exact on c")
@@ -338,7 +338,7 @@ real = conflcat.ConflCategory.pushout
 
 def zero_leg(self, f, g):
     c, t, s = real(self, f, g)
-    return c, self.zero_mor(self.src(t), c), s
+    return c, self.zero_mor(t.src, c), s
 
 conflcat.ConflCategory.pushout = zero_leg
 """,

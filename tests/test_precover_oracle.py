@@ -54,7 +54,7 @@ class CanonicalAddSubcat(AddSubcat):
     canonical evaluation."""
 
     def precover(self, x):
-        ck = self.cat.obj_key(x)
+        ck = x.key
         if ck not in self._precover_cache:
             self._precover_cache[ck] = canonical_precover(self, x)
         return self._precover_cache[ck]
@@ -145,7 +145,7 @@ def test_generating_set_precover_matches_the_canonical_oracle(case):
             reference = cat.costack([h for _, h in pieces], power)
         else:
             reference = cat.zero_mor(cat.zero_obj(), x)
-        assert cat.obj_key(beta.src) == cat.obj_key(reference.src)
+        assert beta.src.key == reference.src.key
         assert cat.mor_eq(beta, reference)
         # a precover, never larger than the canonical evaluation
         assert len(pieces) <= sum(len(cat.hom_basis(g, x)) for g in gens)
@@ -173,5 +173,5 @@ def test_precovers_shrink_on_the_precover_large_shape():
     doc = parse_spec(str(Path(__file__).parent / "golden" / "seeded_precover_large.json"))
     cat, sub = doc.cat, doc.subcategories["addX"]
     oracle = CanonicalAddSubcat(cat, sub.generators)
-    sizes = {name: (cat.obj_dim(sub.precover(x).src), cat.obj_dim(oracle.precover(x).src)) for name, x in doc.objects.items()}
+    sizes = {name: (sub.precover(x).src.total_dim, oracle.precover(x).src.total_dim) for name, x in doc.objects.items()}
     assert sizes == {"P1": (5, 10), "S1": (5, 15), "S2": (5, 5), "X": (20, 45)}

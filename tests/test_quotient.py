@@ -109,15 +109,15 @@ def _q_universal_kernel_check(P, sample, cap=512):
 def _factor_mod_ideal(P, k_rep, g):
     """Solve k o h + ideal = g for h."""
     cat = P.cat
-    t = cat.src(g)
-    k_src, x = cat.src(k_rep), cat.dst(k_rep)
+    t = g.src
+    k_src, x = k_rep.src, k_rep.dst
     basis = cat.hom_basis(t, k_src)
-    cols = [cat.flatten(cat.compose(k_rep, h)) for h in basis]
-    cols += [cat.flatten(i) for i in P.ideal_spanning(t, x)]
+    cols = [cat.compose(k_rep, h).vec for h in basis]
+    cols += [i.vec for i in P.ideal_spanning(t, x)]
     if not cols:
-        return None if cat.flatten(g).any() else cat.zero_mor(t, k_src)
+        return None if g.vec.any() else cat.zero_mor(t, k_src)
     m = FpMatrix(cat.p, np.stack(cols, axis=1))
-    sol = ff.solve_right(m, FpMatrix(cat.p, cat.flatten(g).reshape(-1, 1)))
+    sol = ff.solve_right(m, FpMatrix(cat.p, g.vec.reshape(-1, 1)))
     if sol is None:
         return None
     return cat.combine(basis, sol.a[: len(basis), 0], t, k_src)
@@ -267,7 +267,7 @@ def _reference_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
         while stack:
             ms, start, dim = stack.pop()
             for i in range(start, len(gens)):
-                d = dim + cat.obj_dim(gens[i])
+                d = dim + gens[i].total_dim
                 if d <= extra_dim_cap:
                     out.append(ms + [i])
                     stack.append((ms + [i], i, d))
@@ -279,7 +279,7 @@ def _reference_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
     by_profile = {}
     for ms in multisets():
         by_profile.setdefault(profile(ms), []).append(ms)
-    for p_ms in sorted(multisets(), key=lambda ms: (sum(cat.obj_dim(gens[i]) for i in ms), ms)):
+    for p_ms in sorted(multisets(), key=lambda ms: (sum(gens[i].total_dim for i in ms), ms)):
         need = tuple(a + b - c for a, b, c in zip(x.dimv, profile(p_ms), y.dimv))
         if any(v < 0 for v in need):
             continue
@@ -314,14 +314,13 @@ def _sweep_witnesses(source, search, sub_name="P"):
     of its own."""
     doc = parse_spec(source) if isinstance(source, str) else build_spec(source)
     sub = doc.subcategories[sub_name]
-    cat = sub.cat
     found = []
 
     def decide(qf):
         w = search(qf)
         if w is not None:
             pad_src, pad_dst, total = w
-            w = (cat.obj_key(pad_src), cat.obj_key(pad_dst), total.vec.tobytes())
+            w = (pad_src.key, pad_dst.key, total.vec.tobytes())
         found.append(w)
 
     qt._sweep_classes(sub, [doc.objects[n] for n in sorted(doc.objects)], qt.ENUM_CAP, None, decide)
@@ -376,8 +375,8 @@ def _per_search_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
     gens = list(sub.generators)
 
     def dim_profile(obj_list):
-        zero = cat.dim_profile(cat.zero_obj())
-        return tuple(map(sum, zip(zero, *(cat.dim_profile(o) for o in obj_list))))
+        zero = cat.zero_obj().dimv
+        return tuple(map(sum, zip(zero, *(o.dimv for o in obj_list))))
 
     pads = {}
 
@@ -387,12 +386,12 @@ def _per_search_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
             obj = pads[ms] = cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
         return obj
 
-    multisets = generator_multisets([cat.obj_dim(g) for g in gens], extra_dim_cap)
+    multisets = generator_multisets([g.total_dim for g in gens], extra_dim_cap)
     q_multis = {}
     for ms in multisets:
         q_multis.setdefault(dim_profile([gens[i] for i in ms]), []).append(ms)
-    for p_ms in sorted(multisets, key=lambda ms: (sum(cat.obj_dim(gens[i]) for i in ms), ms)):
-        need = tuple(a + b - c for a, b, c in zip(cat.dim_profile(x), dim_profile([gens[i] for i in p_ms]), cat.dim_profile(y)))
+    for p_ms in sorted(multisets, key=lambda ms: (sum(gens[i].total_dim for i in ms), ms)):
+        need = tuple(a + b - c for a, b, c in zip(x.dimv, dim_profile([gens[i] for i in p_ms]), y.dimv))
         if any(v < 0 for v in need):
             continue
         for q_ms in q_multis.get(need, []):
@@ -522,8 +521,8 @@ def test_block_plan_is_built_once_per_cap(a3):
         assert by_profile[profile] == [m for m in multisets if sub.multiset_sum(m).dimv == profile]
     assert len(by_profile[(0, 1, 1)]) == 2
     assert sub.multiset_sum((1, 2)) is sub.multiset_sum((1, 2))
-    assert [cat.obj_key(x) for x in sub.sample_objects(3)] == sorted(
-        {cat.obj_key(sub.multiset_sum(ms)) for ms, _ in order}, key=lambda k: (sum(k[0]), k)
+    assert [x.key for x in sub.sample_objects(3)] == sorted(
+        {sub.multiset_sum(ms).key for ms, _ in order}, key=lambda k: (sum(k[0]), k)
     )
 
 
@@ -560,14 +559,14 @@ def test_memoized_constructions_match_a_fresh_subcategory(spec):
     for x in sample:
         for y in sample:
             for f in enumerate_hom(cat, x, y, 64)[0]:
-                key = (cat.obj_key(x), cat.obj_key(y), f.vec.tobytes())
+                key = (x.key, y.key, f.vec.tobytes())
                 for kind, op in (("kernel", qt.q_kernel), ("cokernel", qt.q_cokernel)):
                     if (kind, *key) not in sub._quotient_memo:
                         continue
                     hits += 1
                     kept, made = op(qt.QMor(sub, f)).rep, op(qt.QMor(fresh, f)).rep
-                    assert cat.obj_key(kept.src) == cat.obj_key(made.src)
-                    assert cat.obj_key(kept.dst) == cat.obj_key(made.dst)
+                    assert kept.src.key == made.src.key
+                    assert kept.dst.key == made.dst.key
                     assert kept.vec.tobytes() == made.vec.tobytes()
                 if ("zero", *key) in sub._quotient_memo:
                     hits += 1

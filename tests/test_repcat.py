@@ -28,22 +28,22 @@ def test_identity_in_hom_span(a3):
     cat, o = a3
     for x in o.values():
         basis = cat.hom_basis(x, x)
-        flat = np.stack([cat.flatten(f) for f in basis], axis=1)
-        target = cat.flatten(cat.identity(x))
+        flat = np.stack([f.vec for f in basis], axis=1)
+        target = cat.identity(x).vec
         assert ff.solve_right(FpMatrix(2, flat), FpMatrix(2, target.reshape(-1, 1))) is not None
 
 
 def test_kernel_of_identity_is_zero(a2):
     cat, o = a2
     k_obj, _ = cat.kernel(cat.identity(o["P1"]))
-    assert cat.is_zero_obj(k_obj)
+    assert k_obj.total_dim == 0
 
 
 def test_kernel_of_deflation_is_sub(a2):
     cat, o = a2
     pi = cat.hom_basis(o["P1"], o["S1"])[0]
     k_obj, k = cat.kernel(pi)
-    assert cat.dim_profile(k_obj) == cat.dim_profile(o["S2"])
+    assert k_obj.dimv == o["S2"].dimv
     assert find_iso(cat, k_obj, o["S2"]) is not None
     assert cat.compose(pi, k).is_zero()
 
@@ -68,7 +68,7 @@ def test_kernel_universal_property_exhaustive(a2):
                     if basis:
                         # uniqueness: post-composition with the kernel
                         # inclusion is injective on Hom(t, K)
-                        cols = np.stack([cat.flatten(cat.compose(k, b)) for b in basis], axis=1)
+                        cols = np.stack([cat.compose(k, b).vec for b in basis], axis=1)
                         assert FpMatrix(2, cols).rank() == len(basis)
                     for g in enumerate_hom(cat, t, x)[0]:
                         if not cat.compose(f, g).is_zero():
@@ -317,7 +317,7 @@ def test_enumerate_subobjects_examples(a3):
     cat, o = a3
     subs = cat.enumerate_subobjects(o["P2"])
     assert len(subs) == 3
-    profiles = sorted(cat.dim_profile(m.src) for m in subs)
+    profiles = sorted(m.src.dimv for m in subs)
     assert profiles == [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
     assert len(cat.enumerate_subobjects(cat.zero_obj())) == 1
     assert len(cat.enumerate_subobjects(o["S1"])) == 2
@@ -365,11 +365,11 @@ def _extension_equiv(cat, s, t):
     basis = cat.hom_basis(y1, y2)
     cols = [
         np.concatenate(
-            [cat.flatten(cat.compose(h, s.incl)), cat.flatten(cat.compose(t.defl, h))]
+            [cat.compose(h, s.incl).vec, cat.compose(t.defl, h).vec]
         )
         for h in basis
     ]
-    rhs = np.concatenate([cat.flatten(t.incl), cat.flatten(s.defl)])
+    rhs = np.concatenate([t.incl.vec, s.defl.vec])
     if not cols:
         return None
     sol = ff.solve_right(FpMatrix(cat.p, np.stack(cols, 1)), FpMatrix(cat.p, rhs.reshape(-1, 1)))
@@ -399,7 +399,7 @@ def test_enumerate_extensions_matches_ext_dimension(a2):
     # extensions by the zero object: the unique 0 -> x -> x -> 0 -> 0
     exts = cat.enumerate_extensions(cat.zero_obj(), o["P1"])
     assert len(exts) == 1
-    assert cat.is_zero_obj(exts[0].defl.dst)
+    assert exts[0].defl.dst.total_dim == 0
 
 
 def test_enumerate_extensions_class_count_a3(a3):
@@ -414,7 +414,7 @@ def test_enumerate_extensions_class_count_a3(a3):
 def test_direct_sum_biproduct_identities(a2):
     cat, o = a2
     total, injs, projs = cat.direct_sum([o["P1"], o["S2"]])
-    assert cat.dim_profile(total) == (1, 2)
+    assert total.dimv == (1, 2)
     for i, inj in enumerate(injs):
         for j, proj in enumerate(projs):
             comp = cat.compose(proj, inj)
@@ -451,7 +451,7 @@ def test_opposite_transport(a3, a3_nonsplit):
     opcat.check_conflation(op_s)
     assert conflation_split(opcat, op_s) is None
     # dimensions swap ends
-    assert opcat.dim_profile(op_s.incl.src) == cat.dim_profile(s.defl.dst)
+    assert op_s.incl.src.dimv == s.defl.dst.dimv
 
 
 from hypothesis import given, settings
@@ -496,7 +496,7 @@ def test_cyclic_quiver_supported():
     x = cat.obj({"1": 1, "2": 1}, {"a": FpMatrix(2, [[1]]), "b": FpMatrix(2, [[1]])})
     assert len(cat.hom_basis(x, x)) >= 1
     k_obj, _ = cat.kernel(cat.identity(x))
-    assert cat.is_zero_obj(k_obj)
+    assert k_obj.total_dim == 0
 
 
 @pytest.mark.parametrize(

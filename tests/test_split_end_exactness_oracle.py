@@ -55,8 +55,8 @@ def test_split_end_decision_matches_the_conflation_level_one(p, bound):
     verdicts = set()
     for dses in sweep_pairs(ecat, bound):
         ends = {
-            "covariant": sub._precover_data(ecat.dst(dses.defl)).p0,
-            "contravariant": sub._preenvelope_data(ecat.src(dses.incl)).q0,
+            "covariant": sub._precover_data(dses.defl.dst).p0,
+            "contravariant": sub._preenvelope_data(dses.incl.src).q0,
         }
         for side in SIDES:
             for t in family + [ends[side]]:

@@ -33,7 +33,7 @@ from exactcat.conflcat import (
 
 def per_member_check(ecat, dses, bound=1, test_objects=None):
     sub = ecat.split_sub
-    z_obj, x_obj = ecat.dst(dses.defl), ecat.src(dses.incl)
+    z_obj, x_obj = dses.defl.dst, dses.incl.src
     if test_objects is None:
         test_objects = sub.sample_objects(bound)
     cov_family = test_objects + [sub._precover_data(z_obj).p0]
@@ -222,11 +222,11 @@ def test_groups_partition_the_nonzero_members_in_order(a2):
     family = sub.sample_objects(2)
     groups = sub.test_groups(family)
     assert len(family) == 99 and len(groups) == 45
-    assert [t for g in groups for t in g.members] == [t for t in family if ecat.obj_dim(t) > 0]
-    assert ecat.obj_dim(family[0]) == 0
+    assert [t for g in groups for t in g.members] == [t for t in family if t.total_dim > 0]
+    assert family[0].total_dim == 0
     for g in groups:
-        dim = sum(ecat.obj_dim(t) for t in g.members)
-        assert dim <= TEST_GROUP_DIM and ecat.obj_dim(g.sum) == dim
+        dim = sum(t.total_dim for t in g.members)
+        assert dim <= TEST_GROUP_DIM and g.sum.total_dim == dim
         assert ecat._is_canonical_split_obj(g.sum)
         assert len(g.members) > 1 or g.sum is g.members[0]
     assert sub.test_groups(sub.sample_objects(2)) is groups
@@ -253,7 +253,7 @@ def test_each_component_decision_is_made_once_and_only_on_the_base(a2, monkeypat
     report = sweep_hom_exactness_biconditional(ecat, bound=2, test_bound=1)
     assert report.passed and report.checked == 1462
     assert calls and all(cat is ecat.base for cat, _, _, _ in calls)
-    keys = [(conflation_key(ecat.base, c), t.key, side) for _, c, t, side in calls]
+    keys = [(conflation_key(c), t.key, side) for _, c, t, side in calls]
     assert len(set(keys)) == len(keys) == len(ecat._component_exact)
     assert {side for *_, side in keys} == {"covariant", "contravariant"}
     calls.clear()

@@ -118,7 +118,7 @@ def _check_against_rows(cat, basis, pool, rng):
 @settings(max_examples=40, deadline=None)
 def test_summand_wise_basis_matches_its_rows(case):
     cat, pool, sums, rng = case
-    registered = {cat.obj_key(t): (summands, injs) for t, summands, injs, _ in sums}
+    registered = {t.key: (summands, injs) for t, summands, injs, _ in sums}
     for total, summands, injs, projs in sums:
         for x in pool + [total]:
             into = cat.hom_basis(x, total)
@@ -128,10 +128,10 @@ def test_summand_wise_basis_matches_its_rows(case):
         for y in pool:
             out_of = cat.hom_basis(total, y)
             rows = _check_against_rows(cat, out_of, pool, rng)
-            if cat.obj_key(y) in registered:
+            if y.key in registered:
                 # y equals a registered sum, and hom_basis splits the target first
                 assert out_of.parts and out_of.into
-                assert _same(rows, _placed_rows(cat, total, y, *registered[cat.obj_key(y)], True))
+                assert _same(rows, _placed_rows(cat, total, y, *registered[y.key], True))
             else:
                 assert out_of.parts and not out_of.into
                 assert _same(rows, _placed_rows(cat, total, y, summands, projs, False))
