@@ -3,7 +3,7 @@
 from .category import Category, ConditionError, Conflation, EnumerationBound, Subcategory
 from .fflinalg import FpMatrix
 from .repcat import Arrow, Quiver, RepCategory, RepMor, RepObj, a_n
-from .approx import AddSubcat, IdealWitness
+from .approx import AddSubcat
 from .conflcat import ConflCategory, ConflMor, ConflObj, SplitConflationSubcat, SubstructureTag
 from .quotient import QMor, qhom, q_is_iso, q_is_zero, q_kernel, q_cokernel, q_coim_im
 
@@ -18,7 +18,6 @@ __all__ = [
     "Conflation",
     "EnumerationBound",
     "FpMatrix",
-    "IdealWitness",
     "QMor",
     "Quiver",
     "RepCategory",

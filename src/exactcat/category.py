@@ -391,11 +391,13 @@ def stacked_rows(cat: Category, mors: Sequence, x, y) -> np.ndarray:
 class Subcategory(ABC):
     """An additive full subcategory with approximation data.
 
-    `ideal_basis` spans the morphisms factoring through the subcategory;
-    `precover_conflation`/`preenvelope_conflation` produce, when they exist,
-    a conflation 0 -> P1 -> P0 -> x -> 0 (resp. 0 -> x -> Q0 -> Q1 -> 0)
-    with both outer terms in the subcategory whose deflation (inflation) is
-    a precover (preenvelope).
+    Each implementation supplies membership, the precover and preenvelope,
+    their conflations 0 -> P1 -> P0 -> x -> 0 and 0 -> x -> Q0 -> Q1 -> 0
+    with outer terms in the subcategory (when they exist), the hom-exactness
+    decision and sample objects.  The ideal of the morphisms factoring
+    through the subcategory is derived here from the precover: f: x -> y
+    factors through the subcategory exactly when it factors through the
+    precover of y (Auslander-Smalo, J. Algebra 1980).
 
     It also holds the quotient's memos, filled by `quotient`: the coset
     projection of each hom-space, and the quotient kernel, cokernel and
@@ -406,6 +408,8 @@ class Subcategory(ABC):
     def __init__(self, cat: Category, label: str):
         self.cat = cat
         self.label = label
+        # (x key, y key) -> basis of the ideal, see ideal_basis
+        self._ideal_cache: dict = {}
         # (x key, y key) -> hom basis, its coordinate matrix and the coset
         # projection, filled by quotient._coset_projection
         self._coset_cache: dict = {}
@@ -418,16 +422,23 @@ class Subcategory(ABC):
         """True when the ideal is zero, i.e. the quotient is the host itself."""
         return False
 
-    @abstractmethod
-    def ideal_basis(self, x, y) -> list: ...
-
-    @abstractmethod
     def ideal_spanning(self, x, y) -> list:
-        """A spanning set of the ideal; may be redundant but cheap."""
+        """A spanning set of the ideal, redundant but cheap: the composites of
+        the precover of y with a basis of Hom(x, P0)."""
+        return compose_with_basis(self.cat, self.precover(y), x)
 
-    @abstractmethod
+    def ideal_basis(self, x, y) -> list:
+        """Basis of the morphisms x -> y factoring through the subcategory,
+        built once per pair."""
+        ck = (x.key, y.key)
+        hit = self._ideal_cache.get(ck)
+        if hit is None:
+            hit = self._ideal_cache[ck] = span_basis(self.cat, self.ideal_spanning(x, y), x, y)
+        return hit
+
     def is_ideal_member(self, f) -> bool:
-        """Does f factor through the subcategory?"""
+        """Does f factor through the subcategory, i.e. through the precover of its target?"""
+        return solve_precompose(self.cat, self.precover(f.dst), f) is not None
 
     @abstractmethod
     def contains(self, x) -> bool: ...

@@ -440,21 +440,20 @@ def cmd_confl(doc: SpecDocument, args) -> dict:
         if args.test_bound is not None
         else _task_default(doc, "confl", "test_bound", min(bound, 1))
     )
-    # below 1 the sweeps check only the zero object, or test against the
-    # zero conflation alone, and would pass having checked nothing
-    for name, value in (("bound", bound), ("test bound", test_bound)):
+    harness_bound = _task_default(doc, "confl", "harness_bound", min(bound, 1))
+    # below 1 the sweeps and the harness check only the zero object, or test
+    # against the zero conflation alone, and would pass having checked nothing
+    for name, value in (("bound", bound), ("test bound", test_bound), ("harness bound", harness_bound)):
         if value < 1:
             raise EnumerationBound(f"confl: the {name} must be at least 1, got {value}", 1)
     ecat = ConflCategory(doc.cat)
-    harness_bound = _task_default(doc, "confl", "harness_bound", min(bound, 1))
     pct = verify_splitting_pseudo_cluster_tilting(ecat, bound=bound, test_bound=test_bound)
     bic = sweep_hom_exactness_biconditional(ecat, bound=bound, test_bound=test_bound)
     harness = cluster_quotient_harness(ecat, bound=harness_bound, cap=args.cap, seed=args.seed)
     sub = ecat.split_sub
     factored = 0
     for x in ecat.enumerate_objects(min(bound, 1)):
-        dses = sub._precover_data(x).dses
-        factor_split0_conflation(ecat, dses)
+        factor_split0_conflation(ecat, sub.precover_conflation(x)[0])
         factored += 1
     obstruction = harness.obstruction
     obstruction_info = None

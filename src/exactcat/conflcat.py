@@ -13,15 +13,17 @@ relation in the extension glue system.
 
 Four named substructures (splitting in selected degrees) stratify the
 degreewise structure.  The subcategory of split conflations has explicit
-one-step precovers and preenvelopes, so the whole quotient engine runs on
-this host unchanged; the harnesses at the bottom re-verify the structure
-theory on bounded enumerations.  One closed-form lift per side, built from
-degree sections (retractions) and checked on a whole hom basis at once,
-serves both the split-approximation sweep (canonical sections) and the
-hom-exactness biconditional (solved sections); self-orthogonality is
-decided by `approx.is_self_orthogonal`.  Both sweeps test a family of split
-objects a bounded group at a time, through the group's direct sum (see
-`SplitConflationSubcat.test_groups`).
+one-step approximations: `s_precover`/`s_preenvelope` return a checked
+conflation, whose deflation (inflation) is the precover (preenvelope), and
+the ideal is derived from that precover as on every `Subcategory`, so the
+whole quotient engine runs on this host unchanged; the harnesses at the
+bottom re-verify the structure theory on bounded enumerations.  One
+closed-form lift per side, built from degree sections (retractions) and
+checked on a whole hom basis at once, serves both the split-approximation
+sweep (canonical sections) and the hom-exactness biconditional (solved
+sections); self-orthogonality is decided by `approx.is_self_orthogonal`.
+Both sweeps test a family of split objects a bounded group at a time,
+through the group's direct sum (see `SplitConflationSubcat.test_groups`).
 """
 from __future__ import annotations
 
@@ -39,13 +41,11 @@ from .category import (
     EnumerationBound,
     Subcategory,
     VerificationError,
-    compose_with_basis,
     conflation_key,
     conflation_split,
     hom_exact,
     solve_postcompose,
     solve_precompose,
-    span_basis,
     span_matrix,
     verify,
 )
@@ -481,28 +481,13 @@ class SplitTestGroup:
     members: tuple
 
 
-@dataclass
-class SplitPrecover:
-    p1: ConflObj
-    p0: ConflObj
-    alpha: ConflMor
-    dses: Conflation
+def s_precover(ecat: ConflCategory, x: ConflObj) -> Conflation:
+    """The one-step split precover of a conflation object: returns the
+    checked conflation 0 -> P1 -> P0 -> x -> 0 whose deflation is the precover.
 
-
-@dataclass
-class SplitPreenvelope:
-    q0: ConflObj
-    q1: ConflObj
-    beta: ConflMor
-    dses: Conflation
-
-
-def s_precover(ecat: ConflCategory, x: ConflObj) -> SplitPrecover:
-    """The one-step split precover of a conflation object.
-
-    p0 is the canonical split conflation on (first term, middle term); the
-    deflation evaluates the complex structure, and the induced degreewise
-    sequence splits in degrees -1 and 0 by construction.
+    P0 is the canonical split conflation on (first term, middle term); the
+    deflation evaluates the complex structure, and the conflation splits in
+    degrees -1 and 0 by construction.
     """
     b = ecat.base
     x1, x2, x3 = x.terms()
@@ -520,11 +505,13 @@ def s_precover(ecat: ConflCategory, x: ConflObj) -> SplitPrecover:
         substructure_member(ecat, dses, SubstructureTag.SPLIT0M1),
         f"{x.label}: split precover conflation does not split in degrees -1 and 0",
     )
-    return SplitPrecover(p1, p0, alpha, dses)
+    return dses
 
 
-def s_preenvelope(ecat: ConflCategory, x: ConflObj) -> SplitPreenvelope:
-    """The dual one-step split preenvelope, splitting in degrees 0 and 1."""
+def s_preenvelope(ecat: ConflCategory, x: ConflObj) -> Conflation:
+    """The dual one-step split preenvelope: returns the checked conflation
+    0 -> x -> Q0 -> Q1 -> 0 whose inflation is the preenvelope; it splits
+    in degrees 0 and 1."""
     b = ecat.base
     x1, x2, x3 = x.terms()
     zero = b.zero_obj()
@@ -541,31 +528,18 @@ def s_preenvelope(ecat: ConflCategory, x: ConflObj) -> SplitPreenvelope:
         substructure_member(ecat, dses, SubstructureTag.SPLIT01),
         f"{x.label}: split preenvelope conflation does not split in degrees 0 and 1",
     )
-    return SplitPreenvelope(q0, q1, beta, dses)
+    return dses
 
 
 class SplitConflationSubcat(Subcategory):
-    """The full subcategory of split conflations inside the conflation category."""
+    """The full subcategory of split conflations inside the conflation
+    category; each approximation is a map of its conflation, built once."""
 
     def __init__(self, ecat: ConflCategory, label: str = "S(M)"):
         super().__init__(ecat, label)
         self._pre_cache: dict = {}
         self._env_cache: dict = {}
         self._test_groups: dict = {}
-
-    def _precover_data(self, x: ConflObj) -> SplitPrecover:
-        hit = self._pre_cache.get(x.key)
-        if hit is None:
-            hit = s_precover(self.cat, x)
-            self._pre_cache[x.key] = hit
-        return hit
-
-    def _preenvelope_data(self, x: ConflObj) -> SplitPreenvelope:
-        hit = self._env_cache.get(x.key)
-        if hit is None:
-            hit = s_preenvelope(self.cat, x)
-            self._env_cache[x.key] = hit
-        return hit
 
     def contains(self, x: ConflObj) -> bool:
         return conflation_split(self.cat.base, x.ses) is not None
@@ -583,25 +557,24 @@ class SplitConflationSubcat(Subcategory):
         return ConflMor(x, target, b.identity(x.t1), phi2, b.identity(x.t3))
 
     def precover(self, x: ConflObj) -> ConflMor:
-        return self._precover_data(x).alpha
+        return self.precover_conflation(x)[0].defl
 
     def preenvelope(self, x: ConflObj) -> ConflMor:
-        return self._preenvelope_data(x).beta
+        return self.preenvelope_conflation(x)[0].incl
 
-    def precover_conflation(self, x: ConflObj):
-        return self._precover_data(x).dses, None
+    def precover_conflation(self, x: ConflObj) -> tuple[Conflation, None]:
+        """(s_precover(x), None), built once per object: it always exists."""
+        hit = self._pre_cache.get(x.key)
+        if hit is None:
+            hit = self._pre_cache[x.key] = (s_precover(self.cat, x), None)
+        return hit
 
-    def preenvelope_conflation(self, x: ConflObj):
-        return self._preenvelope_data(x).dses, None
-
-    def ideal_spanning(self, x: ConflObj, y: ConflObj) -> list:
-        return compose_with_basis(self.cat, self.precover(y), x)
-
-    def ideal_basis(self, x: ConflObj, y: ConflObj) -> list:
-        return span_basis(self.cat, self.ideal_spanning(x, y), x, y)
-
-    def is_ideal_member(self, f: ConflMor) -> bool:
-        return solve_precompose(self.cat, self.precover(f.dst), f) is not None
+    def preenvelope_conflation(self, x: ConflObj) -> tuple[Conflation, None]:
+        """(s_preenvelope(x), None), built once per object: it always exists."""
+        hit = self._env_cache.get(x.key)
+        if hit is None:
+            hit = self._env_cache[x.key] = (s_preenvelope(self.cat, x), None)
+        return hit
 
     def is_hom_exact(self, c: Conflation, side: str) -> bool:
         """Degree (-1, 0) splitting (covariant), degree (0, 1) splitting
@@ -740,10 +713,10 @@ def check_hom_exactness_matches_splitting(
         test_objects = sub.sample_objects(bound)
     groups = sub.test_groups(test_objects)
     cov = _hom_exact_by_group(ecat, dses, groups, "covariant") and ecat.split_hom_exact(
-        dses, sub._precover_data(z_obj).p0, "covariant"
+        dses, sub.precover(z_obj).src, "covariant"
     )
     contra = _hom_exact_by_group(ecat, dses, groups, "contravariant") and ecat.split_hom_exact(
-        dses, sub._preenvelope_data(x_obj).q0, "contravariant"
+        dses, sub.preenvelope(x_obj).dst, "contravariant"
     )
     s1, s2, s3 = (ecat.degree_split(dses, d) for d in DEGREES)
     member_down = s1 is not None and s2 is not None
@@ -877,14 +850,13 @@ def factor_split0_conflation(ecat: ConflCategory, dses: Conflation) -> tuple[Con
     f: ConflMor = dses.incl
     g: ConflMor = dses.defl
     x_obj, y_obj, z_obj = f.src, f.dst, g.dst
-    env = ecat.split_sub._preenvelope_data(x_obj)
-    r = env.beta
-    delta = env.dses.defl  # Q0 -> Q1
+    env, _ = ecat.split_sub.preenvelope_conflation(x_obj)
+    r, delta = env.incl, env.defl  # X -> Q0 -> Q1
     c_obj, t_mor, s_mor = ecat.pushout(r, f)  # t: Q0 -> C, s: Y -> C
-    u = _induced_from_pushout(ecat, t_mor, s_mor, delta, ecat.zero_mor(y_obj, env.q1))
+    u = _induced_from_pushout(ecat, t_mor, s_mor, delta, ecat.zero_mor(y_obj, delta.dst))
     step1 = Conflation(s_mor, u)
     ecat.check_conflation(step1)
-    w = _induced_from_pushout(ecat, t_mor, s_mor, ecat.zero_mor(env.q0, z_obj), g)
+    w = _induced_from_pushout(ecat, t_mor, s_mor, ecat.zero_mor(r.dst, z_obj), g)
     step2 = Conflation(t_mor, w)
     ecat.check_conflation(step2)
     verify(substructure_member(ecat, step1, SubstructureTag.SPLIT01), "first step does not split in degrees 0, 1")
@@ -939,19 +911,20 @@ def verify_splitting_pseudo_cluster_tilting(
     report = SplitPctReport(passed=True, objects_checked=len(objs), lift_tests=0)
     for x in objs:
         try:
-            pre = sub._precover_data(x)
-            env = sub._preenvelope_data(x)
+            pre, _ = sub.precover_conflation(x)
+            env, _ = sub.preenvelope_conflation(x)
         except VerificationError as exc:
             report.failures.append(str(exc))
             continue
+        alpha, beta = sub.precover(x), sub.preenvelope(x)
         for g in groups:
-            failed = _lift_failures(ecat, x, pre, env, g.sum)
+            failed = _lift_failures(ecat, x, alpha, beta, g.sum)
             if failed:
-                report.failures += [m for t in g.members for m in _lift_failures(ecat, x, pre, env, t)] or failed
+                report.failures += [m for t in g.members for m in _lift_failures(ecat, x, alpha, beta, t)] or failed
         x1, x2, x3 = x.terms()
         sides = (
-            (_verify_deflation_lift_formula, pre.dses, b.identity(x1), ecat._pair(x1, x2)[1][1]),
-            (_verify_inflation_lift_formula, env.dses, ecat._pair(x2, x3)[2][0], b.identity(x3)),
+            (_verify_deflation_lift_formula, pre, b.identity(x1), ecat._pair(x1, x2)[1][1]),
+            (_verify_inflation_lift_formula, env, ecat._pair(x2, x3)[2][0], b.identity(x3)),
         )
         for lift_formula, dses, m1, m2 in sides:
             try:
@@ -962,18 +935,18 @@ def verify_splitting_pseudo_cluster_tilting(
     return report
 
 
-def _lift_failures(
-    ecat: ConflCategory, x: ConflObj, pre: SplitPrecover, env: SplitPreenvelope, s: ConflObj
-) -> list[str]:
-    """Which of the two approximations of x some morphism from (to) s does
-    not factor through: every basis morphism at once, one solve per side."""
+def _lift_failures(ecat: ConflCategory, x: ConflObj, alpha: ConflMor, beta: ConflMor, s: ConflObj) -> list[str]:
+    """Which of the two approximations of x, the precover alpha: P0 -> x and
+    the preenvelope beta: x -> Q0, some morphism from (to) s does not factor
+    through: every basis morphism at once, one solve per side."""
     failed = []
+    p0, q0 = alpha.src, beta.dst
     incoming = ecat.hom_basis(s, x)
-    through = ecat.compose_flat(pre.alpha, ecat.hom_basis(s, pre.p0), s, pre.p0)
+    through = ecat.compose_flat(alpha, ecat.hom_basis(s, p0), s, p0)
     if ff.solve_right(through, span_matrix(ecat, incoming, s, x)) is None:
         failed.append(f"{x.label}: precover lift fails against {s.label}")
     outgoing = ecat.hom_basis(x, s)
-    through = ecat.precompose_flat(ecat.hom_basis(env.q0, s), env.beta, env.q0, s)
+    through = ecat.precompose_flat(ecat.hom_basis(q0, s), beta, q0, s)
     if ff.solve_right(through, span_matrix(ecat, outgoing, x, s)) is None:
         failed.append(f"{x.label}: preenvelope lift fails against {s.label}")
     return failed
@@ -1048,8 +1021,8 @@ def cluster_quotient_harness(
 
     for tag in SubstructureTag:
         pseudo = all(
-            substructure_member(ecat, sub._precover_data(x).dses, tag)
-            and substructure_member(ecat, sub._preenvelope_data(x).dses, tag)
+            substructure_member(ecat, sub.precover_conflation(x)[0], tag)
+            and substructure_member(ecat, sub.preenvelope_conflation(x)[0], tag)
             for x in sample
         )
         orth = is_self_orthogonal(sub, [d for d in sequences if substructure_member(ecat, d, tag)]).passed

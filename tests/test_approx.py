@@ -10,7 +10,7 @@ from exactcat.approx import (
     is_pseudo_cluster_tilting,
     is_self_orthogonal,
 )
-from exactcat.category import ConditionError, conflation_split, find_iso, hom_exact
+from exactcat.category import ConditionError, conflation_split, find_iso, hom_exact, solve_precompose
 
 
 def test_ideal_dims(a3, a3_sub):
@@ -22,21 +22,26 @@ def test_ideal_dims(a3, a3_sub):
     assert len(empty.ideal_basis(o["P1"], o["P1"])) == 0
 
 
-def test_factors_through_witness_reconstructs(a3, a3_sub):
+def test_ideal_member_factors_through_the_precover(a3, a3_sub):
+    """f is an ideal member exactly when it factors through the precover of
+    its target, and that factorization reconstructs f."""
     cat, o = a3
     P = a3_sub
     zero = cat.zero_mor(o["S2"], o["S2"])
-    w = P.factors_through(zero)
-    assert w is not None
-    assert cat.mor_eq(cat.compose(w.left, w.right), zero)
+    assert P.is_ideal_member(zero)
+    right = solve_precompose(cat, P.precover(o["S2"]), zero)
+    assert right is not None
+    assert cat.mor_eq(cat.compose(P.precover(o["S2"]), right), zero)
 
-    assert P.factors_through(cat.identity(o["S2"])) is None
+    assert not P.is_ideal_member(cat.identity(o["S2"]))
 
     f = cat.identity(o["P2"])  # domain in the subcategory
-    w = P.factors_through(f)
-    assert w is not None
-    assert cat.mor_eq(cat.compose(w.left, w.right), f)
-    assert P.contains(w.through)
+    assert P.is_ideal_member(f)
+    beta = P.precover(o["P2"])
+    right = solve_precompose(cat, beta, f)
+    assert right is not None
+    assert cat.mor_eq(cat.compose(beta, right), f)
+    assert P.contains(beta.src)
 
 
 def test_in_add_examples(a3, a3_sub):

@@ -104,9 +104,9 @@ def test_class_membership_on_conflation_host(a2):
     # a split-in-degree-0 sequence between split objects is hom-exact both
     # ways, hence in both classes
     x = ecat.split_obj(o["S2"], o["S1"])
-    pre = sub._precover_data(x)
-    assert cl.in_class_s(pre.dses, sub).is_member
-    assert cl.in_class_t(pre.dses, sub).is_member
+    pre, _ = sub.precover_conflation(x)
+    assert cl.in_class_s(pre, sub).is_member
+    assert cl.in_class_t(pre, sub).is_member
 
 
 def test_random_search_reports_honestly(a3, a3_sub):

@@ -113,13 +113,16 @@ def test_classes_refused_bound_exit_two():
         (["--test-bound", "0"], {}, "the test bound must be at least 1, got 0"),
         ([], {"bound": 0}, "the bound must be at least 1, got 0"),
         ([], {"test_bound": 0}, "the test bound must be at least 1, got 0"),
+        ([], {"harness_bound": 0}, "the harness bound must be at least 1, got 0"),
     ],
-    ids=["bound-flag", "test-bound-flag", "spec-bound", "spec-test-bound"],
+    ids=["bound-flag", "test-bound-flag", "spec-bound", "spec-test-bound", "spec-harness-bound"],
 )
 def test_confl_refuses_a_sweep_that_checks_nothing(tmp_path, flags, task, message):
-    """Bound 0 checks only the zero object and test bound 0 tests against
-    the zero conflation alone; from a flag or from the spec's confl task,
-    either is a refused-bound report (exit 2, required 1), not a pass."""
+    """Bound 0 checks only the zero object, test bound 0 tests against the
+    zero conflation alone, and harness bound 0 runs the cluster-quotient
+    harness on the zero sequence alone; from a flag or from the spec's
+    confl task, each is a refused-bound report (exit 2, required 1), not a
+    pass."""
     raw = json.loads(Path(A2).read_text())
     for t in raw["tasks"]:
         if t["command"] == "confl":

@@ -64,7 +64,7 @@ def test_confl_category_owns_its_caches(a2):
     assert total.key == cat.direct_sum([o["S1"], o["P1"]])[0].key
     assert ecat._pair(o["P1"], o["S1"]) is not first
     x = ecat.split_obj(o["S1"], o["S2"])
-    assert ecat.split_sub._precover_data(x) is ecat.split_sub._precover_data(x)
+    assert ecat.split_sub.precover_conflation(x)[0] is ecat.split_sub.precover_conflation(x)[0]
     # a second category over the same base has caches of its own
     other = ConflCategory(cat)
     assert other.split_sub is not ecat.split_sub
@@ -137,16 +137,16 @@ def test_is_in_sm_witness(econf, a2):
 def test_s_precover_structure(econf):
     ecat, sub, x = econf
     pre = s_precover(ecat, x)
-    assert pre.p1.t1.total_dim == 0
-    assert pre.p1.t2.dimv == x.t1.dimv
-    assert pre.p0.t2.dimv == tuple(
+    assert pre.incl.src.t1.total_dim == 0
+    assert pre.incl.src.t2.dimv == x.t1.dimv
+    assert pre.defl.src.t2.dimv == tuple(
         a + b for a, b in zip(x.t1.dimv, x.t2.dimv)
     )
-    assert sub.contains(pre.p0) and sub.contains(pre.p1)
-    assert substructure_member(ecat, pre.dses, SubstructureTag.SPLIT0M1)
-    assert not substructure_member(ecat, pre.dses, SubstructureTag.SPLIT01)
-    assert substructure_member(ecat, pre.dses, SubstructureTag.SPLIT0)
-    assert substructure_member(ecat, pre.dses, SubstructureTag.FULL)
+    assert sub.contains(pre.defl.src) and sub.contains(pre.incl.src)
+    assert substructure_member(ecat, pre, SubstructureTag.SPLIT0M1)
+    assert not substructure_member(ecat, pre, SubstructureTag.SPLIT01)
+    assert substructure_member(ecat, pre, SubstructureTag.SPLIT0)
+    assert substructure_member(ecat, pre, SubstructureTag.FULL)
 
 
 def test_s_precover_of_split_is_split_epi(econf, a2):
@@ -154,7 +154,7 @@ def test_s_precover_of_split_is_split_epi(econf, a2):
     cat, o = a2
     split = ecat.split_obj(o["S2"], o["S1"])
     pre = s_precover(ecat, split)
-    section = solve_precompose(ecat, pre.alpha, ecat.identity(split))
+    section = solve_precompose(ecat, pre.defl, ecat.identity(split))
     assert section is not None
 
 
@@ -162,16 +162,16 @@ def test_s_preenvelope_structure(econf, a2):
     ecat, sub, x = econf
     cat, o = a2
     env = s_preenvelope(ecat, x)
-    assert env.q1.t3.total_dim == 0
-    assert sub.contains(env.q0) and sub.contains(env.q1)
-    assert substructure_member(ecat, env.dses, SubstructureTag.SPLIT01)
-    assert not substructure_member(ecat, env.dses, SubstructureTag.SPLIT0M1)
+    assert env.defl.dst.t3.total_dim == 0
+    assert sub.contains(env.incl.dst) and sub.contains(env.defl.dst)
+    assert substructure_member(ecat, env, SubstructureTag.SPLIT01)
+    assert not substructure_member(ecat, env, SubstructureTag.SPLIT0M1)
     # for a split object the preenvelope is a split mono at the chain level
     split = ecat.split_obj(o["S2"], o["S1"])
     env2 = s_preenvelope(ecat, split)
     from exactcat.category import solve_postcompose
 
-    retr = solve_postcompose(ecat, env2.beta, ecat.identity(split))
+    retr = solve_postcompose(ecat, env2.incl, ecat.identity(split))
     assert retr is not None
 
 
@@ -191,25 +191,25 @@ def test_precover_lift_formula_and_solver(econf):
     incoming = sum(len(ecat.hom_basis(s, x)) for s in samples)
     outgoing = sum(len(ecat.hom_basis(x, s)) for s in samples)
     assert incoming > 0 and outgoing > 0
-    assert _verify_deflation_lift_formula(ecat, pre.dses, samples, s1, s2) == incoming
-    assert _verify_inflation_lift_formula(ecat, env.dses, samples, r2, r3) == outgoing
+    assert _verify_deflation_lift_formula(ecat, pre, samples, s1, s2) == incoming
+    assert _verify_inflation_lift_formula(ecat, env, samples, r2, r3) == outgoing
     with pytest.raises(VerificationError, match="deflation lift formula"):
-        _verify_deflation_lift_formula(ecat, pre.dses, samples, s1, b.zero_mor(s2.src, s2.dst))
+        _verify_deflation_lift_formula(ecat, pre, samples, s1, b.zero_mor(s2.src, s2.dst))
     with pytest.raises(VerificationError, match="inflation extension formula"):
-        _verify_inflation_lift_formula(ecat, env.dses, samples, b.zero_mor(r2.src, r2.dst), r3)
+        _verify_inflation_lift_formula(ecat, env, samples, b.zero_mor(r2.src, r2.dst), r3)
     for s in samples:
         for g in ecat.hom_basis(s, x):
-            assert solve_precompose(ecat, pre.alpha, g) is not None
+            assert solve_precompose(ecat, pre.defl, g) is not None
         for g in ecat.hom_basis(x, s):
-            assert solve_postcompose(ecat, env.beta, g) is not None
+            assert solve_postcompose(ecat, env.incl, g) is not None
 
 
 def test_substructure_lattice_monotone(econf, a2):
     ecat, sub, x = econf
     cat, o = a2
     seqs = []
-    seqs.append(s_precover(ecat, x).dses)
-    seqs.append(s_preenvelope(ecat, x).dses)
+    seqs.append(s_precover(ecat, x))
+    seqs.append(s_preenvelope(ecat, x))
     seqs.append(nonsplit_with_split_ends(ecat))
     for q in sub.sample_objects(1)[:4]:
         seqs.extend(ecat.enumerate_extensions(q, x, cap=64))
@@ -246,10 +246,10 @@ def test_nonsplit_with_split_ends(econf):
 def test_hom_exactness_biconditional_cases(econf):
     ecat, sub, x = econf
     pre = s_precover(ecat, x)
-    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, pre.dses)
+    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, pre)
     assert cov and down
     env = s_preenvelope(ecat, x)
-    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, env.dses)
+    cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, env)
     assert contra and up and not cov and not down
     d = nonsplit_with_split_ends(ecat)
     cov, down, contra, up = check_hom_exactness_matches_splitting(ecat, d)
@@ -257,7 +257,7 @@ def test_hom_exactness_biconditional_cases(econf):
     # explicit non-lifting witness: the split precover of the end term does
     # not lift through the deflation
     z_obj = d.defl.dst
-    r = s_precover(ecat, z_obj).alpha
+    r = s_precover(ecat, z_obj).defl
     assert solve_precompose(ecat, d.defl, r) is None
 
 
@@ -273,12 +273,12 @@ def test_factor_split0(econf, a2):
     assert conflation_split(ecat, step1) is not None
     assert conflation_split(ecat, step2) is not None
 
-    split_seq = s_precover(ecat, ecat.split_obj(x.t1, x.t3)).dses
+    split_seq = s_precover(ecat, ecat.split_obj(x.t1, x.t3))
     step1, step2 = factor_split0_conflation(ecat, split_seq)
     assert substructure_member(ecat, step1, SubstructureTag.SPLIT01)
     assert substructure_member(ecat, step2, SubstructureTag.SPLIT0M1)
 
-    dses = s_precover(ecat, x).dses  # lies in the degree-0 substructure
+    dses = s_precover(ecat, x)  # lies in the degree-0 substructure
     step1, step2 = factor_split0_conflation(ecat, dses)
     assert substructure_member(ecat, step1, SubstructureTag.SPLIT01)
     assert substructure_member(ecat, step2, SubstructureTag.SPLIT0M1)
@@ -346,12 +346,12 @@ def test_kernel_cokernel_of_chain_maps(econf, a2):
     ecat, sub, x = econf
     cat, o = a2
     pre = s_precover(ecat, x)
-    k_obj, k = ecat.kernel(pre.alpha)
+    k_obj, k = ecat.kernel(pre.defl)
     from exactcat.category import find_iso
 
-    assert find_iso(ecat, k_obj, pre.p1) is not None
-    c_obj, c = ecat.cokernel(ecat.compose(pre.dses.incl, ecat.identity(pre.p1)))
-    assert c_obj.total_dim == pre.p0.total_dim - pre.p1.total_dim
+    assert find_iso(ecat, k_obj, pre.incl.src) is not None
+    c_obj, c = ecat.cokernel(ecat.compose(pre.incl, ecat.identity(pre.incl.src)))
+    assert c_obj.total_dim == pre.defl.src.total_dim - pre.incl.src.total_dim
 
 
 # -- each conflation is checked once, by the code that builds it ----------------------
@@ -417,9 +417,9 @@ def test_lift_formulas_refuse_a_test_object_that_is_not_canonical_split(econf):
     pre, env = s_precover(ecat, x), s_preenvelope(ecat, x)
     tests = sub.sample_objects(1) + [x]
     with pytest.raises(ValueError, match=r"test object X is not a canonical split"):
-        _verify_deflation_lift_formula(ecat, pre.dses, tests, b.identity(x1), ecat._pair(x1, x2)[1][1])
+        _verify_deflation_lift_formula(ecat, pre, tests, b.identity(x1), ecat._pair(x1, x2)[1][1])
     with pytest.raises(ValueError, match=r"test object X is not a canonical split"):
-        _verify_inflation_lift_formula(ecat, env.dses, tests, ecat._pair(x2, x3)[2][0], b.identity(x3))
+        _verify_inflation_lift_formula(ecat, env, tests, ecat._pair(x2, x3)[2][0], b.identity(x3))
 
 
 # -- what the biconditional sweep keeps -------------------------------------------------

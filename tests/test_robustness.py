@@ -65,8 +65,8 @@ def test_f3_conflation_category(a2_f3):
     x = ecat.make_obj(cat.conflation(iota, pi))
     pre = s_precover(ecat, x)
     env = s_preenvelope(ecat, x)
-    assert substructure_member(ecat, pre.dses, SubstructureTag.SPLIT0M1)
-    assert substructure_member(ecat, env.dses, SubstructureTag.SPLIT01)
+    assert substructure_member(ecat, pre, SubstructureTag.SPLIT0M1)
+    assert substructure_member(ecat, env, SubstructureTag.SPLIT01)
     nonsplit_with_split_ends(ecat)
     assert verify_splitting_pseudo_cluster_tilting(ecat, bound=1).passed
     assert sweep_hom_exactness_biconditional(ecat, bound=1, test_bound=1).passed
@@ -136,6 +136,31 @@ def test_no_assert_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_no_unused_import_in_the_package():
+    """Every name a module imports is used in it, so an import a change left
+    behind cannot pass for a dependency.  `__init__.py` re-exports, as does
+    an import marked `# noqa`; `__future__` imports are directives."""
+    found = []
+    for path in sorted(Path(exactcat.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                marked = "# noqa" in lines[node.lineno - 1] or "# noqa" in lines[alias.lineno - 1]
+                if name not in used and not marked:
+                    found.append(f"{path.name}:{alias.lineno}: {name}")
     assert found == []
 
 

@@ -55,8 +55,8 @@ def test_split_end_decision_matches_the_conflation_level_one(p, bound):
     verdicts = set()
     for dses in sweep_pairs(ecat, bound):
         ends = {
-            "covariant": sub._precover_data(dses.defl.dst).p0,
-            "contravariant": sub._preenvelope_data(dses.incl.src).q0,
+            "covariant": sub.precover(dses.defl.dst).src,
+            "contravariant": sub.preenvelope(dses.incl.src).dst,
         }
         for side in SIDES:
             for t in family + [ends[side]]:

@@ -36,8 +36,8 @@ def per_member_check(ecat, dses, bound=1, test_objects=None):
     z_obj, x_obj = dses.defl.dst, dses.incl.src
     if test_objects is None:
         test_objects = sub.sample_objects(bound)
-    cov_family = test_objects + [sub._precover_data(z_obj).p0]
-    contra_family = test_objects + [sub._preenvelope_data(x_obj).q0]
+    cov_family = test_objects + [sub.precover(z_obj).src]
+    contra_family = test_objects + [sub.preenvelope(x_obj).dst]
     cov = all(hom_exact(ecat, dses, t, "covariant") for t in cov_family)
     member_down = substructure_member(ecat, dses, SubstructureTag.SPLIT0M1)
     contra = all(hom_exact(ecat, dses, t, "contravariant") for t in contra_family)
@@ -62,24 +62,26 @@ def per_member_sweep(ecat, bound=1, test_bound=None):
     report = SplitPctReport(passed=True, objects_checked=len(objs), lift_tests=0)
     for x in objs:
         try:
-            pre = sub._precover_data(x)
-            env = sub._preenvelope_data(x)
+            pre, _ = sub.precover_conflation(x)
+            env, _ = sub.preenvelope_conflation(x)
         except VerificationError as exc:
             report.failures.append(str(exc))
             continue
+        alpha, beta = sub.precover(x), sub.preenvelope(x)
+        p0, q0 = alpha.src, beta.dst
         for s in samples:
             incoming = ecat.hom_basis(s, x)
-            through = ecat.compose_flat(pre.alpha, ecat.hom_basis(s, pre.p0), s, pre.p0)
+            through = ecat.compose_flat(alpha, ecat.hom_basis(s, p0), s, p0)
             if ff.solve_right(through, span_matrix(ecat, incoming, s, x)) is None:
                 report.failures.append(f"{x.label}: precover lift fails against {s.label}")
             outgoing = ecat.hom_basis(x, s)
-            through = ecat.precompose_flat(ecat.hom_basis(env.q0, s), env.beta, env.q0, s)
+            through = ecat.precompose_flat(ecat.hom_basis(q0, s), beta, q0, s)
             if ff.solve_right(through, span_matrix(ecat, outgoing, x, s)) is None:
                 report.failures.append(f"{x.label}: preenvelope lift fails against {s.label}")
         x1, x2, x3 = x.terms()
         sides = (
-            (conflcat._verify_deflation_lift_formula, pre.dses, b.identity(x1), ecat._pair(x1, x2)[1][1]),
-            (conflcat._verify_inflation_lift_formula, env.dses, ecat._pair(x2, x3)[2][0], b.identity(x3)),
+            (conflcat._verify_deflation_lift_formula, pre, b.identity(x1), ecat._pair(x1, x2)[1][1]),
+            (conflcat._verify_inflation_lift_formula, env, ecat._pair(x2, x3)[2][0], b.identity(x3)),
         )
         for lift_formula, dses, m1, m2 in sides:
             try:
@@ -166,13 +168,12 @@ def zero_second_map(monkeypatch, name):
 def zero_precover_deflation(monkeypatch):
     """Replace each split precover's deflation by zero: a lift then exists
     from a test object only when it has no morphism to the object."""
-    real = conflcat.SplitConflationSubcat._precover_data
+    real = conflcat.SplitConflationSubcat.precover
 
     def wrong(self, x):
-        data = real(self, x)
-        return conflcat.SplitPrecover(data.p1, data.p0, self.cat.zero_mor(data.p0, x), data.dses)
+        return self.cat.zero_mor(real(self, x).src, x)
 
-    monkeypatch.setattr(conflcat.SplitConflationSubcat, "_precover_data", wrong)
+    monkeypatch.setattr(conflcat.SplitConflationSubcat, "precover", wrong)
 
 
 INJECTIONS = {
