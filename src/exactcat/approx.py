@@ -14,6 +14,11 @@ the whole bases; membership, ideal membership, the ideal's spanning sets
 and the precover conflation all run on it, so they solve systems sized by
 that generating set.  The preenvelope is still the coevaluation of the
 whole bases of Hom(x, G_i).
+
+`AddSubcat` also plans the pads of the quotient's block-completion iso
+search: the generator multisets, keyed by their iso profile (the dimension
+vector, then dim Hom(G_i, -) and dim Hom(-, G_i) per generator), an
+additive invariant that isomorphic objects share.
 """
 from __future__ import annotations
 
@@ -56,7 +61,9 @@ class AddSubcat(Subcategory):
 
     @property
     def is_trivial(self) -> bool:
-        return not self.generators
+        # add(G) is zero exactly when the sum of G is, however many zero
+        # generators name it
+        return self.sum.total_dim == 0
 
     # -- approximations ------------------------------------------------------
     def precover(self, x):
@@ -219,21 +226,35 @@ class AddSubcat(Subcategory):
             obj = self._multiset_sums[ms] = cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
         return obj
 
+    def iso_profile(self, x) -> tuple:
+        """An additive isomorphism invariant of x: its dimension vector, then
+        dim Hom(G_i, x) and then dim Hom(x, G_i) for each generator G_i.
+        Isomorphic objects share it, and the profile of a direct sum is the
+        sum of the profiles, because Hom is additive in each argument."""
+        cat, gens = self.cat, self.generators
+        return (
+            *x.dimv,
+            *(len(cat.hom_basis(g, x)) for g in gens),
+            *(len(cat.hom_basis(x, g)) for g in gens),
+        )
+
     def block_plan(self, extra_dim_cap: int) -> tuple[list, dict]:
         """The pads of the block-completion iso search, built once per cap.
 
-        Returns (order, by_profile): order lists (multiset, dimension
-        profile) for every generator multiset of total dimension <=
-        extra_dim_cap, by total dimension and then multiset; by_profile
-        maps a dimension profile to its multisets in generator_multisets
-        order.  The sums themselves are built lazily by multiset_sum."""
+        Returns (order, by_profile): order lists (multiset, iso profile)
+        for every generator multiset of total dimension <= extra_dim_cap,
+        by total dimension and then multiset; by_profile maps an iso
+        profile to its multisets in generator_multisets order.  A
+        multiset's profile is the sum of its generators' profiles, so only
+        the generators' own hom bases are read.  The sums themselves are
+        built lazily by multiset_sum."""
         hit = self._block_plans.get(extra_dim_cap)
         if hit is None:
-            cat, gens = self.cat, self.generators
-            zero = cat.zero_obj().dimv
+            gens = self.generators
+            gen_profiles = [self.iso_profile(g) for g in gens]
+            zero = (0,) * (len(self.cat.zero_obj().dimv) + 2 * len(gens))
             multisets = generator_multisets([g.total_dim for g in gens], extra_dim_cap)
-            # dimension profiles are additive over direct sums
-            profile = {ms: tuple(map(sum, zip(zero, *(gens[i].dimv for i in ms)))) for ms in multisets}
+            profile = {ms: tuple(map(sum, zip(zero, *(gen_profiles[i] for i in ms)))) for ms in multisets}
             by_profile: dict = {}
             for ms in multisets:
                 by_profile.setdefault(profile[ms], []).append(ms)

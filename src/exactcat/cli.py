@@ -618,28 +618,34 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="exactcat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_spec=True):
+    # the bounds and the cap, each given only to the commands that read it
+    knobs = {
+        "--bound": dict(type=nonnegative, default=None, help="enumeration bound"),
+        "--test-bound": dict(type=nonnegative, default=None, help="test-object bound"),
+        "--subobject-bound": dict(type=nonnegative, default=8, help="class-search subobject bound"),
+        "--cap": dict(type=nonnegative, default=4096, help="hom-space enumeration cap"),
+    }
+
+    def common(p, *flags, with_spec=True, seed_help="sampling seed"):
         if with_spec:
             p.add_argument("spec", help="JSON spec file (schema exactcat/1)")
-        p.add_argument("--bound", type=nonnegative, default=None, help="enumeration bound")
-        p.add_argument("--test-bound", dest="test_bound", type=nonnegative, default=None)
-        p.add_argument("--subobject-bound", dest="subobject_bound", type=nonnegative, default=8)
-        p.add_argument("--cap", type=nonnegative, default=4096, help="hom-space enumeration cap")
-        p.add_argument("--seed", type=nonnegative, default=0, help="sampling seed")
+        for flag in flags:
+            p.add_argument(flag, **knobs[flag])
+        p.add_argument("--seed", type=nonnegative, default=0, help=seed_help)
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p = sub.add_parser("check-pct", help="precover/preenvelope conflation conditions")
-    common(p)
+    common(p, seed_help="accepted for a uniform command line; check-pct samples nothing")
     p.add_argument("--subcategory", default=None)
     p.add_argument("--testset", default=None, help="comma-separated object names")
 
     p = sub.add_parser("quotient", help="qhom table and semi-abelian/abelian certificates")
-    common(p)
+    common(p, "--cap")
     p.add_argument("--subcategory", default=None)
 
     p = sub.add_parser("classes", help="conflation class memberships and crosscheck")
-    common(p)
+    common(p, "--bound", "--subobject-bound", "--cap")
     p.add_argument("--subcategory", default=None)
     p.add_argument("--conflation", default=None)
     p.add_argument(
@@ -651,13 +657,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
 
     p = sub.add_parser("confl", help="conflation-category harnesses")
-    common(p)
+    common(p, "--bound", "--test-bound", "--cap")
 
     p = sub.add_parser("iso-agreement", help="two independent iso tests must agree")
-    common(p)
+    common(p, "--cap")
 
     p = sub.add_parser("verify-paper", help="run all suites on the bundled fixtures")
-    common(p, with_spec=False)
+    common(p, *knobs, with_spec=False)
 
     args = parser.parse_args(argv)
     try:

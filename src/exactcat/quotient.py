@@ -156,13 +156,17 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
 
     f is invertible in the quotient iff some [[f,b],[c,d]] with the pads P,Q
     in the subcategory is invertible in the host.  The pads range over
-    generator multisets of total dimension <= extra_dim_cap with matching
-    dimension defect; for each pad pair the p^n choices of (b,c,d), n the
-    number of basis maps placed, are enumerated only when p^n <= combo_cap.
-    The multisets, their dimension profiles and the search order are
-    planned once per subcategory and cap (`AddSubcat.block_plan`), and each
-    pad is built at most once per subcategory (`AddSubcat.multiset_sum`);
-    a skipped pair assembles nothing.
+    generator multisets of total dimension <= extra_dim_cap, and Q only over
+    those with profile(Q) = profile(X) + profile(P) - profile(Y), for the iso
+    profile of `AddSubcat.iso_profile`: an invertible completion is an
+    isomorphism X (+) P -> Y (+) Q, and isomorphic objects have equal
+    profiles, so a pair left out has no invertible completion.  For each
+    pair the p^n choices of (b,c,d), n the number of basis maps placed, are
+    enumerated only when p^n <= combo_cap.
+    The multisets, their profiles and the search order are planned once
+    per subcategory and cap (`AddSubcat.block_plan`), and each pad is built
+    at most once per subcategory (`AddSubcat.multiset_sum`); a skipped pair
+    assembles nothing.
     A returned witness is unconditionally sound.  None is not a proof that
     f is not invertible: it means that no completion was found among the
     pad pairs searched, and a pair with p^n > combo_cap is skipped silently.
@@ -170,7 +174,7 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
     sub = f.sub
     if not hasattr(sub, "generators"):
         raise ValueError("block search needs a finitely generated subcategory")
-    px, py = f.src.dimv, f.dst.dimv
+    px, py = sub.iso_profile(f.src), sub.iso_profile(f.dst)
     order, by_profile = sub.block_plan(extra_dim_cap)
     for p_ms, p_profile in order:
         need = tuple(a + b - c for a, b, c in zip(px, p_profile, py))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -167,7 +168,7 @@ def test_jobs_option_is_a_usage_error(capsys):
     [
         ["confl", A2, "--bound", "-1"],
         ["confl", A2, "--test-bound", "-2"],
-        ["check-pct", A3, "--cap", "-5"],
+        ["quotient", A3, "--cap", "-5"],
         ["quotient", A3, "--seed", "-1"],
         ["verify-paper", "--seed", "-1"],
         ["classes", A3, "--search-random", "-1"],
@@ -185,6 +186,24 @@ def test_negative_counts_are_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: must be a non-negative integer" in err
 
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *((c, f) for c in ("quotient", "iso-agreement") for f in ("--bound", "--test-bound", "--subobject-bound")),
+        *(("check-pct", f) for f in ("--bound", "--test-bound", "--subobject-bound", "--cap")),
+        ("classes", "--test-bound"),
+        ("confl", "--subobject-bound"),
+    ],
+)
+def test_unread_flags_are_a_usage_error(command, flag, capsys):
+    """A flag the command never reads is not offered: argparse refuses it
+    (exit 2, the flag named) instead of accepting a knob that does nothing."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, A2 if command == "confl" else A3, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 def test_check_pct_unknown_testset_objects_are_a_validation_error():
     res = run_cli("check-pct", A3, "--subcategory", "P", "--testset", "P1,NOPE,GONE")
@@ -379,3 +398,35 @@ def test_fuzzed_spec_parses_or_is_a_validation_error(path, value):
         build_spec(_with(list(path), value)())
     except SpecValidationError:
         pass
+
+
+def test_zero_generators_name_the_zero_subcategory():
+    """add(Z) for a zero object Z is add() itself: the quotient and class
+    reports of the two agree apart from the label (A2 over F_3)."""
+    raw = {
+        "schema": "exactcat/1",
+        "field": {"char": 3},
+        "quiver": {"vertices": ["1", "2"], "arrows": [{"name": "a1", "from": "1", "to": "2"}]},
+        "objects": {
+            "P1": {"dims": {"1": 1, "2": 1}, "maps": {"a1": [[1]]}},
+            "S1": {"dims": {"1": 1}},
+            "S2": {"dims": {"2": 1}},
+            "Z": {"dims": {}},
+        },
+        "subcategories": {"E": [], "Zs": ["Z"]},
+        "conflations": {
+            "ext": {
+                "incl": {"src": "S2", "dst": "P1", "comps": {"2": [[1]]}},
+                "proj": {"src": "P1", "dst": "S1", "comps": {"1": [[1]]}},
+            }
+        },
+    }
+    args = dict(cap=4096, seed=0, bound=None, subobject_bound=8, conflation=None, search_random=0)
+    for command in (cli.cmd_quotient, cli.cmd_classes):
+        reports = {}
+        for name in ("E", "Zs"):
+            report = command(build_spec(raw), argparse.Namespace(subcategory=name, **args))
+            assert report.pop("subcategory") == name
+            reports[name] = json.dumps(report, sort_keys=True)
+        assert reports["E"] == reports["Zs"]
+        assert json.loads(reports["E"])["verdict"] == "pass"

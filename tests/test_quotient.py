@@ -510,20 +510,113 @@ def test_block_search_builds_each_pad_once_per_subcategory(monkeypatch):
 
 def test_block_plan_is_built_once_per_cap(a3):
     cat, o = a3
-    # P2 and S2 (+) S3 share a dimension profile
+    # P2 and S2 (+) S3 share a dimension vector but not an iso profile
     sub = AddSubcat(cat, [o["P2"], o["S2"], o["S3"]], label="P")
     order, by_profile = sub.block_plan(3)
     assert sub.block_plan(3)[0] is order
     multisets = generator_multisets([2, 1, 1], 3)
     assert [ms for ms, _ in order] == sorted(multisets, key=lambda ms: (sum([2, 1, 1][i] for i in ms), ms))
     for ms, profile in order:
-        assert profile == sub.multiset_sum(ms).dimv
-        assert by_profile[profile] == [m for m in multisets if sub.multiset_sum(m).dimv == profile]
-    assert len(by_profile[(0, 1, 1)]) == 2
+        assert profile == sub.iso_profile(sub.multiset_sum(ms))
+        assert by_profile[profile] == [m for m in multisets if sub.iso_profile(sub.multiset_sum(m)) == profile]
+    p2, s2_s3 = (sub.iso_profile(sub.multiset_sum(ms)) for ms in ((0,), (1, 2)))
+    assert p2[:3] == s2_s3[:3] == (0, 1, 1) and p2 != s2_s3
+    assert by_profile[p2] == [(0,)] and by_profile[s2_s3] == [(1, 2)]
     assert sub.multiset_sum((1, 2)) is sub.multiset_sum((1, 2))
     assert [x.key for x in sub.sample_objects(3)] == sorted(
         {sub.multiset_sum(ms).key for ms, _ in order}, key=lambda k: (sum(k[0]), k)
     )
+
+
+# -- the iso profile: additive, an isomorphism invariant, and sound for pruning -------
+
+@pytest.mark.parametrize(
+    "path", [FIXTURES / "a3_projinj.json", GOLDEN / "seeded_quotient_p3.json"], ids=lambda v: v.name
+)
+def test_plan_profiles_are_the_iso_profiles_of_the_sums(path):
+    """The plan adds up its generators' profiles; that is the profile of the sum."""
+    sub = parse_spec(str(path)).subcategories["P"]
+    order, _ = sub.block_plan(6)
+    assert len(order) > len(sub.generators) + 1
+    for ms, profile in order:
+        assert profile == sub.iso_profile(sub.multiset_sum(ms)), ms
+
+
+def test_iso_profile_is_an_isomorphism_invariant(a3, a3_sub):
+    """Each A3 indecomposable written in two seeded bases over F_3 gets one
+    profile; P2 and S2 (+) S3 share a dimension vector and are told apart."""
+    gen = _specgen()
+    objects = {name: [name] for name in gen.A3_INTERVALS}
+    objects.update({name + "'": [name] for name in gen.A3_INTERVALS})
+    doc = build_spec(gen.make_spec("iso-profile", 3, 3, objects, {"P": ["P1", "P2", "S3", "S1", "I2"]}))
+    sub, obj = doc.subcategories["P"], doc.objects
+    assert any(obj[n].key != obj[n + "'"].key for n in gen.A3_INTERVALS)
+    for name in gen.A3_INTERVALS:
+        assert sub.iso_profile(obj[name]) == sub.iso_profile(obj[name + "'"]), name
+    cat, o = a3
+    s2_s3 = cat.direct_sum([o["S2"], o["S3"]])[0]
+    assert s2_s3.dimv == o["P2"].dimv
+    assert a3_sub.iso_profile(s2_s3) != a3_sub.iso_profile(o["P2"])
+
+
+@pytest.mark.parametrize(
+    "path, sub_name",
+    [
+        (FIXTURES / "a3_projinj.json", "P"),
+        (GOLDEN / "seeded_quotient_p3.json", "P"),
+        (GOLDEN / "seeded_classes_p2.json", "P"),
+        (GOLDEN / "seeded_precover_large.json", "addX"),
+        (GOLDEN / "seeded_classes_f3_7_3.json", "P"),
+    ],
+    ids=lambda v: v.name if isinstance(v, Path) else v,
+)
+def test_unpruned_witnesses_balance_the_iso_profiles(path, sub_name):
+    """Wherever the unpruned search finds an invertible completion X (+) P ->
+    Y (+) Q, profile(X) + profile(P) = profile(Y) + profile(Q): the pruning
+    never leaves out a pad pair that has a witness."""
+    doc = parse_spec(str(path))
+    sub = doc.subcategories[sub_name]
+    found = []
+
+    def decide(qf):
+        w = _per_search_blocksearch(qf)
+        if w is not None:
+            pad_p, pad_q, _ = w
+            left = map(sum, zip(sub.iso_profile(qf.src), sub.iso_profile(pad_p)))
+            right = map(sum, zip(sub.iso_profile(qf.dst), sub.iso_profile(pad_q)))
+            assert list(left) == list(right), (qf.src.label, qf.dst.label)
+            found.append(w)
+
+    qt._sweep_classes(sub, [doc.objects[n] for n in sorted(doc.objects)], qt.ENUM_CAP, None, decide)
+    assert found
+
+
+def test_block_search_work_on_the_seeded_quotient_spec(monkeypatch):
+    """The iso-agreement sweep of seeded_quotient_p3.json decides 57 classes
+    in at most 320 completion attempts, at most 172 of them stopped by the
+    size test p^n > combo_cap: a pruning that lets more pad pairs through
+    fails here, not only in the benchmark."""
+    doc = parse_spec(str(GOLDEN / "seeded_quotient_p3.json"))
+    sub = doc.subcategories["P"]
+    cat = sub.cat
+    work = {"decisions": 0, "attempts": 0, "skipped": 0}
+    real_search, real_try = qt.q_is_iso_blocksearch, qt._try_block_completion
+
+    def counting_search(f, *args):
+        work["decisions"] += 1
+        return real_search(f, *args)
+
+    def counting_try(f, p_obj, q_obj, combo_cap):
+        work["attempts"] += 1
+        homs = (cat.hom_basis(p_obj, f.dst), cat.hom_basis(f.src, q_obj), cat.hom_basis(p_obj, q_obj))
+        work["skipped"] += cat.p ** sum(map(len, homs)) > combo_cap
+        return real_try(f, p_obj, q_obj, combo_cap)
+
+    monkeypatch.setattr(qt, "q_is_iso_blocksearch", counting_search)
+    monkeypatch.setattr(qt, "_try_block_completion", counting_try)
+    assert qt.iso_agreement_sweep(sub, [doc.objects[n] for n in sorted(doc.objects)]).passed
+    assert work["decisions"] == 57
+    assert work["attempts"] <= 320 and work["skipped"] <= 172, work
 
 
 # -- quotient kernels, cokernels and zero tests once per morphism --------------------
