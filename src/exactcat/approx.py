@@ -6,7 +6,8 @@ two conflation conditions (a precover deflation with kernel in the
 subcategory, dually a preenvelope inflation with cokernel in it),
 pseudo-cluster-tilting verdicts and self-orthogonality tests all live here
 and are generic over the host category; the factorization ideal is
-derived from the precover on `category.Subcategory`.
+derived from the precover on `category.Subcategory`.  `AddSubcat`
+memoizes (`fflinalg.memo`) what it builds per object and per conflation.
 
 The precover of x is built from a generating set of Hom(add G, x) as a
 right End(add G)-module, picked pivot-greedily from the hom bases, not from
@@ -38,6 +39,7 @@ from .category import (
     span_matrix,
     verify,
 )
+from .fflinalg import memo, obj_key
 
 
 class AddSubcat(Subcategory):
@@ -48,16 +50,6 @@ class AddSubcat(Subcategory):
         self.generators = list(generators)
         sums = self.generators if self.generators else [cat.zero_obj()]
         self.sum, self._sum_injs, self._sum_projs = cat.direct_sum(sums)
-        self._precover_cache: dict = {}
-        self._preenvelope_cache: dict = {}
-        self._down_cache: dict = {}
-        self._up_cache: dict = {}
-        self._contains_cache: dict = {}
-        self._hom_exact_cache: dict = {}
-        # generator multiset -> its sum, see multiset_sum
-        self._multiset_sums: dict = {}
-        # extra_dim_cap -> the pad plan of the block iso search, see block_plan
-        self._block_plans: dict = {}
 
     @property
     def is_trivial(self) -> bool:
@@ -66,6 +58,7 @@ class AddSubcat(Subcategory):
         return self.sum.total_dim == 0
 
     # -- approximations ------------------------------------------------------
+    @memo(key=obj_key)
     def precover(self, x):
         """One generator copy per element of a generating set of Hom(add G, x)
         as a right End(add G)-module, chosen pivot-greedily.
@@ -84,10 +77,6 @@ class AddSubcat(Subcategory):
         J. Algebra 1980).  Its source is never larger than the evaluation
         of the whole hom bases.
         """
-        ck = x.key
-        cached = self._precover_cache.get(ck)
-        if cached is not None:
-            return cached
         cat = self.cat
         pieces, mors = [], []
         for g in self.generators:
@@ -112,19 +101,13 @@ class AddSubcat(Subcategory):
                     break
                 reached.append(cat.compose_flat(mors[-1], cat.hom_basis(g, g), g, g))
         if not pieces:
-            beta = cat.zero_mor(cat.zero_obj(), x)
-        else:
-            power, _, _ = cat.direct_sum(pieces)
-            beta = cat.costack(mors, power)
-        self._precover_cache[ck] = beta
-        return beta
+            return cat.zero_mor(cat.zero_obj(), x)
+        power, _, _ = cat.direct_sum(pieces)
+        return cat.costack(mors, power)
 
+    @memo(key=obj_key)
     def preenvelope(self, x):
         """Canonical coevaluation: one generator copy per Hom(x, G_i) basis element."""
-        ck = x.key
-        cached = self._preenvelope_cache.get(ck)
-        if cached is not None:
-            return cached
         cat = self.cat
         pieces, mors = [], []
         for g in self.generators:
@@ -132,12 +115,9 @@ class AddSubcat(Subcategory):
                 pieces.append(g)
                 mors.append(h)
         if not pieces:
-            alpha = cat.zero_mor(x, cat.zero_obj())
-        else:
-            power, _, _ = cat.direct_sum(pieces)
-            alpha = cat.stack(mors, power)
-        self._preenvelope_cache[ck] = alpha
-        return alpha
+            return cat.zero_mor(x, cat.zero_obj())
+        power, _, _ = cat.direct_sum(pieces)
+        return cat.stack(mors, power)
 
     # -- ideal -------------------------------------------------------------
     # defined once on Subcategory; aliased here because Tracer.install
@@ -145,6 +125,7 @@ class AddSubcat(Subcategory):
     ideal_basis = Subcategory.ideal_basis
     is_ideal_member = Subcategory.is_ideal_member
 
+    @memo(key=obj_key)
     def contains(self, x) -> bool:
         """x in add(G), i.e. the precover of x is a split deflation (id_x
         factors through add(G) iff through the precover); decided once per
@@ -152,12 +133,9 @@ class AddSubcat(Subcategory):
         if x.total_dim == 0:
             return True
         cat = self.cat
-        ck = x.key
-        hit = self._contains_cache.get(ck)
-        if hit is None:
-            hit = self._contains_cache[ck] = solve_precompose(cat, self.precover(x), cat.identity(x)) is not None
-        return hit
+        return solve_precompose(cat, self.precover(x), cat.identity(x)) is not None
 
+    @memo(key=obj_key)
     def precover_conflation(self, x) -> tuple[Optional[Conflation], Optional[str]]:
         """0 -> K -> G^n -> x -> 0 with K in add(G), when it exists.
 
@@ -171,60 +149,40 @@ class AddSubcat(Subcategory):
         ker b' does: testing the kernel of beta decides the condition,
         whichever generating set was picked.
         """
-        ck = x.key
-        if ck in self._down_cache:
-            return self._down_cache[ck]
         cat = self.cat
         beta = self.precover(x)
-        result: tuple[Optional[Conflation], Optional[str]]
         if not cat.is_deflation(beta):
-            result = (None, f"canonical precover of {x.label} is not a deflation")
-        else:
-            k_obj, k_mor = cat.kernel(beta)
-            if not self.contains(k_obj):
-                result = (None, f"kernel of the canonical precover of {x.label} is not in add({self.label})")
-            else:
-                result = (Conflation(k_mor, beta), None)
-        self._down_cache[ck] = result
-        return result
+            return None, f"canonical precover of {x.label} is not a deflation"
+        k_obj, k_mor = cat.kernel(beta)
+        if not self.contains(k_obj):
+            return None, f"kernel of the canonical precover of {x.label} is not in add({self.label})"
+        return Conflation(k_mor, beta), None
 
+    @memo(key=obj_key)
     def preenvelope_conflation(self, x) -> tuple[Optional[Conflation], Optional[str]]:
         """0 -> x -> G^m -> C -> 0 with C in add(G), when it exists."""
-        ck = x.key
-        if ck in self._up_cache:
-            return self._up_cache[ck]
         cat = self.cat
         alpha = self.preenvelope(x)
-        result: tuple[Optional[Conflation], Optional[str]]
         if not cat.is_inflation(alpha):
-            result = (None, f"canonical preenvelope of {x.label} is not an inflation")
-        else:
-            c_obj, c_mor = cat.cokernel(alpha)
-            if not self.contains(c_obj):
-                result = (None, f"cokernel of the canonical preenvelope of {x.label} is not in add({self.label})")
-            else:
-                result = (Conflation(alpha, c_mor), None)
-        self._up_cache[ck] = result
-        return result
+            return None, f"canonical preenvelope of {x.label} is not an inflation"
+        c_obj, c_mor = cat.cokernel(alpha)
+        if not self.contains(c_obj):
+            return None, f"cokernel of the canonical preenvelope of {x.label} is not in add({self.label})"
+        return Conflation(alpha, c_mor), None
 
+    # testing against the generator sum covers every object of add(G);
+    # each conflation is decided once per side
+    @memo(key=lambda c, side: (conflation_key(c), side))
     def is_hom_exact(self, c: Conflation, side: str) -> bool:
-        # testing against the generator sum covers every object of add(G);
-        # each conflation is decided once per side
-        key = (conflation_key(c), side)
-        hit = self._hom_exact_cache.get(key)
-        if hit is None:
-            self.cat.check_conflation(c)
-            hit = self._hom_exact_cache[key] = hom_exact(self.cat, c, self.sum, side)
-        return hit
+        self.cat.check_conflation(c)
+        return hom_exact(self.cat, c, self.sum, side)
 
+    @memo
     def multiset_sum(self, ms: tuple):
         """The sum of the generators indexed by the multiset ms (a sorted
         index tuple, see generator_multisets), built at most once."""
-        obj = self._multiset_sums.get(ms)
-        if obj is None:
-            cat, gens = self.cat, self.generators
-            obj = self._multiset_sums[ms] = cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
-        return obj
+        cat, gens = self.cat, self.generators
+        return cat.direct_sum([gens[i] for i in ms])[0] if ms else cat.zero_obj()
 
     def iso_profile(self, x) -> tuple:
         """An additive isomorphism invariant of x: its dimension vector, then
@@ -238,6 +196,7 @@ class AddSubcat(Subcategory):
             *(len(cat.hom_basis(x, g)) for g in gens),
         )
 
+    @memo
     def block_plan(self, extra_dim_cap: int) -> tuple[list, dict]:
         """The pads of the block-completion iso search, built once per cap.
 
@@ -248,19 +207,16 @@ class AddSubcat(Subcategory):
         multiset's profile is the sum of its generators' profiles, so only
         the generators' own hom bases are read.  The sums themselves are
         built lazily by multiset_sum."""
-        hit = self._block_plans.get(extra_dim_cap)
-        if hit is None:
-            gens = self.generators
-            gen_profiles = [self.iso_profile(g) for g in gens]
-            zero = (0,) * (len(self.cat.zero_obj().dimv) + 2 * len(gens))
-            multisets = generator_multisets([g.total_dim for g in gens], extra_dim_cap)
-            profile = {ms: tuple(map(sum, zip(zero, *(gen_profiles[i] for i in ms)))) for ms in multisets}
-            by_profile: dict = {}
-            for ms in multisets:
-                by_profile.setdefault(profile[ms], []).append(ms)
-            order = sorted(multisets, key=lambda ms: (sum(gens[i].total_dim for i in ms), ms))
-            hit = self._block_plans[extra_dim_cap] = ([(ms, profile[ms]) for ms in order], by_profile)
-        return hit
+        gens = self.generators
+        gen_profiles = [self.iso_profile(g) for g in gens]
+        zero = (0,) * (len(self.cat.zero_obj().dimv) + 2 * len(gens))
+        multisets = generator_multisets([g.total_dim for g in gens], extra_dim_cap)
+        profile = {ms: tuple(map(sum, zip(zero, *(gen_profiles[i] for i in ms)))) for ms in multisets}
+        by_profile: dict = {}
+        for ms in multisets:
+            by_profile.setdefault(profile[ms], []).append(ms)
+        order = sorted(multisets, key=lambda ms: (sum(gens[i].total_dim for i in ms), ms))
+        return [(ms, profile[ms]) for ms in order], by_profile
 
     def sample_objects(self, bound: int) -> list:
         """Multiset sums of generators with total dimension <= bound."""

@@ -3,10 +3,11 @@
 The host is `repcat.RepCategory`, the representations of a quiver over F_p;
 the category of conflations is the same host on Q x A3 with relations
 (`conflcat.ConflCategory`), so the quotient, approximation and class
-machinery runs unchanged on both.  Its base class `Category` holds the hom
-cache, the flat-vector morphism arithmetic and the limits built from
-kernels and cokernels: pullback, pushout and image, on the canonical
-biproducts of `stack`/`costack`.
+machinery runs unchanged on both.  Its base class `Category` holds the
+memoized hom bases, the flat-vector morphism arithmetic and the limits
+built from kernels and cokernels: pullback, pushout and image, on the
+canonical biproducts of `stack`/`costack`.  Every per-owner cache is an
+`fflinalg.memo` store on its owner, living as long as the owner.
 
 Objects and morphisms are read by their attributes: `x.key`, `x.label`,
 `x.dimv` (dims tuple), `x.total_dim`; `f.src`, `f.dst` and the coordinate
@@ -25,14 +26,13 @@ G^n is never built unless a caller asks for its rows.
 """
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from . import fflinalg as ff
-from .fflinalg import FpMatrix, VerificationError, verify  # noqa: F401 (VerificationError re-exported)
+from .fflinalg import FpMatrix, VerificationError, memo, obj_key, verify  # noqa: F401 (VerificationError re-exported)
 
 
 class EnumerationBound(Exception):
@@ -151,7 +151,7 @@ class Category:
     """The base class of `repcat.RepCategory`, which supplies `_mor`,
     `_solve_hom_basis`, `direct_sum`, `kernel` and `cokernel`.
 
-    The base class caches the hom solves and keeps hom-spaces of registered
+    The base class memoizes the hom bases and keeps hom-spaces of registered
     direct sums summand-wise (see `HomBasis`), which keeps both the linear
     systems and the stored bases small when approximation constructions
     build large biproducts.  Morphism arithmetic works on the flat vectors
@@ -162,10 +162,7 @@ class Category:
     blocks: ff.BlockMaps
 
     def __init__(self):
-        self._hom_cache: dict = {}
         self._sum_registry: dict = {}
-        # conflation key -> split witnesses or None, see conflation_split
-        self._split_witnesses: dict = {}
 
     def _register_sum(self, total, summands) -> None:
         """Record a biproduct whose injections and projections are canonical
@@ -175,23 +172,17 @@ class Category:
         if len(parts) > 1:
             self._sum_registry[total.key] = parts
 
+    @memo(key=obj_key)
     def hom_basis(self, x, y) -> HomBasis:
-        ck = (x.key, y.key)
-        cached = self._hom_cache.get(ck)
-        if cached is not None:
-            return cached
-        dst_sum = self._sum_registry.get(ck[1])
-        src_sum = self._sum_registry.get(ck[0])
+        dst_sum = self._sum_registry.get(y.key)
+        src_sum = self._sum_registry.get(x.key)
         # Hom(x, (+) s_i) = (+) inj_i Hom(x, s_i) and Hom((+) s_i, y) =
         # (+) Hom(s_i, y) proj_i, kept part by part
         if dst_sum is not None:
-            basis = HomBasis(self, x, y, parts=[(self.hom_basis(x, s), s, start) for s, start in dst_sum])
-        elif src_sum is not None:
-            basis = HomBasis(self, x, y, parts=[(self.hom_basis(s, y), s, start) for s, start in src_sum], into=False)
-        else:
-            basis = HomBasis(self, x, y, _frozen(self._solve_hom_basis(x, y)))
-        self._hom_cache[ck] = basis
-        return basis
+            return HomBasis(self, x, y, parts=[(self.hom_basis(x, s), s, start) for s, start in dst_sum])
+        if src_sum is not None:
+            return HomBasis(self, x, y, parts=[(self.hom_basis(s, y), s, start) for s, start in src_sum], into=False)
+        return HomBasis(self, x, y, _frozen(self._solve_hom_basis(x, y)))
 
     # -- morphisms -------------------------------------------------------
     def flat_dim(self, x, y) -> int:
@@ -388,16 +379,20 @@ def stacked_rows(cat: Category, mors: Sequence, x, y) -> np.ndarray:
     return np.stack([f.vec for f in mors])
 
 
-class Subcategory(ABC):
-    """An additive full subcategory with approximation data.
+class Subcategory:
+    """The base class of `approx.AddSubcat` and
+    `conflcat.SplitConflationSubcat`, additive full subcategories with
+    approximation data.
 
-    Each implementation supplies membership, the precover and preenvelope,
-    their conflations 0 -> P1 -> P0 -> x -> 0 and 0 -> x -> Q0 -> Q1 -> 0
-    with outer terms in the subcategory (when they exist), the hom-exactness
-    decision and sample objects.  The ideal of the morphisms factoring
-    through the subcategory is derived here from the precover: f: x -> y
-    factors through the subcategory exactly when it factors through the
-    precover of y (Auslander-Smalo, J. Algebra 1980).
+    Each supplies membership, the precover and preenvelope, their
+    conflations 0 -> P1 -> P0 -> x -> 0 and 0 -> x -> Q0 -> Q1 -> 0 with
+    outer terms in the subcategory (when they exist), sample objects and
+    is_hom_exact(c, side), the exact decision of Hom(sub,-)- resp.
+    Hom(-,sub)-exactness of c, which checks that c is a conflation,
+    ValueError if not.  The ideal of the morphisms factoring through the
+    subcategory is derived here from the precover: f: x -> y factors
+    through the subcategory exactly when it factors through the precover
+    of y (Auslander-Smalo, J. Algebra 1980).
 
     It also holds the quotient's memos, filled by `quotient`: the coset
     projection of each hom-space, and the quotient kernel, cokernel and
@@ -408,14 +403,6 @@ class Subcategory(ABC):
     def __init__(self, cat: Category, label: str):
         self.cat = cat
         self.label = label
-        # (x key, y key) -> basis of the ideal, see ideal_basis
-        self._ideal_cache: dict = {}
-        # (x key, y key) -> hom basis, its coordinate matrix and the coset
-        # projection, filled by quotient._coset_projection
-        self._coset_cache: dict = {}
-        # (kind, x key, y key, vector bytes) -> the quotient kernel, cokernel
-        # or zero test of that morphism, filled by quotient._memoized
-        self._quotient_memo: dict = {}
 
     @property
     def is_trivial(self) -> bool:
@@ -428,40 +415,12 @@ class Subcategory(ABC):
         return compose_with_basis(self.cat, self.precover(y), x)
 
     def ideal_basis(self, x, y) -> list:
-        """Basis of the morphisms x -> y factoring through the subcategory,
-        built once per pair."""
-        ck = (x.key, y.key)
-        hit = self._ideal_cache.get(ck)
-        if hit is None:
-            hit = self._ideal_cache[ck] = span_basis(self.cat, self.ideal_spanning(x, y), x, y)
-        return hit
+        """Basis of the morphisms x -> y factoring through the subcategory."""
+        return span_basis(self.cat, self.ideal_spanning(x, y), x, y)
 
     def is_ideal_member(self, f) -> bool:
         """Does f factor through the subcategory, i.e. through the precover of its target?"""
         return solve_precompose(self.cat, self.precover(f.dst), f) is not None
-
-    @abstractmethod
-    def contains(self, x) -> bool: ...
-
-    @abstractmethod
-    def precover(self, x): ...
-
-    @abstractmethod
-    def preenvelope(self, x): ...
-
-    @abstractmethod
-    def precover_conflation(self, x) -> tuple[Optional[Conflation], Optional[str]]: ...
-
-    @abstractmethod
-    def preenvelope_conflation(self, x) -> tuple[Optional[Conflation], Optional[str]]: ...
-
-    @abstractmethod
-    def is_hom_exact(self, c: Conflation, side: str) -> bool:
-        """Exact decision of Hom(sub,-)- resp. Hom(-,sub)-exactness of c;
-        c is first checked to be a conflation (ValueError if not)."""
-
-    @abstractmethod
-    def sample_objects(self, bound: int) -> list: ...
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +487,6 @@ def solve_postcompose(cat: Category, m, g) -> Optional[Any]:
     return _solve_combination(cat, cat.precompose_flat(basis, m, y, z), basis, g, y, z)
 
 
-_UNSEEN = object()
-
-
 def conflation_key(c: Conflation) -> tuple:
     """The keys of the three terms and the two maps' bytes: equal keys, equal
     conflations."""
@@ -538,25 +494,21 @@ def conflation_key(c: Conflation) -> tuple:
     return (a.key, b.key, z.key, c.incl.vec.tobytes(), c.defl.vec.tobytes())
 
 
+@memo(key=conflation_key)
 def conflation_split(cat: Category, c: Conflation) -> Optional[tuple[Any, Any]]:
     """(retraction of incl, section of defl) when c splits, else None.
 
     The two solvabilities are equivalent; both witnesses are computed and
     their consistency checked.  Each conflation is decided once: the result
-    is cached on cat, keyed by the three object keys and the two maps.
+    is memoized on cat, keyed by the three object keys and the two maps.
     """
-    key = conflation_key(c)
-    hit = cat._split_witnesses.get(key, _UNSEEN)
-    if hit is _UNSEEN:
-        retr = solve_postcompose(cat, c.incl, cat.identity(c.incl.src))
-        sect = solve_precompose(cat, c.defl, cat.identity(c.defl.dst))
-        verify(
-            (retr is None) == (sect is None),
-            "conflation: a retraction of the inflation without a section of the deflation, or vice versa",
-        )
-        hit = None if retr is None else (retr, sect)
-        cat._split_witnesses[key] = hit
-    return hit
+    retr = solve_postcompose(cat, c.incl, cat.identity(c.incl.src))
+    sect = solve_precompose(cat, c.defl, cat.identity(c.defl.dst))
+    verify(
+        (retr is None) == (sect is None),
+        "conflation: a retraction of the inflation without a section of the deflation, or vice versa",
+    )
+    return None if retr is None else (retr, sect)
 
 
 def hom_exact(cat: Category, c: Conflation, t, side: str) -> bool:

@@ -506,6 +506,8 @@ def cmd_confl(doc: SpecDocument, args) -> dict:
 
 
 def cmd_iso_agreement(doc: SpecDocument, args) -> dict:
+    if not doc.subcategories:
+        raise SpecValidationError(["iso-agreement: the spec names no subcategory"])
     sample = [doc.objects[n] for n in sorted(doc.objects)]
     items = []
     ok = True
@@ -532,9 +534,10 @@ def cmd_verify_paper(args) -> dict:
     """Run every suite on the bundled fixtures.
 
     Each fixture's tasks run in their own scope, and its document (with the
-    caches of its categories) is released before the next fixture: the
-    caches hold reference cycles (a hom basis and its category, a quotient
-    morphism and the quotient memo), so one collection frees them."""
+    memo stores of its categories) is released before the next fixture: the
+    stores hold reference cycles (a hom basis and its category, a quotient
+    morphism and the subcategory it is memoized on), so one collection
+    frees them."""
     t0 = time.monotonic()
     tasks = _a3_tasks(args)
     gc.collect()

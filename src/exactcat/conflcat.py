@@ -24,6 +24,8 @@ sweep (canonical sections) and the hom-exactness biconditional (solved
 sections); self-orthogonality is decided by `approx.is_self_orthogonal`.
 Both sweeps test a family of split objects a bounded group at a time,
 through the group's direct sum (see `SplitConflationSubcat.test_groups`).
+`ConflCategory` and the split subcategory memoize (`fflinalg.memo`) what
+they build per object, pair, degree component and test family.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from .category import (
     span_matrix,
     verify,
 )
-from .fflinalg import FpMatrix
+from .fflinalg import FpMatrix, memo, obj_key
 from .repcat import Arrow, Quiver, RepCategory, RepMor, RepObj, check_squares, square_defect
 
 
@@ -247,10 +249,6 @@ class ConflCategory(RepCategory):
         self.base = base
         quiver, self.relations = conflation_quiver(base.quiver)
         super().__init__(quiver, base.p)
-        self._split_form_cache: dict = {}
-        self._pair_cache: dict = {}
-        # (degree component key, end key, side) -> hom-exact, see split_hom_exact
-        self._component_exact: dict = {}
         # the one subcategory of split conflations, shared by every harness
         self.split_sub = SplitConflationSubcat(self)
 
@@ -278,28 +276,21 @@ class ConflCategory(RepCategory):
         total, injs, projs = self.base.direct_sum([a, b])
         return ConflObj(self.quiver, Conflation(injs[0], projs[1]), name)
 
+    @memo(key=obj_key)
     def _pair(self, x: RepObj, y: RepObj):
         """The base biproduct x (+) y with its injections and projections, built once."""
-        ck = (x.key, y.key)
-        hit = self._pair_cache.get(ck)
-        if hit is None:
-            hit = self.base.direct_sum([x, y])
-            self._pair_cache[ck] = hit
-        return hit
+        return self.base.direct_sum([x, y])
 
     # -- hom-spaces -----------------------------------------------------------
+    @memo(key=obj_key)
     def _is_canonical_split_obj(self, x: ConflObj) -> bool:
-        hit = self._split_form_cache.get(x.key)
-        if hit is None:
-            # the plain biproduct middle with its canonical inclusion and projection
-            mid, inc, prj = self.base.glued_middle(x.t1, x.t3, {}, check=False)
-            hit = (
-                x.t2.key == mid.key
-                and np.array_equal(x.d1.vec, inc.vec)
-                and np.array_equal(x.d2.vec, prj.vec)
-            )
-            self._split_form_cache[x.key] = hit
-        return hit
+        # the plain biproduct middle with its canonical inclusion and projection
+        mid, inc, prj = self.base.glued_middle(x.t1, x.t3, {}, check=False)
+        return (
+            x.t2.key == mid.key
+            and np.array_equal(x.d1.vec, inc.vec)
+            and np.array_equal(x.d2.vec, prj.vec)
+        )
 
     def _hom_from_split(self, s: ConflObj, y: ConflObj) -> np.ndarray:
         # a chain map out of a -> a(+)c -> c is freely determined by its
@@ -352,7 +343,7 @@ class ConflCategory(RepCategory):
 
     def degree_split(self, c: Conflation, degree: int) -> Optional[tuple[RepMor, RepMor]]:
         """(retraction, section) of the degree component when it splits, else
-        None; decided once per component by the base's witness cache."""
+        None; decided once per component, memoized on the base."""
         return conflation_split(self.base, self.degree_component(c, degree))
 
     def degree_splits(self, c: Conflation, degree: int) -> bool:
@@ -371,14 +362,13 @@ class ConflCategory(RepCategory):
             raise ValueError(f"unknown side {side!r}")
         _require_canonical_split(self, t)
         for degree, end in zip(degrees, (t.t1, t.t3)):
-            comp = self.degree_component(dses, degree)
-            key = (conflation_key(comp), end.key, side)
-            hit = self._component_exact.get(key)
-            if hit is None:
-                hit = self._component_exact[key] = hom_exact(self.base, comp, end, side)
-            if not hit:
+            if not self._component_exact(self.degree_component(dses, degree), end, side):
                 return False
         return True
+
+    @memo(key=lambda comp, end, side: (conflation_key(comp), end.key, side))
+    def _component_exact(self, comp: Conflation, end: RepObj, side: str) -> bool:
+        return hom_exact(self.base, comp, end, side)
 
     # -- enumeration -----------------------------------------------------------
     def enumerate_objects(self, bound: int, cap: int = 100_000) -> list[ConflObj]:
@@ -537,9 +527,6 @@ class SplitConflationSubcat(Subcategory):
 
     def __init__(self, ecat: ConflCategory, label: str = "S(M)"):
         super().__init__(ecat, label)
-        self._pre_cache: dict = {}
-        self._env_cache: dict = {}
-        self._test_groups: dict = {}
 
     def contains(self, x: ConflObj) -> bool:
         return conflation_split(self.cat.base, x.ses) is not None
@@ -562,19 +549,15 @@ class SplitConflationSubcat(Subcategory):
     def preenvelope(self, x: ConflObj) -> ConflMor:
         return self.preenvelope_conflation(x)[0].incl
 
+    @memo(key=obj_key)
     def precover_conflation(self, x: ConflObj) -> tuple[Conflation, None]:
         """(s_precover(x), None), built once per object: it always exists."""
-        hit = self._pre_cache.get(x.key)
-        if hit is None:
-            hit = self._pre_cache[x.key] = (s_precover(self.cat, x), None)
-        return hit
+        return s_precover(self.cat, x), None
 
+    @memo(key=obj_key)
     def preenvelope_conflation(self, x: ConflObj) -> tuple[Conflation, None]:
         """(s_preenvelope(x), None), built once per object: it always exists."""
-        hit = self._env_cache.get(x.key)
-        if hit is None:
-            hit = self._env_cache[x.key] = (s_preenvelope(self.cat, x), None)
-        return hit
+        return s_preenvelope(self.cat, x), None
 
     def is_hom_exact(self, c: Conflation, side: str) -> bool:
         """Degree (-1, 0) splitting (covariant), degree (0, 1) splitting
@@ -602,6 +585,7 @@ class SplitConflationSubcat(Subcategory):
         out.sort(key=lambda o: (o.total_dim, o.key))
         return out
 
+    @memo(key=lambda family: tuple(t.key for t in family))
     def test_groups(self, family: list[ConflObj]) -> list[SplitTestGroup]:
         """The family's nonzero members, in order, packed greedily into groups
         of total dimension at most TEST_GROUP_DIM (a larger member is a group
@@ -610,24 +594,20 @@ class SplitConflationSubcat(Subcategory):
         The zero conflation contributes no morphism, so it is in no group.  A
         member that is not canonical split is a ValueError: the sum is built
         from the end terms alone."""
-        ck = tuple(t.key for t in family)
-        hit = self._test_groups.get(ck)
-        if hit is None:
-            ecat = self.cat
-            packs, total = [], 0
-            for t in family:
-                _require_canonical_split(ecat, t)
-                dim = t.total_dim
-                if dim == 0:
-                    continue
-                if packs and total + dim <= TEST_GROUP_DIM:
-                    packs[-1].append(t)
-                    total += dim
-                else:
-                    packs.append([t])
-                    total = dim
-            hit = self._test_groups[ck] = [SplitTestGroup(self._split_sum(ms), tuple(ms)) for ms in packs]
-        return hit
+        ecat = self.cat
+        packs, total = [], 0
+        for t in family:
+            _require_canonical_split(ecat, t)
+            dim = t.total_dim
+            if dim == 0:
+                continue
+            if packs and total + dim <= TEST_GROUP_DIM:
+                packs[-1].append(t)
+                total += dim
+            else:
+                packs.append([t])
+                total = dim
+        return [SplitTestGroup(self._split_sum(ms), tuple(ms)) for ms in packs]
 
     def _split_sum(self, members: list[ConflObj]) -> ConflObj:
         """The canonical split conflation on (+ first terms, + last terms),

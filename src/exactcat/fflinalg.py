@@ -4,9 +4,9 @@ Everything else in the engine reduces to the four primitives here:
 reduced row echelon form, deterministic linear solving, kernel bases and
 quotient-space splittings.  All arithmetic is integer arithmetic mod p on
 int64 arrays; there is no floating point anywhere.  `verify` and
-`VerificationError`, the explicit checks that survive `python -O`, live
-here at the bottom layer so that these primitives can use them too;
-`category` re-exports them.
+`VerificationError`, the explicit checks that survive `python -O`, and
+`memo`, the one per-owner cache, live here at the bottom layer so that
+these primitives can use them too; `category` re-exports the checks.
 
 Nearly every matrix the engine builds is tiny (most have at most four
 entries), so the kernel keeps per-matrix overhead low:
@@ -69,7 +69,9 @@ Three shared patterns sit on top of the primitives:
 """
 from __future__ import annotations
 
+from functools import update_wrapper
 from itertools import combinations, product
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -86,6 +88,64 @@ def verify(ok: bool, message: str) -> None:
     """Raise VerificationError(message) unless ok."""
     if not ok:
         raise VerificationError(message)
+
+
+def obj_key(*objs):
+    """The memo key of one object, its .key, or of several, the tuple of their keys."""
+    return objs[0].key if len(objs) == 1 else tuple(o.key for o in objs)
+
+
+_MISS = object()
+
+
+class _Store(dict):
+    """The results of one memoized function on one owner.  A missing key
+    reads as _MISS: a miss raises no exception, and a hit makes no call."""
+
+    def __missing__(self, key):
+        return _MISS
+
+
+def memo(fn=None, *, key=None):
+    """Decorator: fn(owner, *args) is computed once per key and kept in a
+    store on the owner, its first argument (see memo_store).
+
+    key None keys by the tuple of the other arguments, obj_key by their
+    .key (built inline for two objects), any other key function by
+    key(*args).  Every result is kept, None and False included.  A store
+    lives as long as its owner and keeps nothing else alive."""
+    if fn is None:
+        return lambda fn: memo(fn, key=key)
+    arity = fn.__code__.co_argcount - 1  # the owner aside
+    if key is obj_key and arity == 1:
+        key = attrgetter("key")
+    pair = key is obj_key and arity == 2
+
+    def cached(owner, *args):
+        if key is None:
+            k = args
+        elif pair:
+            k = (args[0].key, args[1].key)
+        else:
+            k = key(*args)
+        try:
+            store = owner._memos[cached]
+        except (AttributeError, KeyError):
+            store = memo_store(owner, cached)
+        hit = store[k]
+        if hit is _MISS:
+            hit = store[k] = fn(owner, *args)
+        return hit
+
+    return update_wrapper(cached, fn)
+
+
+def memo_store(owner, fn) -> dict:
+    """The store key -> result of the memoized function fn on owner (empty
+    until fn is first called there); an owner keeps its stores in _memos."""
+    if not hasattr(owner, "_memos"):
+        owner._memos = {}
+    return owner._memos.setdefault(fn, _Store())
 
 
 def _check_modulus(p: int) -> None:
@@ -571,26 +631,14 @@ class BlockMaps:
     product is empty; nothing block-diagonal is ever stored.
     """
 
-    def __init__(self):
-        self._layouts: dict = {}
-        self._plans: dict = {}
-        self._identities: dict = {}
-        self._zeros: dict = {}
-        self._positions: dict = {}
-        self._corners: dict = {}
-        self._summands: dict = {}
-
+    @memo
     def layout(self, src: tuple, dst: tuple) -> tuple[tuple, int]:
         """((offset, rows, cols) per block, total length) of the maps src -> dst."""
-        key = (src, dst)
-        hit = self._layouts.get(key)
-        if hit is None:
-            blocks, o = [], 0
-            for c, r in zip(src, dst):
-                blocks.append((o, r, c))
-                o += r * c
-            hit = self._layouts[key] = (tuple(blocks), o)
-        return hit
+        blocks, o = [], 0
+        for c, r in zip(src, dst):
+            blocks.append((o, r, c))
+            o += r * c
+        return tuple(blocks), o
 
     def size(self, src: tuple, dst: tuple) -> int:
         return self.layout(src, dst)[1]
@@ -599,6 +647,7 @@ class BlockMaps:
         """The block matrices of a flat map (views of vec)."""
         return [vec[o : o + r * c].reshape(r, c) for o, r, c in self.layout(src, dst)[0]]
 
+    @memo
     def summand_positions(self, x: tuple, s: tuple, total: tuple, before: tuple, into: bool) -> np.ndarray:
         """Where the coordinates of a flat map x -> s (into) or s -> x land in
         the flat map x -> total (resp. total -> x) composed with the canonical
@@ -607,59 +656,45 @@ class BlockMaps:
 
         Runs (start, length), one per block (per row of a block), written out
         by Python ranges: most are a few entries long, and often uncached."""
-        key = (x, s, total, before, into)
-        hit = self._positions.get(key)
-        if hit is None:
-            if into:
-                runs = [(o + b_i * c, s_i * c) for (o, _, c), s_i, b_i in zip(self.layout(x, total)[0], s, before)]
-            else:
-                blocks = self.layout(total, x)[0]
-                runs = [(o + b_i + i * c, s_i) for (o, r, c), s_i, b_i in zip(blocks, s, before) for i in range(r)]
-            hit = self._positions[key] = np.array([k for a, n in runs for k in range(a, a + n)], dtype=np.int64)
-        return hit
+        if into:
+            runs = [(o + b_i * c, s_i * c) for (o, _, c), s_i, b_i in zip(self.layout(x, total)[0], s, before)]
+        else:
+            blocks = self.layout(total, x)[0]
+            runs = [(o + b_i + i * c, s_i) for (o, r, c), s_i, b_i in zip(blocks, s, before) for i in range(r)]
+        return np.array([k for a, n in runs for k in range(a, a + n)], dtype=np.int64)
 
+    @memo
     def corner_positions(self, s: tuple, t: tuple, src: tuple, dst: tuple, s_at: tuple, t_at: tuple) -> np.ndarray:
         """Where the coordinates of a flat map s -> t land in the flat map
         src -> dst inj_t o h o proj_s, for the summands s of src starting at
         s_at and t of dst starting at t_at."""
-        key = (s, t, src, dst, s_at, t_at)
-        hit = self._corners.get(key)
-        if hit is None:
-            outer = self.summand_positions(dst, s, src, s_at, False)
-            hit = self._corners[key] = outer[self.summand_positions(s, t, dst, t_at, True)]
-        return hit
+        outer = self.summand_positions(dst, s, src, s_at, False)
+        return outer[self.summand_positions(s, t, dst, t_at, True)]
 
+    @memo
     def summand_maps(self, s: tuple, total: tuple, before: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Flat canonical injection s -> total and projection total -> s of
         the summand s of total that starts at before (read-only), built once
         per (s, total, before)."""
-        key = (s, total, before)
-        hit = self._summands.get(key)
-        if hit is None:
-            inj = np.zeros(self.size(s, total), dtype=np.int64)
-            inj[self.summand_positions(s, s, total, before, True)] = self.identity(s)
-            prj = np.zeros(self.size(total, s), dtype=np.int64)
-            prj[self.summand_positions(s, s, total, before, False)] = self.identity(s)
-            inj.setflags(write=False)
-            prj.setflags(write=False)
-            hit = self._summands[key] = (inj, prj)
-        return hit
+        inj = np.zeros(self.size(s, total), dtype=np.int64)
+        inj[self.summand_positions(s, s, total, before, True)] = self.identity(s)
+        prj = np.zeros(self.size(total, s), dtype=np.int64)
+        prj[self.summand_positions(s, s, total, before, False)] = self.identity(s)
+        inj.setflags(write=False)
+        prj.setflags(write=False)
+        return inj, prj
 
+    @memo
     def identity(self, dims: tuple) -> np.ndarray:
-        hit = self._identities.get(dims)
-        if hit is None:
-            hit = np.concatenate([np.eye(d, dtype=np.int64).reshape(-1) for d in dims] or [np.zeros(0, np.int64)])
-            hit.setflags(write=False)
-            self._identities[dims] = hit
-        return hit
+        out = np.concatenate([np.eye(d, dtype=np.int64).reshape(-1) for d in dims] or [np.zeros(0, np.int64)])
+        out.setflags(write=False)
+        return out
 
+    @memo
     def zeros(self, n: int) -> np.ndarray:
-        hit = self._zeros.get(n)
-        if hit is None:
-            hit = np.zeros(n, dtype=np.int64)
-            hit.setflags(write=False)
-            self._zeros[n] = hit
-        return hit
+        out = np.zeros(n, dtype=np.int64)
+        out.setflags(write=False)
+        return out
 
     def compose(self, g: np.ndarray, f: np.ndarray, x: tuple, y: tuple, z: tuple, p: int) -> np.ndarray:
         """Flat g o f, reduced, for flat maps f: x -> y and g: y -> z."""
@@ -693,27 +728,24 @@ class BlockMaps:
                 out[:, hs] = (rows[:, gs].reshape(k, *g_shape) @ m[fs].reshape(f_shape)).reshape(k, -1)
         return out
 
+    @memo
     def _plan(self, x: tuple, y: tuple, z: tuple):
         """(len of h, per-block products) for h = g o f, f: x -> y and
         g: y -> z; built once per dims triple."""
-        key = (x, y, z)
-        plan = self._plans.get(key)
-        if plan is None:
-            f_blocks, _ = self.layout(x, y)
-            g_blocks, _ = self.layout(y, z)
-            h_blocks, n = self.layout(x, z)
-            # only blocks with a nonzero product do any work
-            products = tuple(
-                (
-                    slice(go, go + z_i * y_i), (z_i, y_i),
-                    slice(fo, fo + y_i * x_i), (y_i, x_i),
-                    slice(ho, ho + z_i * x_i),
-                )
-                for (fo, y_i, x_i), (go, z_i, _), (ho, _, _) in zip(f_blocks, g_blocks, h_blocks)
-                if z_i * y_i * x_i
+        f_blocks, _ = self.layout(x, y)
+        g_blocks, _ = self.layout(y, z)
+        h_blocks, n = self.layout(x, z)
+        # only blocks with a nonzero product do any work
+        products = tuple(
+            (
+                slice(go, go + z_i * y_i), (z_i, y_i),
+                slice(fo, fo + y_i * x_i), (y_i, x_i),
+                slice(ho, ho + z_i * x_i),
             )
-            plan = self._plans[key] = (n, products)
-        return plan
+            for (fo, y_i, x_i), (go, z_i, _), (ho, _, _) in zip(f_blocks, g_blocks, h_blocks)
+            if z_i * y_i * x_i
+        )
+        return n, products
 
 
 def all_vectors(p: int, n: int) -> Iterator[np.ndarray]:

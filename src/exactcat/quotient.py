@@ -25,6 +25,7 @@ from .category import (
     span_matrix,
     verify,
 )
+from .fflinalg import memo, obj_key
 
 ENUM_CAP = 4096
 
@@ -72,40 +73,34 @@ def qhom(sub: Subcategory, x, y) -> QHomSpace:
     return QHomSpace(len(hom) - ideal_dim, len(hom), ideal_dim)
 
 
-def _memoized(kind: str, f: QMor, build):
-    """build(f), computed once per (kind, morphism) and kept on f.sub.
-
-    A sweep asks for the same kernels, cokernels and zero tests many times
-    (q_coim_im builds them, then the mono and epi tests and the next sweep
-    ask again); the key is the two object keys and the vector's bytes.
-    """
-    key = (kind, f.src.key, f.dst.key, f.rep.vec.tobytes())
-    memo = f.sub._quotient_memo
-    if key not in memo:
-        memo[key] = build(f)
-    return memo[key]
+def _qmor_key(f: QMor) -> tuple:
+    """The memo key of a quotient morphism: its two object keys and its
+    representative's bytes.  A sweep asks for the same kernels, cokernels
+    and zero tests many times (q_coim_im builds them, then the mono and epi
+    tests and the next sweep ask again)."""
+    return (f.src.key, f.dst.key, f.rep.vec.tobytes())
 
 
 def q_is_zero(f: QMor) -> bool:
-    return _memoized("zero", f, lambda f: f.sub.is_ideal_member(f.rep))
+    return _is_zero(f.sub, f)
 
 
+@memo(key=_qmor_key)
+def _is_zero(sub: Subcategory, f: QMor) -> bool:
+    return sub.is_ideal_member(f.rep)
+
+
+@memo(key=obj_key)
 def _coset_projection(sub: Subcategory, x, y):
     """(hom basis, flat hom matrix, coset projection matrix), memoized on sub."""
     cat = sub.cat
-    ck = (x.key, y.key)
-    hit = sub._coset_cache.get(ck)
-    if hit is not None:
-        return hit
     hom = cat.hom_basis(x, y)
     hmat = span_matrix(cat, hom, x, y)
     # the hom coordinates of every ideal element, one column each
     mat = ff.solve_right(hmat, span_matrix(cat, sub.ideal_spanning(x, y), x, y))
     verify(mat is not None, "coset projection: an ideal element lies outside its hom-space")
     proj, _ = ff.quotient_space(cat.p, len(hom), mat)
-    result = (hom, hmat, proj)
-    sub._coset_cache[ck] = result
-    return result
+    return hom, hmat, proj
 
 
 def q_class_key(f: QMor) -> bytes:
@@ -277,11 +272,12 @@ def q_kernel(f: QMor) -> QMor:
     With a zero ideal the quotient is the host itself, so the host kernel
     is the kernel.  Memoized per morphism on the subcategory.
     """
-    return _memoized("kernel", f, _kernel)
+    return _kernel(f.sub, f)
 
 
-def _kernel(f: QMor) -> QMor:
-    cat, sub = f.cat, f.sub
+@memo(key=_qmor_key)
+def _kernel(sub: Subcategory, f: QMor) -> QMor:
+    cat = sub.cat
     if sub.is_trivial:
         _, k = cat.kernel(f.rep)
         return QMor(sub, k)
@@ -296,11 +292,12 @@ def _kernel(f: QMor) -> QMor:
 def q_cokernel(f: QMor) -> QMor:
     """Cokernel class: deflation of the preenvelope-extended conflation at
     the source.  Memoized per morphism on the subcategory."""
-    return _memoized("cokernel", f, _cokernel)
+    return _cokernel(f.sub, f)
 
 
-def _cokernel(f: QMor) -> QMor:
-    cat, sub = f.cat, f.sub
+@memo(key=_qmor_key)
+def _cokernel(sub: Subcategory, f: QMor) -> QMor:
+    cat = sub.cat
     if sub.is_trivial:
         _, c = cat.cokernel(f.rep)
         return QMor(sub, c)

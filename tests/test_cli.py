@@ -430,3 +430,25 @@ def test_zero_generators_name_the_zero_subcategory():
             reports[name] = json.dumps(report, sort_keys=True)
         assert reports["E"] == reports["Zs"]
         assert json.loads(reports["E"])["verdict"] == "pass"
+
+
+def test_iso_agreement_refuses_a_spec_without_subcategories(tmp_path):
+    """With no subcategory the iso-agreement sweep checks nothing, so the
+    command refuses the spec (exit 1, a fail report), as check-pct does
+    without one, instead of passing with an empty list."""
+    raw = {
+        "schema": "exactcat/1",
+        "field": {"char": 2},
+        "quiver": {"vertices": ["1", "2"], "arrows": [{"name": "a1", "from": "1", "to": "2"}]},
+        "objects": {"S1": {"dims": {"1": 1}}, "S2": {"dims": {"2": 1}}},
+        "subcategories": {},
+    }
+    with pytest.raises(SpecValidationError) as exc:
+        cli.cmd_iso_agreement(build_spec(raw), argparse.Namespace(cap=4096, seed=0))
+    assert exc.value.errors == ["iso-agreement: the spec names no subcategory"]
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(raw))
+    assert cli.main(["iso-agreement", str(spec), "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail"
+    assert payload["report"]["errors"] == ["iso-agreement: the spec names no subcategory"]

@@ -9,6 +9,7 @@ from exactcat import cli, conflcat
 from exactcat import quotient as qt
 from exactcat.approx import AddSubcat
 from exactcat.category import (
+    Category,
     Conflation,
     VerificationError,
     conflation_split,
@@ -33,7 +34,7 @@ from exactcat.conflcat import (
     sweep_hom_exactness_biconditional,
     verify_splitting_pseudo_cluster_tilting,
 )
-from exactcat.fflinalg import FpMatrix
+from exactcat.fflinalg import BlockMaps, FpMatrix, memo_store
 from exactcat.repcat import RepCategory, RepMor
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "exactcat" / "fixtures"
@@ -401,11 +402,11 @@ def test_degree_columns_are_the_term_blocks(econf, monkeypatch):
     # the bounds come from the layout kept per dims pair: a second call
     # builds no layout and reads no term
     monkeypatch.setattr(conflcat.ConflObj, "terms", lambda self: pytest.fail("degree bounds recomputed"))
-    layouts = dict(nonsplit.quiver.blocks._layouts)
+    layouts = dict(memo_store(nonsplit.quiver.blocks, BlockMaps.layout))
     for x, y in pairs:
         rows = np.zeros((1, ecat.flat_dim(x, y)), dtype=np.int64)
         assert sum(c.shape[1] for c in conflcat._degree_columns(x, y, rows)) == rows.shape[1]
-    assert nonsplit.quiver.blocks._layouts == layouts
+    assert memo_store(nonsplit.quiver.blocks, BlockMaps.layout) == layouts
 
 
 def test_lift_formulas_refuse_a_test_object_that_is_not_canonical_split(econf):
@@ -447,11 +448,12 @@ def test_biconditional_sweep_caches_no_middle_hom_basis(a2):
     swept = {o.key for o in ecat.enumerate_objects(2)}
     outside = middles - swept
     assert outside
-    assert not any(k in outside for ck in ecat._hom_cache for k in ck)
-    assert not outside & ecat._split_form_cache.keys()
+    hom_bases = memo_store(ecat, Category.hom_basis)
+    assert not any(k in outside for ck in hom_bases for k in ck)
+    assert not outside & memo_store(ecat, ConflCategory._is_canonical_split_obj).keys()
     sums = {g.sum.key for g in ecat.split_sub.test_groups(ecat.split_sub.sample_objects(1))}
-    assert ecat._hom_cache
-    assert all((a in sums and b in swept) or (a in swept and b in sums) for a, b in ecat._hom_cache)
+    assert hom_bases
+    assert all((a in sums and b in swept) or (a in swept and b in sums) for a, b in hom_bases)
 
 
 # -- extensions of a pair: one conflation check --------------------------------------

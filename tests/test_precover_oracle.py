@@ -21,7 +21,7 @@ from exactcat import fflinalg as ff
 from exactcat.approx import AddSubcat
 from exactcat.category import solve_precompose, span_matrix
 from exactcat.cli import parse_spec
-from exactcat.fflinalg import FpMatrix
+from exactcat.fflinalg import FpMatrix, memo, obj_key
 from exactcat.quotient import qhom
 from exactcat.repcat import RepCategory, a_n
 
@@ -53,11 +53,9 @@ class CanonicalAddSubcat(AddSubcat):
     """add(G) whose ideal, membership and conflation tests run on the
     canonical evaluation."""
 
+    @memo(key=obj_key)
     def precover(self, x):
-        ck = x.key
-        if ck not in self._precover_cache:
-            self._precover_cache[ck] = canonical_precover(self, x)
-        return self._precover_cache[ck]
+        return canonical_precover(self, x)
 
 
 def one_at_a_time_pieces(sub, x) -> list:

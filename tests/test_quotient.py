@@ -12,7 +12,7 @@ from exactcat import quotient as qt
 from exactcat.approx import AddSubcat, generator_multisets
 from exactcat.category import enumerate_hom
 from exactcat.cli import build_spec, parse_spec
-from exactcat.fflinalg import FpMatrix
+from exactcat.fflinalg import FpMatrix, memo_store
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "exactcat" / "fixtures"
 
@@ -653,15 +653,15 @@ def test_memoized_constructions_match_a_fresh_subcategory(spec):
         for y in sample:
             for f in enumerate_hom(cat, x, y, 64)[0]:
                 key = (x.key, y.key, f.vec.tobytes())
-                for kind, op in (("kernel", qt.q_kernel), ("cokernel", qt.q_cokernel)):
-                    if (kind, *key) not in sub._quotient_memo:
+                for built, op in ((qt._kernel, qt.q_kernel), (qt._cokernel, qt.q_cokernel)):
+                    if key not in memo_store(sub, built):
                         continue
                     hits += 1
                     kept, made = op(qt.QMor(sub, f)).rep, op(qt.QMor(fresh, f)).rep
                     assert kept.src.key == made.src.key
                     assert kept.dst.key == made.dst.key
                     assert kept.vec.tobytes() == made.vec.tobytes()
-                if ("zero", *key) in sub._quotient_memo:
+                if key in memo_store(sub, qt._is_zero):
                     hits += 1
                     assert qt.q_is_zero(qt.QMor(sub, f)) == qt.q_is_zero(qt.QMor(fresh, f))
     assert hits > len(sample) ** 2

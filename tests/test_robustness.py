@@ -164,6 +164,43 @@ def test_no_unused_import_in_the_package():
     assert found == []
 
 
+def _is_empty_dict(node) -> bool:
+    """`{}` or `dict()`."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict"
+    return call and not (node.args or node.keywords)
+
+
+def test_no_memo_dict_is_declared_in_an_init():
+    """A result kept per owner is memoized with `fflinalg.memo`, not in a
+    dict an `__init__` declares: an `__init__` that assigns an empty dict to
+    a private attribute is reported, unless the dict is one of these."""
+    exempt = {
+        # a registry: direct_sum records each biproduct's summands in it
+        ("Category", "_sum_registry"),
+        # a slotted per-basis table, which a per-owner store cannot live on
+        ("HomBasis", "_placements"),
+    }
+    found = []
+    for path in sorted(Path(exactcat.__file__).parent.glob("*.py")):
+        classes = [c for c in ast.walk(ast.parse(path.read_text(), filename=str(path))) if isinstance(c, ast.ClassDef)]
+        for cls in classes:
+            inits = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            for node in (n for init in inits for n in ast.walk(init)):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for t in targets:
+                    mine = isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"
+                    if mine and t.attr.startswith("_") and _is_empty_dict(node.value) and (cls.name, t.attr) not in exempt:
+                        found.append(f"{path.name}:{node.lineno}: {cls.name}.{t.attr}")
+    assert found == []
+
+
 def _cap_address_space_2_gib():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 

@@ -16,6 +16,7 @@ import pytest
 
 from exactcat import conflcat
 from exactcat import fflinalg as ff
+from exactcat.fflinalg import memo_store
 from exactcat.category import VerificationError, conflation_key, hom_exact, span_matrix, verify
 from exactcat.conflcat import (
     TEST_GROUP_DIM,
@@ -255,7 +256,7 @@ def test_each_component_decision_is_made_once_and_only_on_the_base(a2, monkeypat
     assert report.passed and report.checked == 1462
     assert calls and all(cat is ecat.base for cat, _, _, _ in calls)
     keys = [(conflation_key(c), t.key, side) for _, c, t, side in calls]
-    assert len(set(keys)) == len(keys) == len(ecat._component_exact)
+    assert len(set(keys)) == len(keys) == len(memo_store(ecat, ConflCategory._component_exact))
     assert {side for *_, side in keys} == {"covariant", "contravariant"}
     calls.clear()
     assert sweep_hom_exactness_biconditional(ecat, bound=2, test_bound=1) == report
