@@ -165,7 +165,7 @@ class AddSubcat(Subcategory):
         alpha = self.preenvelope(x)
         if not cat.is_inflation(alpha):
             return None, f"canonical preenvelope of {x.label} is not an inflation"
-        c_obj, c_mor = cat.cokernel(alpha)
+        c_obj, c_mor, _ = cat.cokernel(alpha)
         if not self.contains(c_obj):
             return None, f"cokernel of the canonical preenvelope of {x.label} is not in add({self.label})"
         return Conflation(alpha, c_mor), None
@@ -269,7 +269,7 @@ def extend_to_inflation(f, sub: Subcategory) -> tuple[Conflation, Any]:
     _, (iy, iq), _ = cat.direct_sum([y, q0])
     m = cat.add(cat.compose(iy, f), cat.neg(cat.compose(iq, alpha)))
     verify(cat.is_inflation(m), "extend_to_inflation: (f; -preenvelope) is not an inflation")
-    z_obj, c = cat.cokernel(m)
+    z_obj, c, _ = cat.cokernel(m)
     confl = Conflation(m, c)
     # is_hom_exact checks that confl is a conflation
     verify(sub.is_hom_exact(confl, "contravariant"), "extend_to_inflation: the conflation is not Hom(-, sub)-exact")

@@ -343,7 +343,7 @@ class Category:
         if f.src is not g.src and f.src.key != g.src.key:
             raise ValueError("pushout: f and g do not share a source")
         total, (i1, i2), _ = self.direct_sum([f.dst, g.dst])
-        c_obj, c = self.cokernel(self.stack([f, self.neg(g)], total))
+        c_obj, c, _ = self.cokernel(self.stack([f, self.neg(g)], total))
         l1, l2 = self.compose(c, i1), self.compose(c, i2)
         verify(self.mor_eq(self.compose(l1, f), self.compose(l2, g)), "pushout: the square does not commute")
         return c_obj, l1, l2

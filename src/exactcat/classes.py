@@ -9,6 +9,15 @@ subobjects of the first term decides membership outright within the
 enumeration bound; that completeness argument is what turns the diagram
 condition into a decision procedure.
 
+Both searches read the subobjects of a term, each with its cokernel and
+that cokernel's vertexwise section, from one memo on the category
+(`subobject_quotients`), so a term is enumerated once however many
+conflations start or end at it.  The row of a class-S grid is induced on
+the quotients in closed form: with sections l1 of c1 and l2 of c2,
+m = (c2 a) l1 and n = b l2, the unique maps with m c1 = c2 a and n c2 = b
+(c1 and c2 are epimorphisms).  Each is checked to be a morphism that
+factors its map; no hom-space is solved for them.
+
 The crosscheck harness ties the classes to the quotient's abelianness:
 the subcategory is self-orthogonal for class S over a bounded universe of
 extensions exactly when the bounded abelianness sweep passes.
@@ -26,11 +35,12 @@ from .category import (
     Conflation,
     Subcategory,
     conflation_split,
-    solve_postcompose,
     solve_precompose_pair,
     verify,
 )
+from .fflinalg import memo
 from .quotient import VerifyReport, verify_abelian
+from .repcat import square_defect
 
 
 @dataclass
@@ -63,24 +73,49 @@ class ClassSearch:
         return self.member is not None
 
 
+@memo(key=lambda x, bound: (x.key, bound))
+def subobject_quotients(cat: Category, x, bound: int) -> list[tuple]:
+    """(u, M, c, section) for every subobject u: U -> x, in enumeration
+    order: the cokernel c: x -> M of u and its vertexwise section
+    (`RepCategory.cokernel`).  Both searches read it, once per term and
+    bound on the category; the bound is part of the key, so a bound the
+    enumeration refuses is refused on every call."""
+    return [(u, *cat.cokernel(u)) for u in cat.enumerate_subobjects(x, bound)]
+
+
+def _through_epi(cat: Category, g, c, section: np.ndarray):
+    """The h with h o c = g, for the cokernel c: x -> M of a map that g
+    kills, given c's vertexwise section: h = g o section, vertex by vertex,
+    unique because c is an epimorphism.  h is checked to be a morphism
+    that factors g."""
+    m = c.dst
+    vec = cat.blocks.compose(g.vec, section, m.dimv, c.src.dimv, g.dst.dimv, cat.p)
+    vec.setflags(write=False)
+    h = cat._mor(m, g.dst, vec)
+    verify(
+        square_defect(m, g.dst, vec[None, :]) is None and cat.mor_eq(cat.compose(h, c), g),
+        "class S search: the quotient maps do not factor",
+    )
+    return h
+
+
 def in_class_s(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
     """Search all subobjects of the first term for a reducing grid.
 
     Absence is a decision, not a heuristic: every membership diagram is
-    generated by such a subobject.
+    generated by such a subobject.  The row's maps are induced on the
+    quotients in closed form from the cokernels' sections.
     """
     cat = sub.cat
     s1, s2, s3 = s.terms()
     a, b = s.incl, s.defl
     result = ClassSearch(member=None)
-    for u in cat.enumerate_subobjects(s1, bound):
+    for u, _, c1, section1 in subobject_quotients(cat, s1, bound):
         au = cat.compose(a, u)
-        m1_obj, c1 = cat.cokernel(u)
-        m2_obj, c2 = cat.cokernel(au)
+        _, c2, section2 = cat.cokernel(au)
         column = Conflation(au, c2)
-        m = solve_postcompose(cat, c1, cat.compose(c2, a))
-        n = solve_postcompose(cat, c2, b)
-        verify(m is not None and n is not None, "class S search: the quotient maps do not factor")
+        m = _through_epi(cat, cat.compose(c2, a), c1, section1)
+        n = _through_epi(cat, b, c2, section2)
         row = Conflation(m, n)
         # is_hom_exact checks that column and row are conflations
         col_ok = sub.is_hom_exact(column, "covariant")
@@ -110,9 +145,8 @@ def in_class_t(s: Conflation, sub: Subcategory, bound: int = 8) -> ClassSearch:
     t1, t2, t3 = s.terms()
     a, b = s.incl, s.defl
     result = ClassSearch(member=None)
-    for w in cat.enumerate_subobjects(t3, bound):
+    for w, v_obj, cv, _ in subobject_quotients(cat, t3, bound):
         n3_obj = w.src
-        v_obj, cv = cat.cokernel(w)
         n2_obj, n_mor, q_mor = cat.pullback(b, w)
         t_mor = solve_precompose_pair(
             cat, n_mor, a, q_mor, cat.zero_mor(t1, n3_obj)

@@ -7,6 +7,7 @@ int64 arrays; there is no floating point anywhere.  `verify` and
 `VerificationError`, the explicit checks that survive `python -O`, and
 `memo`, the one per-owner cache, live here at the bottom layer so that
 these primitives can use them too; `category` re-exports the checks.
+`by_value`, beside `memo`, keeps the small eliminations (below).
 
 Nearly every matrix the engine builds is tiny (most have at most four
 entries), so the kernel keeps per-matrix overhead low:
@@ -48,6 +49,19 @@ entries), so the kernel keeps per-matrix overhead low:
   entries on (up to 50% below), and replaying every array-path matrix of
   one `paper` and one `quotient-p3` op was fastest with the threshold
   between 2,000 and 10,000 entries: 4,096.
+* Small eliminations once per process.  The five public eliminations
+  (`array_rank`, `rref`, `kernel_basis`, `solve_right`, `quotient_space`)
+  keep their results by input value, p plus the inputs' shapes and bytes,
+  when the matrix they eliminate has at most SMALL_ELIM_ENTRIES entries
+  (`by_value`); a hit returns the same read-only result.  The same small
+  questions come back all the time: on a seeded `classes-p2` benchmark
+  spec 92% of the small `array_rank` calls and 97% of the small
+  `quotient_space` calls repeat an earlier input
+  (`scripts/kernel_repeats.py`).  Nothing larger is kept, so the large
+  systems of `AddSubcat.contains` pass by.  These stores are module-level
+  and live for the process, the one exception to the per-owner rule of
+  `memo`: a result depends on the input value alone, and a store keeps no
+  owner alive.
 
 Three shared patterns sit on top of the primitives:
 
@@ -146,6 +160,38 @@ def memo_store(owner, fn) -> dict:
     if not hasattr(owner, "_memos"):
         owner._memos = {}
     return owner._memos.setdefault(fn, _Store())
+
+
+def by_value(entries, key):
+    """Decorator: a small elimination fn(*args) is computed once per input
+    value and kept for the life of the process.
+
+    entries(*args) is the size of the matrix fn eliminates; above
+    SMALL_ELIM_ENTRIES the call is computed and nothing is kept.  key(*args)
+    is the input value: p, the inputs' shapes and their bytes
+    (`FpMatrix.key`).  A hit returns the same read-only result.  The store
+    is module-level, the one exception to memo's per-owner rule: the result
+    depends on the input value alone, and the store keeps no owner alive.
+    It is the decorated function's `.store`; `.__wrapped__` is the uncached
+    body."""
+
+    def decorate(fn):
+        store = _Store()
+
+        def cached(*args):
+            if entries(*args) > SMALL_ELIM_ENTRIES:
+                return fn(*args)
+            k = key(*args)
+            hit = store[k]
+            if hit is _MISS:
+                hit = store[k] = fn(*args)
+            return hit
+
+        cached.store = store
+        cached.entries = entries
+        return update_wrapper(cached, fn)
+
+    return decorate
 
 
 def _check_modulus(p: int) -> None:
@@ -440,6 +486,7 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return _rref_numpy(a, p)
 
 
+@by_value(lambda a, p: a.size, lambda a, p: (p, a.shape, a.tobytes()))
 def array_rank(a: np.ndarray, p: int) -> int:
     """Rank over F_p of a 2-D array with entries in [0, p); builds no reduced matrix."""
     if a.size <= SMALL_ELIM_ENTRIES:
@@ -481,12 +528,22 @@ def invertible_stack(stack: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
+def _one_entries(m: FpMatrix) -> int:
+    return m.a.size
+
+
+def _one_key(m: FpMatrix) -> tuple:
+    return (m.p, m.a.shape, m.key)
+
+
+@by_value(_one_entries, _one_key)
 def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...], int]:
     """Unique reduced row echelon form, pivot columns (ascending), rank."""
     red, pivots = _rref_array(m.a, m.p)
     return from_reduced(m.p, red), pivots, len(pivots)
 
 
+@by_value(lambda a, b: a.a.size + b.a.size, lambda a, b: (a.p, a.a.shape, b.a.shape, a.key, b.key))
 def solve_right(a: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
     """Some X with a @ X = b, or None if inconsistent.
 
@@ -516,6 +573,7 @@ def solve_right(a: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
     return from_reduced(p, x)
 
 
+@by_value(_one_entries, _one_key)
 def kernel_basis(a: FpMatrix) -> FpMatrix:
     """Matrix whose columns are the canonical basis of {x : a @ x = 0}."""
     p = a.p
@@ -531,6 +589,10 @@ def kernel_basis(a: FpMatrix) -> FpMatrix:
     return from_reduced(p, out)
 
 
+@by_value(
+    lambda p, n, sub_basis: n * (sub_basis.a.shape[1] + n),
+    lambda p, n, sub_basis: (p, n, sub_basis.a.shape, sub_basis.key),
+)
 def quotient_space(p: int, ambient_dim: int, sub_basis: FpMatrix) -> tuple[FpMatrix, FpMatrix]:
     """Projection and section for k^ambient_dim / colspan(sub_basis).
 
@@ -541,13 +603,13 @@ def quotient_space(p: int, ambient_dim: int, sub_basis: FpMatrix) -> tuple[FpMat
         raise ValueError("sub_basis rows must equal ambient dimension")
     # pivot-greedy: a basis of the span, then the unit vectors that extend it
     aug = np.hstack([sub_basis.a, np.eye(ambient_dim, dtype=np.int64)])
-    red, pivots, _ = rref(from_reduced(p, aug))
+    red, pivots = _rref_array(aug, p)
     base_cols = sum(1 for c in pivots if c < sub_basis.cols)
     lift = from_reduced(p, aug[:, list(pivots[base_cols:])])
     # aug contains the identity, so it has full row rank, its pivot columns
     # form the invertible full = [base | lift], and rref(aug) = full⁻¹ · aug:
     # the right block of rref(aug) is full⁻¹, and proj is its rows past base
-    proj = from_reduced(p, red.a[base_cols:, sub_basis.cols :].copy())
+    proj = from_reduced(p, red[base_cols:, sub_basis.cols :].copy())
     verify((proj @ sub_basis).is_zero(), "quotient_space: the projection does not kill the subspace")
     verify(proj @ lift == FpMatrix.identity(p, lift.cols), "quotient_space: the lift does not split the projection")
     return proj, lift

@@ -299,7 +299,7 @@ def q_cokernel(f: QMor) -> QMor:
 def _cokernel(sub: Subcategory, f: QMor) -> QMor:
     cat = sub.cat
     if sub.is_trivial:
-        _, c = cat.cokernel(f.rep)
+        _, c, _ = cat.cokernel(f.rep)
         return QMor(sub, c)
     confl, iy = extend_to_inflation(f.rep, sub)
     return QMor(sub, cat.compose(confl.defl, iy))

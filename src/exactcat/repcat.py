@@ -339,7 +339,10 @@ class RepCategory(Category):
         k_obj = self.obj(dims, maps)
         return k_obj, self.mor(k_obj, f.src, bases)
 
-    def cokernel(self, f: RepMor) -> tuple[RepObj, RepMor]:
+    def cokernel(self, f: RepMor) -> tuple[RepObj, RepMor, np.ndarray]:
+        """(C, c, section): the cokernel c: f.dst -> C, and the flat
+        vertexwise section C -> f.dst of c (c_v section_v = 1 at every vertex
+        v; not a morphism in general) that induces C's arrow maps."""
         projs, lifts = {}, {}
         for v in self.quiver.vertices:
             proj, lift = ff.quotient_space(self.p, f.dst.dims[v], f.comp(v))
@@ -349,7 +352,7 @@ class RepCategory(Category):
         for a in self.quiver.arrows:
             maps[a.name] = projs[a.dst] @ f.dst.maps[a.name] @ lifts[a.src]
         c_obj = self.obj(dims, maps)
-        return c_obj, self.mor(f.dst, c_obj, projs)
+        return c_obj, self.mor(f.dst, c_obj, projs), flat_map(c_obj, f.dst, lifts)
 
     # -- enumeration -------------------------------------------------------
     def enumerate_subobjects(self, x: RepObj, bound: int = 8) -> list[RepMor]:

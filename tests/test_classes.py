@@ -1,8 +1,13 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from exactcat import classes as cl
+from exactcat import approx, category, classes as cl, cli, conflcat, quotient, repcat
 from exactcat.approx import AddSubcat
-from exactcat.category import EnumerationBound
+from exactcat.category import Conflation, EnumerationBound, solve_postcompose
 from exactcat.conflcat import ConflCategory, SplitConflationSubcat
 from exactcat.repcat import op_conflation, opposite
 
@@ -115,3 +120,129 @@ def test_random_search_reports_honestly(a3, a3_sub):
     rep = cl.random_crosscheck_search(cat, pool, pool, tries=12, seed=7)
     assert not rep.counterexample_found
     assert "no counterexample found" in rep.detail
+
+
+# -- the class-S search's induced maps against hom-space solves ---------------------
+
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "exactcat" / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CLASSES_RUNS = {
+    "a2": [str(FIXTURES / "a2_base.json")],
+    "a3": [str(FIXTURES / "a3_projinj.json")],
+    "classes-p2": [str(GOLDEN / "seeded_classes_p2.json"), "--subcategory", "P", "--bound", "5"],
+}
+
+
+def in_class_s_by_solves(s, sub, bound):
+    """The class-S search with the row's maps m and n solved on the hom-spaces
+    (m o c1 = c2 o a, n o c2 = b), as before the closed form: the examined
+    list, and the bytes of (m, n) per examined subobject."""
+    cat = sub.cat
+    a, b = s.incl, s.defl
+    examined, maps = [], []
+    for u in cat.enumerate_subobjects(s.incl.src, bound):
+        au = cat.compose(a, u)
+        _, c1, _ = cat.cokernel(u)
+        _, c2, _ = cat.cokernel(au)
+        m = solve_postcompose(cat, c1, cat.compose(c2, a))
+        n = solve_postcompose(cat, c2, b)
+        col_ok = sub.is_hom_exact(Conflation(au, c2), "covariant")
+        row_ok = sub.is_hom_exact(Conflation(m, n), "contravariant")
+        examined.append((u.src.label, col_ok, row_ok))
+        maps.append((m.vec.tobytes(), n.vec.tobytes()))
+        if col_ok and row_ok:
+            break
+    return examined, maps
+
+
+@pytest.mark.parametrize("run", sorted(CLASSES_RUNS))
+def test_closed_form_induced_maps_match_the_hom_space_solves(monkeypatch, tmp_path, run):
+    """On every conflation `classes` searches (the named ones and every
+    extension of its crosscheck), m = (c2 o a) o section1 and n = b o section2
+    are the vectors the hom-space solves return, byte for byte, and the
+    examined list is the solves' one."""
+    searched = []
+    real_search, real_through = cl.in_class_s, cl._through_epi
+
+    def recording_search(s, sub, bound=8):
+        maps = []
+        monkeypatch.setattr(cl, "_through_epi", lambda *a: maps.append(real_through(*a)) or maps[-1])
+        try:
+            result = real_search(s, sub, bound)
+        finally:
+            monkeypatch.setattr(cl, "_through_epi", real_through)
+        searched.append((s, sub, bound, result.examined, [(m.vec.tobytes(), n.vec.tobytes()) for m, n in zip(maps[::2], maps[1::2])]))
+        return result
+
+    monkeypatch.setattr(cl, "in_class_s", recording_search)
+    assert cli.main(["classes", *CLASSES_RUNS[run], "--out", str(tmp_path / "r.json")]) == 0
+    assert len(searched) > 1
+    for s, sub, bound, examined, maps in searched:
+        assert (examined, maps) == in_class_s_by_solves(s, sub, bound)
+
+
+def test_class_searches_solve_nothing_and_enumerate_each_term_once(monkeypatch, tmp_path):
+    """On the seeded classes-p2 spec, no search calls solve_postcompose, and
+    subobjects are enumerated once per distinct (term, bound)."""
+    depth, solves, terms, enumerations = [0], [0], set(), [0]
+    real_post = category.solve_postcompose
+
+    def counted_post(*args):
+        solves[0] += depth[0] > 0
+        return real_post(*args)
+
+    for module in (approx, category, cl, conflcat, quotient, repcat):
+        if hasattr(module, "solve_postcompose"):
+            monkeypatch.setattr(module, "solve_postcompose", counted_post)
+    for name in ("in_class_s", "in_class_t"):
+        real = getattr(cl, name)
+
+        def search(s, sub, bound=8, real=real, end=0 if name == "in_class_s" else 2):
+            terms.add((s.terms()[end].key, bound))
+            depth[0] += 1
+            try:
+                return real(s, sub, bound)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cl, name, search)
+    real_enum = repcat.RepCategory.enumerate_subobjects
+
+    def counted_enum(self, x, bound=8):
+        enumerations[0] += 1
+        return real_enum(self, x, bound)
+
+    monkeypatch.setattr(repcat.RepCategory, "enumerate_subobjects", counted_enum)
+    assert cli.main(["classes", *CLASSES_RUNS["classes-p2"], "--out", str(tmp_path / "r.json")]) == 0
+    assert solves[0] == 0
+    assert enumerations[0] == len(terms) < 20
+
+
+FAULT_MAIN = """
+import sys
+import numpy as np
+from exactcat import cli, repcat
+real = repcat.RepCategory.cokernel
+
+def zero_section(self, f):
+    c_obj, c, section = real(self, f)
+    return c_obj, c, np.zeros_like(section)
+
+repcat.RepCategory.cokernel = zero_section
+sys.exit(cli.main(["classes", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_zeroed_cokernel_section_fails_the_classes_report(tmp_path, optimize):
+    """A wrong section induces maps that do not factor the quotient maps:
+    the check is explicit, so `classes` fails with exit 1 and no traceback,
+    under python -O too."""
+    out = tmp_path / "classes.json"
+    argv = [sys.executable] + (["-O"] if optimize else []) + ["-c", FAULT_MAIN, str(FIXTURES / "a3_projinj.json"), str(out)]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail" and payload["exit_code"] == 1
+    assert any("class S search: the quotient maps do not factor" in e for e in payload["report"]["errors"])

@@ -105,7 +105,7 @@ def degreewise_kernel(ecat, f):
 
 def degreewise_cokernel(ecat, f):
     b = ecat.base
-    (_, e1), (_, e2), (_, e3) = [b.cokernel(c) for c in f.components()]
+    (_, e1, _), (_, e2, _), (_, e3, _) = [b.cokernel(c) for c in f.components()]
     d1 = factor_epi(b, e1, b.compose(e2, f.dst.d1))
     d2 = factor_epi(b, e2, b.compose(e3, f.dst.d2))
     obj = ecat.make_obj(Conflation(d1, d2))
@@ -257,7 +257,7 @@ def test_kernels_cokernels_and_sums_match_the_degreewise_ones(host):
     for x in objs[:: STRIDE[name]]:
         for y in objs:
             for f in ecat.hom_basis(x, y):
-                for new, old in ((ecat.kernel, degreewise_kernel), (ecat.cokernel, degreewise_cokernel)):
+                for new, old in ((ecat.kernel, degreewise_kernel), (lambda g: ecat.cokernel(g)[:2], degreewise_cokernel)):
                     got, want = outcome(new, f), outcome(lambda g: old(ecat, g), f)
                     if isinstance(want, str):
                         assert got == want

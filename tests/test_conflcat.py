@@ -351,7 +351,7 @@ def test_kernel_cokernel_of_chain_maps(econf, a2):
     from exactcat.category import find_iso
 
     assert find_iso(ecat, k_obj, pre.incl.src) is not None
-    c_obj, c = ecat.cokernel(ecat.compose(pre.incl, ecat.identity(pre.incl.src)))
+    c_obj, c, _ = ecat.cokernel(ecat.compose(pre.incl, ecat.identity(pre.incl.src)))
     assert c_obj.total_dim == pre.defl.src.total_dim - pre.incl.src.total_dim
 
 

@@ -261,6 +261,83 @@ def test_trusted_results_are_read_only_and_zeros_identity_check_p():
         FpMatrix.identity(4, 2)
 
 
+# -- the store of small eliminations --------------------------------------------
+
+SMALL_ELIMINATIONS = ("array_rank", "rref", "kernel_basis", "solve_right", "quotient_space")
+
+
+def _elimination_args(name, p, a, b):
+    """Fresh arguments of one public elimination on the arrays a and b."""
+    m = ff.from_reduced(p, a.copy())
+    return {
+        "array_rank": (a.copy(), p),
+        "rref": (m,),
+        "kernel_basis": (m,),
+        "solve_right": (m, ff.from_reduced(p, b.copy())),
+        "quotient_space": (p, a.shape[0], m),
+    }[name]
+
+
+def _results_equal(got, want):
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(_results_equal(g, w) for g, w in zip(got, want))
+    if isinstance(want, FpMatrix):
+        return isinstance(got, FpMatrix) and got.a.shape == want.a.shape and got == want
+    return got == want
+
+
+def _read_only(result):
+    if isinstance(result, tuple):
+        return all(_read_only(r) for r in result)
+    return not isinstance(result, FpMatrix) or not result.a.flags.writeable
+
+
+@given(reduced_array(max_dim=16), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_small_eliminations_are_kept_by_input_value(pa, consistent, data):
+    """Every public elimination returns what its uncached body returns; an
+    input of at most SMALL_ELIM_ENTRIES entries is kept, so an equal input
+    built afresh gets the identical read-only result, and a larger one
+    leaves the store as it was."""
+    p, a = pa
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cols = data.draw(st.integers(0, 3))
+    b = a @ rng.integers(0, p, size=(a.shape[1], cols)) % p if consistent else rng.integers(0, p, size=(a.shape[0], cols))
+    for name in SMALL_ELIMINATIONS:
+        fn = getattr(ff, name)
+        args = _elimination_args(name, p, a, b)
+        want = fn.__wrapped__(*args)
+        size = len(fn.store)
+        got = fn(*args)
+        assert _results_equal(got, want), name
+        assert _read_only(got), name
+        if fn.entries(*args) <= ff.SMALL_ELIM_ENTRIES:
+            assert fn(*_elimination_args(name, p, a, b)) is got, name
+        else:
+            assert len(fn.store) == size, name
+            assert _results_equal(fn(*args), want), name
+
+
+@pytest.mark.parametrize("p", ff.SUPPORTED_PRIMES)
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (13, 12), (13, 0)])
+def test_small_elimination_store_covers_empty_shapes_and_bypasses_large_ones(p, shape):
+    """0 x n and n x 0 inputs are kept like any other; a 13 x 12 input (156
+    entries) and the quotient of a 13-dimensional space (169) are not."""
+    a = np.zeros(shape, dtype=np.int64)
+    b = np.zeros((shape[0], 1), dtype=np.int64)
+    for name in SMALL_ELIMINATIONS:
+        fn = getattr(ff, name)
+        args = _elimination_args(name, p, a, b)
+        size = len(fn.store)
+        got = fn(*args)
+        assert _results_equal(got, fn.__wrapped__(*args)), name
+        if fn.entries(*args) > ff.SMALL_ELIM_ENTRIES:
+            assert len(fn.store) == size, name
+        else:
+            assert fn(*_elimination_args(name, p, a, b)) is got, name
+            assert len(fn.store) >= 1, name
+
+
 # -- batched composition against one composite per morphism --------------------
 
 def _flat_columns(cat, mors, x, y):
@@ -527,11 +604,13 @@ def test_pruned_kernel_matches_unpruned_oracle(pa, mode, data):
     with ExitStack() as stack:
         for name, value in PRUNING[mode]:
             stack.enter_context(_patched(name, value))
-        red, pivots, rank = ff.rref(m)
-        kernel = ff.kernel_basis(m)
-        got_rank = ff.array_rank(a, p)
-        x_col = ff.solve_right(m, ff.from_reduced(p, rhs[:, :1].copy()))
-        x_both = ff.solve_right(m, ff.from_reduced(p, rhs))
+        # the uncached bodies: a kept result of an earlier example would
+        # stand in for the patched path
+        red, pivots, rank = ff.rref.__wrapped__(m)
+        kernel = ff.kernel_basis.__wrapped__(m)
+        got_rank = ff.array_rank.__wrapped__(a, p)
+        x_col = ff.solve_right.__wrapped__(m, ff.from_reduced(p, rhs[:, :1].copy()))
+        x_both = ff.solve_right.__wrapped__(m, ff.from_reduced(p, rhs))
     red_o, pivots_o = _rref_unpruned(a, p)
     assert pivots == pivots_o and rank == got_rank == len(pivots_o)
     assert np.array_equal(red.a, red_o)
