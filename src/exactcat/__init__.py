@@ -5,7 +5,7 @@ from .fflinalg import FpMatrix
 from .repcat import Arrow, Quiver, RepCategory, RepMor, RepObj, a_n
 from .approx import AddSubcat
 from .conflcat import ConflCategory, ConflMor, ConflObj, SplitConflationSubcat, SubstructureTag
-from .quotient import QMor, qhom, q_is_iso, q_is_zero, q_kernel, q_cokernel, q_coim_im
+from .quotient import qhom, q_is_iso, q_is_zero, q_kernel, q_cokernel, q_coim_im
 
 __all__ = [
     "AddSubcat",
@@ -18,7 +18,6 @@ __all__ = [
     "Conflation",
     "EnumerationBound",
     "FpMatrix",
-    "QMor",
     "Quiver",
     "RepCategory",
     "RepMor",

@@ -7,7 +7,8 @@ subcategory, dually a preenvelope inflation with cokernel in it),
 pseudo-cluster-tilting verdicts and self-orthogonality tests all live here
 and are generic over the host category; the factorization ideal is
 derived from the precover on `category.Subcategory`.  `AddSubcat`
-memoizes (`fflinalg.memo`) what it builds per object and per conflation.
+memoizes (`fflinalg.memo`) what it builds per object and per conflation,
+except the preenvelope: its one caller, the preenvelope conflation, is kept.
 
 The precover of x is built from a generating set of Hom(add G, x) as a
 right End(add G)-module, picked pivot-greedily from the hom bases, not from
@@ -105,7 +106,6 @@ class AddSubcat(Subcategory):
         power, _, _ = cat.direct_sum(pieces)
         return cat.costack(mors, power)
 
-    @memo(key=obj_key)
     def preenvelope(self, x):
         """Canonical coevaluation: one generator copy per Hom(x, G_i) basis element."""
         cat = self.cat

@@ -548,14 +548,24 @@ def enumerate_hom(cat: Category, x, y, cap: int = 4096, rng=None) -> tuple[list,
     return mors, exhaustive
 
 
+def two_sided_inverse(cat: Category, f) -> Optional[Any]:
+    """g with g o f = id and f o g = id, or None when f is not an isomorphism."""
+    x, y = f.src, f.dst
+    if x.total_dim != y.total_dim:
+        return None
+    g = solve_precompose(cat, f, cat.identity(y))
+    if g is None or not cat.mor_eq(cat.compose(g, f), cat.identity(x)):
+        return None
+    return g
+
+
 def find_iso(cat: Category, x, y, cap: int = 4096) -> Optional[Any]:
     """Search an isomorphism x -> y by enumerating the hom-space."""
     if x.total_dim != y.total_dim:
         return None
     mors, exhaustive = enumerate_hom(cat, x, y, cap)
     for f in mors:
-        g = solve_precompose(cat, f, cat.identity(y))
-        if g is not None and cat.mor_eq(cat.compose(g, f), cat.identity(x)):
+        if two_sided_inverse(cat, f) is not None:
             return f
     if not exhaustive:
         raise EnumerationBound("iso search not exhaustive", cap)

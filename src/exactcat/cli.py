@@ -100,7 +100,8 @@ def _matrix(char: int, rows, want: tuple[int, int], where: str, errors: list[str
     ):
         errors.append(f"{where}: matrix must be a rectangular list of integer rows")
         return None
-    m = FpMatrix(char, [[e % char for e in r] for r in rows]) if rows else FpMatrix.zeros(char, 0, 0)
+    # [] is the only JSON form of a map with no rows: 0 x want[1]
+    m = FpMatrix(char, [[e % char for e in r] for r in rows]) if rows else FpMatrix.zeros(char, 0, want[1])
     if m.a.shape != want:
         errors.append(f"{where}: matrix shape {m.a.shape} does not match {want}")
         return None
@@ -336,9 +337,7 @@ def cmd_check_pct(doc: SpecDocument, args) -> dict:
 def cmd_quotient(doc: SpecDocument, args) -> dict:
     sub = _resolve_sub(doc, args.subcategory, "quotient")
     names = sorted(doc.objects)
-    table = {
-        x: {y: qt.qhom(sub, doc.objects[x], doc.objects[y]).dim for y in names} for x in names
-    }
+    table = {x: {y: qt.qhom(sub, doc.objects[x], doc.objects[y]) for y in names} for x in names}
     sample = [doc.objects[n] for n in names]
     semi = qt.verify_semiabelian(sub, sample, cap=args.cap, seed=args.seed)
     ab = qt.verify_abelian(sub, sample, cap=args.cap, seed=args.seed)

@@ -21,10 +21,10 @@ entries), so the kernel keeps per-matrix overhead low:
   afterwards.  The array is made read-only on the way in.
 * Small elimination.  A matrix with at most SMALL_ELIM_ENTRIES entries is
   eliminated on Python int lists; a larger one on an int64 array, with one
-  vectorised row update per pivot.  `array_rank` counts pivots by forward
-  elimination alone and builds no reduced matrix; `invertible_stack` runs
-  that forward elimination on a whole stack of square matrices at once,
-  vectorised across the stack.  The threshold is the
+  vectorised row update per pivot.  `array_rank` counts the pivots of that
+  elimination and builds no FpMatrix; `invertible_stack` runs a forward
+  elimination on a whole stack of square matrices at once, vectorised
+  across the stack.  The threshold is the
   largest entry count at which the list path was faster on every square,
   wide and tall shape timed by `scripts/elim_threshold.py`, for p = 2 and
   p = 3: 144 entries.  Between 144 and about 300 entries the faster path
@@ -74,8 +74,9 @@ Three shared patterns sit on top of the primitives:
 * Pivot-greedy spans.  The pivot columns of rref([S | c_1 ... c_k]) are
   exactly the candidates a left-to-right greedy pass keeps (each one not
   in the span of S and the kept ones before it), so one elimination
-  chooses a basis of a span (`category.span_basis`), coset
-  representatives (`quotient.qhom`) and a complement (`quotient_space`).
+  chooses a basis of a span (`category.span_basis`) and a complement
+  (`quotient_space`, whose projection gives `quotient.qhom` its
+  dimension).
 * Flat block maps.  `BlockMaps` stores a block-diagonal linear map as one
   vector (its blocks row-major, one after another, the BlockSystem
   unknown order) and composes such vectors, one at a time or a stack of
@@ -156,7 +157,10 @@ def memo(fn=None, *, key=None):
 
 def memo_store(owner, fn) -> dict:
     """The store key -> result of the memoized function fn on owner (empty
-    until fn is first called there); an owner keeps its stores in _memos."""
+    until fn is first called there); an owner keeps its stores in _memos.
+    memo makes every store here, reading this function as a module global,
+    so a diagnostic can hand out counting stores by swapping it
+    (`scripts/kernel_repeats.py`)."""
     if not hasattr(owner, "_memos"):
         owner._memos = {}
     return owner._memos.setdefault(fn, _Store())
@@ -372,31 +376,6 @@ def _rref_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[int, ...]:
     return tuple(pivots)
 
 
-def _rank_rows(rows: list[list[int]], ncols: int, p: int) -> int:
-    """Rank of rows (entries in [0, p)) by forward elimination, destroying rows."""
-    inv = _INVERSES[p]
-    nrows = len(rows)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        row = rows[i]
-        rows[i] = rows[r]
-        s = inv[row[c]]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                f = f * s % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
-        r += 1
-    return r
-
-
 def _column_keys(a: np.ndarray) -> np.ndarray:
     """One weighted sum per column of a 2-D array with entries in [0, p).
     The weights are positive and below 2^31, so the key is exact (no
@@ -488,9 +467,10 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 @by_value(lambda a, p: a.size, lambda a, p: (p, a.shape, a.tobytes()))
 def array_rank(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of a 2-D array with entries in [0, p); builds no reduced matrix."""
+    """Rank over F_p of a 2-D array with entries in [0, p): the pivot count
+    of one working copy's elimination; builds no FpMatrix."""
     if a.size <= SMALL_ELIM_ENTRIES:
-        return _rank_rows(a.tolist(), a.shape[1], p)
+        return len(_rref_rows(a.tolist(), a.shape[1], p))
     distinct = _distinct_columns(a)
     return len(_eliminate(a.copy() if distinct is None else a[:, distinct[0]], p))
 

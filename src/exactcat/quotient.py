@@ -1,10 +1,13 @@
 """The additive quotient of a host category by a subcategory ideal.
 
-Morphism classes are host morphisms modulo the span of maps factoring
-through the subcategory.  Kernels come from pulling back along a precover
-deflation, cokernels from pushing out along a preenvelope inflation; the
-engine re-verifies the universal properties instead of assuming them, and
-the semi-abelian / abelian certificates sweep entire hom-spaces.
+A morphism of the quotient is a host morphism read modulo the span of the
+maps factoring through the subcategory, so every operation here is a
+function of (sub, f) for a host morphism f, and the zero test, kernel and
+cokernel of each morphism are memoized on sub.  Kernels come from pulling
+back along a precover deflation, cokernels from pushing out along a
+preenvelope inflation; the engine re-verifies the universal properties
+instead of assuming them, and the semi-abelian / abelian certificates
+sweep entire hom-spaces.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from .category import (
     enumerate_hom,
     flat_column,
     span_matrix,
+    two_sided_inverse,
     verify,
 )
 from .fflinalg import memo, obj_key
@@ -30,69 +34,29 @@ from .fflinalg import memo, obj_key
 ENUM_CAP = 4096
 
 
-@dataclass
-class QMor:
-    """A quotient-category morphism, carried by a chosen host representative."""
-
-    sub: Subcategory
-    rep: Any
-
-    @property
-    def cat(self) -> Category:
-        return self.sub.cat
-
-    @property
-    def src(self):
-        return self.rep.src
-
-    @property
-    def dst(self):
-        return self.rep.dst
+def qhom(sub: Subcategory, x, y) -> int:
+    """Dimension of Hom(x,y) modulo the ideal: the rank of its coset projection."""
+    return _coset_projection(sub, x, y)[1].rows
 
 
-@dataclass
-class QHomSpace:
-    dim: int
-    hom_dim: int
-    ideal_dim: int
+def _mor_key(f) -> tuple:
+    """The memo key of a host morphism: its two object keys and its vector's
+    bytes.  A sweep asks for the same kernels, cokernels and zero tests many
+    times (q_coim_im builds them, then the mono and epi tests and the next
+    sweep ask again)."""
+    return (f.src.key, f.dst.key, f.vec.tobytes())
 
 
-def qhom(sub: Subcategory, x, y) -> QHomSpace:
-    """Dimension of Hom(x,y) modulo the ideal."""
-    cat = sub.cat
-    hom = cat.hom_basis(x, y)
-    ideal = sub.ideal_basis(x, y)
-    if not hom:
-        return QHomSpace(0, 0, 0)
-    # pivot-greedy: the ideal basis, then each hom basis element not in the
-    # span of the ideal and of the ones chosen before it
-    _, pivots, _ = ff.rref(span_matrix(cat, list(ideal) + list(hom), x, y))
-    ideal_dim = sum(1 for c in pivots if c < len(ideal))
-    # the ideal lies in Hom(x,y), so the pivots must be exactly dim Hom(x,y) many
-    verify(len(pivots) == len(hom), f"qhom: {len(pivots)} pivots for a {len(hom)}-dimensional hom-space")
-    return QHomSpace(len(hom) - ideal_dim, len(hom), ideal_dim)
-
-
-def _qmor_key(f: QMor) -> tuple:
-    """The memo key of a quotient morphism: its two object keys and its
-    representative's bytes.  A sweep asks for the same kernels, cokernels
-    and zero tests many times (q_coim_im builds them, then the mono and epi
-    tests and the next sweep ask again)."""
-    return (f.src.key, f.dst.key, f.rep.vec.tobytes())
-
-
-def q_is_zero(f: QMor) -> bool:
-    return _is_zero(f.sub, f)
-
-
-@memo(key=_qmor_key)
-def _is_zero(sub: Subcategory, f: QMor) -> bool:
-    return sub.is_ideal_member(f.rep)
+@memo(key=_mor_key)
+def q_is_zero(sub: Subcategory, f) -> bool:
+    """Is the class of f zero, i.e. does f factor through the subcategory?
+    Memoized per morphism on the subcategory."""
+    return sub.is_ideal_member(f)
 
 
 @memo(key=obj_key)
 def _coset_projection(sub: Subcategory, x, y):
-    """(hom basis, flat hom matrix, coset projection matrix), memoized on sub."""
+    """(flat hom matrix, coset projection matrix), memoized on sub."""
     cat = sub.cat
     hom = cat.hom_basis(x, y)
     hmat = span_matrix(cat, hom, x, y)
@@ -100,30 +64,30 @@ def _coset_projection(sub: Subcategory, x, y):
     mat = ff.solve_right(hmat, span_matrix(cat, sub.ideal_spanning(x, y), x, y))
     verify(mat is not None, "coset projection: an ideal element lies outside its hom-space")
     proj, _ = ff.quotient_space(cat.p, len(hom), mat)
-    return hom, hmat, proj
+    return hmat, proj
 
 
-def q_class_key(f: QMor) -> bytes:
+def q_class_key(sub: Subcategory, f) -> bytes:
     """Canonical key of the ideal coset of f (for memoizing class-invariant verdicts)."""
-    cat = f.cat
-    hom, hmat, proj = _coset_projection(f.sub, f.src, f.dst)
-    coords = ff.solve_right(hmat, flat_column(cat, f.rep))
+    hmat, proj = _coset_projection(sub, f.src, f.dst)
+    coords = ff.solve_right(hmat, flat_column(sub.cat, f))
     verify(coords is not None, "class key: a morphism lies outside its hom-space basis")
     return (proj @ coords).key
 
 
-def q_is_iso(f: QMor) -> Optional[QMor]:
-    """Inverse class of f, solving g o f = id and f o g = id modulo the ideal.
+def q_is_iso(sub: Subcategory, f) -> Optional[Any]:
+    """An inverse of f: x -> y modulo the ideal, a g: y -> x with g o f = id
+    and f o g = id modulo the ideal, or None.
 
     One linear system over Hom(Y,X) coordinates plus ideal coordinates at
     both endpoints.
     """
-    cat, sub = f.cat, f.sub
+    cat = sub.cat
     x, y = f.src, f.dst
     basis = cat.hom_basis(y, x)
     # columns (flatten(h o f); flatten(f o h)) for h in the basis, then the
     # ideal spanning sets of End(x) and End(y) in their own blocks
-    hom_cols = ff.vstack([cat.precompose_flat(basis, f.rep, y, x), cat.compose_flat(f.rep, basis, y, x)])
+    hom_cols = ff.vstack([cat.precompose_flat(basis, f, y, x), cat.compose_flat(f, basis, y, x)])
     ideal_cols = ff.block_diag(
         [span_matrix(cat, sub.ideal_spanning(x, x), x, x), span_matrix(cat, sub.ideal_spanning(y, y), y, y)],
         cat.p,
@@ -132,8 +96,7 @@ def q_is_iso(f: QMor) -> Optional[QMor]:
     sol = ff.solve_right(ff.hstack([hom_cols, ideal_cols]), rhs)
     if sol is None:
         return None
-    g = cat.combine(basis, sol.a[: len(basis), 0], y, x)
-    return QMor(sub, g)
+    return cat.combine(basis, sol.a[: len(basis), 0], y, x)
 
 
 @dataclass
@@ -146,7 +109,7 @@ class BlockWitness:
     inverse: Any
 
 
-def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096) -> Optional[BlockWitness]:
+def q_is_iso_blocksearch(sub: Subcategory, f, extra_dim_cap: int = 6, combo_cap: int = 4096) -> Optional[BlockWitness]:
     """Independent iso test: search an invertible block completion of f.
 
     f is invertible in the quotient iff some [[f,b],[c,d]] with the pads P,Q
@@ -166,7 +129,6 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
     f is not invertible: it means that no completion was found among the
     pad pairs searched, and a pair with p^n > combo_cap is skipped silently.
     """
-    sub = f.sub
     if not hasattr(sub, "generators"):
         raise ValueError("block search needs a finitely generated subcategory")
     px, py = sub.iso_profile(f.src), sub.iso_profile(f.dst)
@@ -176,13 +138,13 @@ def q_is_iso_blocksearch(f: QMor, extra_dim_cap: int = 6, combo_cap: int = 4096)
         if any(v < 0 for v in need):
             continue
         for q_ms in by_profile.get(need, []):
-            w = _try_block_completion(f, sub.multiset_sum(p_ms), sub.multiset_sum(q_ms), combo_cap)
+            w = _try_block_completion(sub.cat, f, sub.multiset_sum(p_ms), sub.multiset_sum(q_ms), combo_cap)
             if w is not None:
                 return w
     return None
 
 
-def _try_block_completion(f: QMor, p_obj, q_obj, combo_cap) -> Optional[BlockWitness]:
+def _try_block_completion(cat: Category, f, p_obj, q_obj, combo_cap) -> Optional[BlockWitness]:
     """The first invertible [[f, b], [c, d]]: X (+) P -> Y (+) Q, or None.
 
     (b, c, d) = sum of coefficients times the bases of Hom(P, Y), Hom(X, Q)
@@ -194,7 +156,6 @@ def _try_block_completion(f: QMor, p_obj, q_obj, combo_cap) -> Optional[BlockWit
     (lexicographic) at which every component is invertible.  The two sums
     are built only for a witness.
     """
-    cat = f.cat
     p, blocks = cat.p, cat.blocks
     x, y = f.src, f.dst
     homs = (cat.hom_basis(p_obj, y), cat.hom_basis(x, q_obj), cat.hom_basis(p_obj, q_obj))
@@ -207,7 +168,7 @@ def _try_block_completion(f: QMor, p_obj, q_obj, combo_cap) -> Optional[BlockWit
     at0 = (0,) * len(src)
     # (rows, source summand, target summand, where the two start)
     corners = [
-        (f.rep.vec[None, :], x.dimv, y.dimv, at0, at0),
+        (f.vec[None, :], x.dimv, y.dimv, at0, at0),
         (homs[0].rows, p_obj.dimv, y.dimv, x.dimv, at0),
         (homs[1].rows, x.dimv, q_obj.dimv, at0, y.dimv),
         (homs[2].rows, p_obj.dimv, q_obj.dimv, x.dimv, y.dimv),
@@ -239,7 +200,7 @@ def _try_block_completion(f: QMor, p_obj, q_obj, combo_cap) -> Optional[BlockWit
     vec %= p
     vec.setflags(write=False)
     total = cat._mor(cat.direct_sum([x, p_obj])[0], cat.direct_sum([y, q_obj])[0], vec)
-    inv = _two_sided_inverse(cat, total)
+    inv = two_sided_inverse(cat, total)
     verify(inv is not None, "block search: a componentwise invertible completion has no two-sided inverse")
     return BlockWitness(p_obj, q_obj, total, inv)
 
@@ -254,84 +215,61 @@ def _coefficient_tuples(p: int, n: int) -> np.ndarray:
     return coeffs
 
 
-def _two_sided_inverse(cat: Category, f) -> Optional[Any]:
-    from .category import solve_precompose
-
-    x, y = f.src, f.dst
-    if x.total_dim != y.total_dim:
-        return None
-    g = solve_precompose(cat, f, cat.identity(y))
-    if g is None or not cat.mor_eq(cat.compose(g, f), cat.identity(x)):
-        return None
-    return g
-
-
-def q_kernel(f: QMor) -> QMor:
+@memo(key=_mor_key)
+def q_kernel(sub: Subcategory, f):
     """Kernel class: pull f back along a precover deflation of its target.
 
     With a zero ideal the quotient is the host itself, so the host kernel
     is the kernel.  Memoized per morphism on the subcategory.
     """
-    return _kernel(f.sub, f)
-
-
-@memo(key=_qmor_key)
-def _kernel(sub: Subcategory, f: QMor) -> QMor:
     cat = sub.cat
     if sub.is_trivial:
-        _, k = cat.kernel(f.rep)
-        return QMor(sub, k)
+        return cat.kernel(f)[1]
     y = f.dst
     down, reason = sub.precover_conflation(y)
     if down is None:
         raise ConditionError("precover-conflation", y.label, reason or "")
-    _, k, _ = cat.pullback(f.rep, down.defl)
-    return QMor(sub, k)
+    return cat.pullback(f, down.defl)[1]
 
 
-def q_cokernel(f: QMor) -> QMor:
+@memo(key=_mor_key)
+def q_cokernel(sub: Subcategory, f):
     """Cokernel class: deflation of the preenvelope-extended conflation at
     the source.  Memoized per morphism on the subcategory."""
-    return _cokernel(f.sub, f)
-
-
-@memo(key=_qmor_key)
-def _cokernel(sub: Subcategory, f: QMor) -> QMor:
     cat = sub.cat
     if sub.is_trivial:
-        _, c, _ = cat.cokernel(f.rep)
-        return QMor(sub, c)
-    confl, iy = extend_to_inflation(f.rep, sub)
-    return QMor(sub, cat.compose(confl.defl, iy))
+        return cat.cokernel(f)[1]
+    confl, iy = extend_to_inflation(f, sub)
+    return cat.compose(confl.defl, iy)
 
 
 @dataclass
 class CoimImData:
-    hat: QMor
-    kernel: QMor
-    cokernel: QMor
+    hat: Any
+    kernel: Any
+    cokernel: Any
     coim: Any
     im: Any
-    coim_proj: QMor  # X -> Coim
-    im_incl: QMor  # Im -> Y
+    coim_proj: Any  # X -> Coim
+    im_incl: Any  # Im -> Y
     unique: bool
 
 
-def q_coim_im(f: QMor) -> CoimImData:
+def q_coim_im(sub: Subcategory, f) -> CoimImData:
     """The canonical mediating class Coim f -> Im f, with uniqueness verified."""
-    cat, sub = f.cat, f.sub
-    k = q_kernel(f)
-    coim_proj = q_cokernel(QMor(sub, k.rep))
-    c = q_cokernel(f)
-    im_incl = q_kernel(QMor(sub, c.rep))
+    cat = sub.cat
+    k = q_kernel(sub, f)
+    coim_proj = q_cokernel(sub, k)
+    c = q_cokernel(sub, f)
+    im_incl = q_kernel(sub, c)
     coim = coim_proj.dst
     im = im_incl.src
     x, y = f.src, f.dst
     basis = cat.hom_basis(coim, im)
     # columns: im_incl o h o coim_proj for h in the basis, then the ideal of Hom(x, y)
-    through = [cat.compose(im_incl.rep, cat.compose(h, coim_proj.rep)) for h in basis]
+    through = [cat.compose(im_incl, cat.compose(h, coim_proj)) for h in basis]
     mat = span_matrix(cat, through + list(sub.ideal_spanning(x, y)), x, y)
-    sol = ff.solve_right(mat, flat_column(cat, f.rep))
+    sol = ff.solve_right(mat, flat_column(cat, f))
     verify(sol is not None, "coimage-image: no mediating morphism Coim f -> Im f")
     hat = cat.combine(basis, sol.a[: len(basis), 0], coim, im)
     # uniqueness modulo the ideal: every nullspace direction in the hat
@@ -344,7 +282,7 @@ def q_coim_im(f: QMor) -> CoimImData:
             unique = False
             break
     return CoimImData(
-        hat=QMor(sub, hat),
+        hat=hat,
         kernel=k,
         cokernel=c,
         coim=coim,
@@ -355,12 +293,12 @@ def q_coim_im(f: QMor) -> CoimImData:
     )
 
 
-def q_is_mono(f: QMor) -> bool:
-    return q_is_zero(q_kernel(f))
+def q_is_mono(sub: Subcategory, f) -> bool:
+    return q_is_zero(sub, q_kernel(sub, f))
 
 
-def q_is_epi(f: QMor) -> bool:
-    return q_is_zero(q_cokernel(f))
+def q_is_epi(sub: Subcategory, f) -> bool:
+    return q_is_zero(sub, q_cokernel(sub, f))
 
 
 @dataclass
@@ -381,7 +319,7 @@ class VerifyReport:
 def _sweep_classes(sub: Subcategory, sample: Sequence, cap: int, seed: Optional[int], decide) -> VerifyReport:
     """Enumerate the morphisms between sample objects and decide each quotient class once.
 
-    decide(qf) returns a failure message or None; verdicts are
+    decide(f) returns a failure message or None; verdicts are
     coset-invariant, so a class already decided is only counted.
     """
     cat = sub.cat
@@ -392,32 +330,31 @@ def _sweep_classes(sub: Subcategory, sample: Sequence, cap: int, seed: Optional[
         for y in sample:
             mors, exhaustive = enumerate_hom(cat, x, y, cap, rng)
             report.sampled = report.sampled or not exhaustive
-            for m in mors:
-                qf = QMor(sub, m)
+            for f in mors:
                 report.checked += 1
-                key = (x.key, y.key, q_class_key(qf))
+                key = (x.key, y.key, q_class_key(sub, f))
                 if key in seen:
                     continue
                 seen.add(key)
-                failure = decide(qf)
+                failure = decide(f)
                 if failure is not None:
                     report.passed = False
                     report.failures.append(failure)
     return report
 
 
-def _mor_label(f: QMor) -> str:
+def _mor_label(f) -> str:
     return f"{f.src.label} -> {f.dst.label}"
 
 
 def verify_semiabelian(sub: Subcategory, sample: Sequence, cap: int = ENUM_CAP, seed: Optional[int] = None) -> VerifyReport:
     """Every mediating class over the sample is both monic and epic."""
 
-    def decide(qf: QMor) -> Optional[str]:
-        data = q_coim_im(qf)
-        if data.unique and q_is_mono(data.hat) and q_is_epi(data.hat):
+    def decide(f) -> Optional[str]:
+        data = q_coim_im(sub, f)
+        if data.unique and q_is_mono(sub, data.hat) and q_is_epi(sub, data.hat):
             return None
-        return f"mediating class of {_mor_label(qf)} is not regular"
+        return f"mediating class of {_mor_label(f)} is not regular"
 
     return _sweep_classes(sub, sample, cap, seed, decide)
 
@@ -429,12 +366,12 @@ def iso_agreement_sweep(sub: Subcategory, sample: Sequence, cap: int = ENUM_CAP,
     agree on the whole enumerated hom-space of every sample pair.
     """
 
-    def decide(qf: QMor) -> Optional[str]:
-        solved = q_is_iso(qf) is not None
-        searched = q_is_iso_blocksearch(qf) is not None
+    def decide(f) -> Optional[str]:
+        solved = q_is_iso(sub, f) is not None
+        searched = q_is_iso_blocksearch(sub, f) is not None
         if solved == searched:
             return None
-        return f"iso tests disagree on {_mor_label(qf)} (solver {solved}, block search {searched})"
+        return f"iso tests disagree on {_mor_label(f)} (solver {solved}, block search {searched})"
 
     return _sweep_classes(sub, sample, cap, seed, decide)
 
@@ -442,9 +379,9 @@ def iso_agreement_sweep(sub: Subcategory, sample: Sequence, cap: int = ENUM_CAP,
 def verify_abelian(sub: Subcategory, sample: Sequence, cap: int = ENUM_CAP, seed: Optional[int] = None) -> VerifyReport:
     """Every regular class over the sample is invertible."""
 
-    def decide(qf: QMor) -> Optional[str]:
-        if not (q_is_mono(qf) and q_is_epi(qf)) or q_is_iso(qf) is not None:
+    def decide(f) -> Optional[str]:
+        if not (q_is_mono(sub, f) and q_is_epi(sub, f)) or q_is_iso(sub, f) is not None:
             return None
-        return f"regular non-invertible class {_mor_label(qf)}"
+        return f"regular non-invertible class {_mor_label(f)}"
 
     return _sweep_classes(sub, sample, cap, seed, decide)

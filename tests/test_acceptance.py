@@ -95,21 +95,20 @@ def test_acceptance_1_quotient_kernels_cokernels_universal(a3, a3_sub):
     for x in indecs:
         for y in indecs:
             for f_host in enumerate_hom(cat, x, y)[0]:
-                f = qt.QMor(P, f_host)
-                k = qt.q_kernel(f)
-                assert qt.q_is_zero(qt.QMor(P, cat.compose(f_host, k.rep)))
-                c = qt.q_cokernel(f)
-                assert qt.q_is_zero(qt.QMor(P, cat.compose(c.rep, f_host)))
+                k = qt.q_kernel(P, f_host)
+                assert qt.q_is_zero(P, cat.compose(f_host, k))
+                c = qt.q_cokernel(P, f_host)
+                assert qt.q_is_zero(P, cat.compose(c, f_host))
                 for t in indecs:
                     for g in enumerate_hom(cat, t, x)[0]:
-                        kills = qt.q_is_zero(qt.QMor(P, cat.compose(f_host, g)))
-                        exists, unique = factor_mod_ideal_unique(P, k.rep, g)
+                        kills = qt.q_is_zero(P, cat.compose(f_host, g))
+                        exists, unique = factor_mod_ideal_unique(P, k, g)
                         assert exists == kills, "kernel factorizations are exactly the killed maps"
                         if exists:
                             assert unique, "kernel factorization must be unique modulo the ideal"
                     for g in enumerate_hom(cat, y, t)[0]:
-                        killed = qt.q_is_zero(qt.QMor(P, cat.compose(g, f_host)))
-                        exists, unique = cofactor_mod_ideal_unique(P, c.rep, g)
+                        killed = qt.q_is_zero(P, cat.compose(g, f_host))
+                        exists, unique = cofactor_mod_ideal_unique(P, c, g)
                         assert exists == killed
                         if exists:
                             assert unique

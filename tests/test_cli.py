@@ -332,6 +332,23 @@ def test_malformed_spec_is_a_validation_error(case):
     assert any(needle in e for e in exc.value.errors), exc.value.errors
 
 
+def test_an_empty_list_is_a_map_with_no_rows():
+    """[] is the only JSON form of a 0 x n matrix: an object map into a zero
+    space and a conflation component into one parse as 0 x n, and [] stays
+    refused where the map has rows."""
+    spec = _a2_spec()
+    spec["objects"]["T"] = {"dims": {"1": 2}, "maps": {"a1": []}}
+    spec["conflations"]["ext"]["proj"]["comps"]["2"] = []
+    doc = build_spec(spec)
+    assert doc.objects["T"].maps["a1"].a.shape == (0, 2)
+    defl = doc.conflations["ext"].defl
+    assert defl.comp("2").a.shape == (0, 1) and defl.vec.tolist() == [1]
+    spec["objects"]["P1"]["maps"]["a1"] = []
+    with pytest.raises(SpecValidationError) as exc:
+        build_spec(spec)
+    assert "object P1, arrow a1: matrix shape (0, 1) does not match (1, 1)" in exc.value.errors
+
+
 def test_malformed_spec_lists_every_problem():
     spec = _a2_spec()
     spec["objects"]["S1"]["dims"] = {"1": 1.5}

@@ -323,8 +323,8 @@ def test_quotient_hom_invariant_under_iso_conflations(econf, a2):
     exts = cat.enumerate_extensions(o["S1"], o["S2"])
     nonsplit = [s for s in exts if conflation_split(cat, s) is None]
     y = ecat.make_obj(nonsplit[0])
-    assert qt.qhom(sub, x, x).dim == qt.qhom(sub, y, y).dim
-    assert qt.qhom(sub, x, y).dim == qt.qhom(sub, y, x).dim
+    assert qt.qhom(sub, x, x) == qt.qhom(sub, y, y)
+    assert qt.qhom(sub, x, y) == qt.qhom(sub, y, x)
 
 
 def test_split_detection_matches_chain_level_iso(econf, a2):

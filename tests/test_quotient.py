@@ -15,49 +15,67 @@ from exactcat.cli import build_spec, parse_spec
 from exactcat.fflinalg import FpMatrix, memo_store
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "exactcat" / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_qhom_dims(a3, a3_sub):
     cat, o = a3
     P = a3_sub
-    assert qt.qhom(P, o["S2"], o["S2"]).dim == 1
+    assert qt.qhom(P, o["S2"], o["S2"]) == 1
     for y in o.values():
-        assert qt.qhom(P, o["P1"], y).dim == 0
+        assert qt.qhom(P, o["P1"], y) == 0
     empty = AddSubcat(cat, [], label="0")
     for x in o.values():
         for y in o.values():
-            assert qt.qhom(empty, x, y).dim == len(cat.hom_basis(x, y))
+            assert qt.qhom(empty, x, y) == len(cat.hom_basis(x, y))
 
 
 def test_qhom_accounting(a3, a3_sub):
     cat, o = a3
-    space = qt.qhom(a3_sub, o["P1"], o["I2"])
-    assert space.hom_dim == space.ideal_dim + space.dim
+    x, y = o["P1"], o["I2"]
+    assert qt.qhom(a3_sub, x, y) == len(cat.hom_basis(x, y)) - len(a3_sub.ideal_basis(x, y))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [FIXTURES / "a2_base.json", FIXTURES / "a3_projinj.json", GOLDEN / "seeded_quotient_p3.json"],
+    ids=lambda v: v.name,
+)
+def test_qhom_is_hom_minus_ideal_dimension(path):
+    """qhom reads the rank of the memoized coset projection; the ideal
+    basis, a pivot-greedy span of its own, is the reference."""
+    doc = parse_spec(str(path))
+    cat = doc.cat
+    for sub in doc.subcategories.values():
+        for x in doc.objects.values():
+            for y in doc.objects.values():
+                want = len(cat.hom_basis(x, y)) - len(sub.ideal_basis(x, y))
+                assert qt.qhom(sub, x, y) == want, (sub.label, x.label, y.label)
 
 
 def test_q_is_zero(a3, a3_sub):
     cat, o = a3
     P = a3_sub
-    assert qt.q_is_zero(qt.QMor(P, cat.zero_mor(o["S2"], o["S2"])))
-    assert not qt.q_is_zero(qt.QMor(P, cat.identity(o["S2"])))
+    assert qt.q_is_zero(P, cat.zero_mor(o["S2"], o["S2"]))
+    assert not qt.q_is_zero(P, cat.identity(o["S2"]))
     through_gen = cat.compose(
         cat.hom_basis(P.generators[1], o["P1"])[0], cat.hom_basis(o["S3"], P.generators[1])[0]
     )
-    assert qt.q_is_zero(qt.QMor(P, through_gen))
+    assert qt.q_is_zero(P, through_gen)
 
 
 def test_q_is_iso_examples(a3, a3_sub):
     cat, o = a3
     P = a3_sub
-    inv = qt.q_is_iso(qt.QMor(P, cat.identity(o["S2"])))
+    inv = qt.q_is_iso(P, cat.identity(o["S2"]))
     assert inv is not None
     # the zero class of a nonzero object is not invertible
-    assert qt.q_is_iso(qt.QMor(P, cat.zero_mor(o["S2"], o["S2"]))) is None
+    assert qt.q_is_iso(P, cat.zero_mor(o["S2"], o["S2"])) is None
     # identities of subcategory members are isos between zero objects
-    assert qt.q_is_iso(qt.QMor(P, cat.identity(o["P1"]))) is not None
+    assert qt.q_is_iso(P, cat.identity(o["P1"])) is not None
     # source in the subcategory, nonzero target class: no iso
     for f in cat.hom_basis(o["P2"], o["S2"]):
-        assert qt.q_is_iso(qt.QMor(P, f)) is None
+        assert qt.q_is_iso(P, f) is None
 
 
 def test_q_is_iso_blocksearch_padding(a3, a3_sub):
@@ -65,9 +83,8 @@ def test_q_is_iso_blocksearch_padding(a3, a3_sub):
     P = a3_sub
     # S2 -> S2 (+) P1 canonical injection: iso in the quotient, needs pads
     total, injs, projs = cat.direct_sum([o["S2"], o["P1"]])
-    f = qt.QMor(P, injs[0])
-    assert qt.q_is_iso(f) is not None
-    witness = qt.q_is_iso_blocksearch(f)
+    assert qt.q_is_iso(P, injs[0]) is not None
+    witness = qt.q_is_iso_blocksearch(P, injs[0])
     assert witness is not None
     assert P.contains(witness.pad_src) and P.contains(witness.pad_dst)
 
@@ -75,18 +92,18 @@ def test_q_is_iso_blocksearch_padding(a3, a3_sub):
 def test_q_kernel_cokernel_trivial_cases(a3, a3_sub):
     cat, o = a3
     P = a3_sub
-    ident = qt.QMor(P, cat.identity(o["S2"]))
-    assert qt.q_is_zero(qt.q_kernel(ident))
-    assert qt.q_is_zero(qt.q_cokernel(ident))
+    ident = cat.identity(o["S2"])
+    assert qt.q_is_zero(P, qt.q_kernel(P, ident))
+    assert qt.q_is_zero(P, qt.q_cokernel(P, ident))
 
-    zero = qt.QMor(P, cat.zero_mor(o["S2"], o["S2"]))
-    k = qt.q_kernel(zero)
-    assert qt.q_is_iso(k) is not None  # kernel of zero is all of the source
-    c = qt.q_cokernel(zero)
-    assert qt.q_is_iso(c) is not None
+    zero = cat.zero_mor(o["S2"], o["S2"])
+    k = qt.q_kernel(P, zero)
+    assert qt.q_is_iso(P, k) is not None  # kernel of zero is all of the source
+    c = qt.q_cokernel(P, zero)
+    assert qt.q_is_iso(P, c) is not None
 
     # invertible class: zero kernel
-    assert qt.q_is_zero(qt.q_kernel(ident))
+    assert qt.q_is_zero(P, qt.q_kernel(P, ident))
 
 
 def _q_universal_kernel_check(P, sample, cap=512):
@@ -94,15 +111,13 @@ def _q_universal_kernel_check(P, sample, cap=512):
     for x in sample:
         for y in sample:
             for f_host in enumerate_hom(cat, x, y, cap)[0]:
-                f = qt.QMor(P, f_host)
-                k = qt.q_kernel(f)
-                assert qt.q_is_zero(qt.QMor(P, cat.compose(f_host, k.rep)))
+                k = qt.q_kernel(P, f_host)
+                assert qt.q_is_zero(P, cat.compose(f_host, k))
                 for t in sample:
                     for g_host in enumerate_hom(cat, t, x, cap)[0]:
-                        g = qt.QMor(P, g_host)
-                        if not qt.q_is_zero(qt.QMor(P, cat.compose(f_host, g_host))):
+                        if not qt.q_is_zero(P, cat.compose(f_host, g_host)):
                             continue
-                        h = _factor_mod_ideal(P, k.rep, g_host)
+                        h = _factor_mod_ideal(P, k, g_host)
                         assert h is not None, "weak kernel property failed"
 
 
@@ -132,15 +147,15 @@ def test_q_kernel_universal_property(a3, a3_sub):
 def test_q_coim_im(a3, a3_sub):
     cat, o = a3
     P = a3_sub
-    data = qt.q_coim_im(qt.QMor(P, cat.identity(o["S2"])))
+    data = qt.q_coim_im(P, cat.identity(o["S2"]))
     assert data.unique
-    assert qt.q_is_iso(data.hat) is not None
+    assert qt.q_is_iso(P, data.hat) is not None
 
-    data = qt.q_coim_im(qt.QMor(P, cat.zero_mor(o["S2"], o["S2"])))
+    data = qt.q_coim_im(P, cat.zero_mor(o["S2"], o["S2"]))
     assert data.unique
     # coim and im of the zero class are zero objects of the quotient
-    assert qt.q_is_zero(qt.QMor(P, P.cat.identity(data.coim)))
-    assert qt.q_is_zero(qt.QMor(P, P.cat.identity(data.im)))
+    assert qt.q_is_zero(P, P.cat.identity(data.coim))
+    assert qt.q_is_zero(P, P.cat.identity(data.im))
 
 
 def test_mediating_morphism_regular_everywhere(a3, a3_sub):
@@ -149,9 +164,9 @@ def test_mediating_morphism_regular_everywhere(a3, a3_sub):
     for x in (o["S2"], o["P2"]):
         for y in (o["S2"], o["I2"]):
             for f_host in enumerate_hom(cat, x, y)[0]:
-                data = qt.q_coim_im(qt.QMor(P, f_host))
+                data = qt.q_coim_im(P, f_host)
                 assert data.unique
-                assert qt.q_is_mono(data.hat) and qt.q_is_epi(data.hat)
+                assert qt.q_is_mono(P, data.hat) and qt.q_is_epi(P, data.hat)
 
 
 def test_mono_epi_match_cancellation(a3, a3_sub):
@@ -161,21 +176,20 @@ def test_mono_epi_match_cancellation(a3, a3_sub):
     for x in sample:
         for y in sample:
             for f_host in enumerate_hom(cat, x, y)[0]:
-                f = qt.QMor(P, f_host)
-                mono = qt.q_is_mono(f)
+                mono = qt.q_is_mono(P, f_host)
                 cancel = all(
-                    qt.q_is_zero(qt.QMor(P, g))
+                    qt.q_is_zero(P, g)
                     for t in sample
                     for g in enumerate_hom(cat, t, x)[0]
-                    if qt.q_is_zero(qt.QMor(P, cat.compose(f_host, g)))
+                    if qt.q_is_zero(P, cat.compose(f_host, g))
                 )
                 assert mono == cancel
-                epi = qt.q_is_epi(f)
+                epi = qt.q_is_epi(P, f_host)
                 cocancel = all(
-                    qt.q_is_zero(qt.QMor(P, g))
+                    qt.q_is_zero(P, g)
                     for t in sample
                     for g in enumerate_hom(cat, y, t)[0]
-                    if qt.q_is_zero(qt.QMor(P, cat.compose(g, f_host)))
+                    if qt.q_is_zero(P, cat.compose(g, f_host))
                 )
                 assert epi == cocancel
 
@@ -219,7 +233,7 @@ def test_qhom_invariant_under_iso_presentation(a3, a3_sub):
 
     assert find_iso(cat, two, basechange) is not None
     for y in (o["S2"], o["P1"]):
-        assert qt.qhom(a3_sub, two, y).dim == qt.qhom(a3_sub, basechange, y).dim
+        assert qt.qhom(a3_sub, two, y) == qt.qhom(a3_sub, basechange, y)
 
 
 def test_enumeration_cap_marks_sampled(a3, a3_sub):
@@ -239,8 +253,8 @@ def test_sweep_classes_decides_each_class_once(a2, a3, a3_sub):
         cat = sub.cat
         decided = []
 
-        def decide(qf):
-            decided.append(qf)
+        def decide(f):
+            decided.append(f)
             return f"class {len(decided)}"
 
         report = qt._sweep_classes(sub, sample, qt.ENUM_CAP, 0, decide)
@@ -248,17 +262,17 @@ def test_sweep_classes_decides_each_class_once(a2, a3, a3_sub):
         assert not report.sampled and not report.passed
         assert report.pair_count == len(pairs)
         assert report.checked == sum(cat.p ** len(cat.hom_basis(x, y)) for x, y in pairs)
-        assert len(report.failures) == sum(cat.p ** qt.qhom(sub, x, y).dim for x, y in pairs)
+        assert len(report.failures) == sum(cat.p ** qt.qhom(sub, x, y) for x, y in pairs)
         assert report.failures == [f"class {i}" for i in range(1, len(decided) + 1)]
 
 
 # -- the block search against the per-tuple reference loop --------------------------
 
-def _reference_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
+def _reference_blocksearch(sub, f, extra_dim_cap=6, combo_cap=4096):
     """The block search done the long way: build P, Q, X (+) P and Y (+) Q for
     every attempt, compose every block with the injections and projections,
     and test the coefficient tuples one at a time, rank by rank."""
-    cat, sub = f.cat, f.sub
+    cat = sub.cat
     x, y = f.src, f.dst
     gens = list(sub.generators)
 
@@ -288,7 +302,7 @@ def _reference_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
             pad_q = cat.direct_sum([gens[i] for i in q_ms])[0] if q_ms else cat.zero_obj()
             _, (ix, ip), (prx, prp) = cat.direct_sum([x, pad_p])
             _, (iy, iq), (pry, prq) = cat.direct_sum([y, pad_q])
-            base = cat.compose(iy, cat.compose(f.rep, prx))
+            base = cat.compose(iy, cat.compose(f, prx))
             lifted = [cat.compose(iy, cat.compose(h, prp)) for h in cat.hom_basis(pad_p, y)]
             lifted += [cat.compose(iq, cat.compose(h, prx)) for h in cat.hom_basis(x, pad_q)]
             lifted += [cat.compose(iq, cat.compose(h, prp)) for h in cat.hom_basis(pad_p, pad_q)]
@@ -316,8 +330,8 @@ def _sweep_witnesses(source, search, sub_name="P"):
     sub = doc.subcategories[sub_name]
     found = []
 
-    def decide(qf):
-        w = search(qf)
+    def decide(f):
+        w = search(sub, f)
         if w is not None:
             pad_src, pad_dst, total = w
             w = (pad_src.key, pad_dst.key, total.vec.tobytes())
@@ -327,8 +341,8 @@ def _sweep_witnesses(source, search, sub_name="P"):
     return found
 
 
-def _blocksearch(qf):
-    w = qt.q_is_iso_blocksearch(qf)
+def _blocksearch(sub, f):
+    w = qt.q_is_iso_blocksearch(sub, f)
     return None if w is None else (w.pad_src, w.pad_dst, w.total)
 
 
@@ -362,15 +376,13 @@ def test_block_search_witness_matches_reference_loop(source):
 
 # -- the block search planned once per subcategory against the per-search one -------
 
-GOLDEN = Path(__file__).parent / "golden"
 
-
-def _per_search_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
+def _per_search_blocksearch(sub, f, extra_dim_cap=6, combo_cap=4096):
     """The block search as it was before its plan and pads moved onto the
     subcategory: the multisets, their dimension profiles and the pads are
     built afresh in every search, and each attempt assembles the rows of
     its three pad hom bases before the size test."""
-    cat, sub = f.cat, f.sub
+    cat = sub.cat
     x, y = f.src, f.dst
     gens = list(sub.generators)
 
@@ -395,21 +407,20 @@ def _per_search_blocksearch(f, extra_dim_cap=6, combo_cap=4096):
         if any(v < 0 for v in need):
             continue
         for q_ms in q_multis.get(need, []):
-            w = _per_search_completion(f, pad(p_ms), pad(q_ms), combo_cap)
+            w = _per_search_completion(cat, f, pad(p_ms), pad(q_ms), combo_cap)
             if w is not None:
                 return w
     return None
 
 
-def _per_search_completion(f, p_obj, q_obj, combo_cap):
-    cat = f.cat
+def _per_search_completion(cat, f, p_obj, q_obj, combo_cap):
     p, blocks = cat.p, cat.blocks
     x, y = f.src, f.dst
     src = tuple(a + b for a, b in zip(x.dimv, p_obj.dimv))
     dst = tuple(a + b for a, b in zip(y.dimv, q_obj.dimv))
     at0 = (0,) * len(src)
     corners = [
-        (f.rep.vec[None, :], x.dimv, y.dimv, at0, at0),
+        (f.vec[None, :], x.dimv, y.dimv, at0, at0),
         (cat.hom_basis(p_obj, y).rows, p_obj.dimv, y.dimv, x.dimv, at0),
         (cat.hom_basis(x, q_obj).rows, x.dimv, q_obj.dimv, at0, y.dimv),
         (cat.hom_basis(p_obj, q_obj).rows, p_obj.dimv, q_obj.dimv, x.dimv, y.dimv),
@@ -474,10 +485,10 @@ def _pad_builds(sub, search, monkeypatch):
             built.append(tuple(next(i for i, g in enumerate(gens) if x is g) for x in xs))
         return real_sum(xs)
 
-    def traced_search(qf):
+    def traced_search(sub, f):
         searching.append(True)
         try:
-            return search(qf)
+            return search(sub, f)
         finally:
             searching.pop()
 
@@ -578,13 +589,13 @@ def test_unpruned_witnesses_balance_the_iso_profiles(path, sub_name):
     sub = doc.subcategories[sub_name]
     found = []
 
-    def decide(qf):
-        w = _per_search_blocksearch(qf)
+    def decide(f):
+        w = _per_search_blocksearch(sub, f)
         if w is not None:
             pad_p, pad_q, _ = w
-            left = map(sum, zip(sub.iso_profile(qf.src), sub.iso_profile(pad_p)))
-            right = map(sum, zip(sub.iso_profile(qf.dst), sub.iso_profile(pad_q)))
-            assert list(left) == list(right), (qf.src.label, qf.dst.label)
+            left = map(sum, zip(sub.iso_profile(f.src), sub.iso_profile(pad_p)))
+            right = map(sum, zip(sub.iso_profile(f.dst), sub.iso_profile(pad_q)))
+            assert list(left) == list(right), (f.src.label, f.dst.label)
             found.append(w)
 
     qt._sweep_classes(sub, [doc.objects[n] for n in sorted(doc.objects)], qt.ENUM_CAP, None, decide)
@@ -602,15 +613,15 @@ def test_block_search_work_on_the_seeded_quotient_spec(monkeypatch):
     work = {"decisions": 0, "attempts": 0, "skipped": 0}
     real_search, real_try = qt.q_is_iso_blocksearch, qt._try_block_completion
 
-    def counting_search(f, *args):
+    def counting_search(*args):
         work["decisions"] += 1
-        return real_search(f, *args)
+        return real_search(*args)
 
-    def counting_try(f, p_obj, q_obj, combo_cap):
+    def counting_try(cat, f, p_obj, q_obj, combo_cap):
         work["attempts"] += 1
         homs = (cat.hom_basis(p_obj, f.dst), cat.hom_basis(f.src, q_obj), cat.hom_basis(p_obj, q_obj))
         work["skipped"] += cat.p ** sum(map(len, homs)) > combo_cap
-        return real_try(f, p_obj, q_obj, combo_cap)
+        return real_try(cat, f, p_obj, q_obj, combo_cap)
 
     monkeypatch.setattr(qt, "q_is_iso_blocksearch", counting_search)
     monkeypatch.setattr(qt, "_try_block_completion", counting_try)
@@ -625,16 +636,15 @@ def test_quotient_constructions_are_memoized(a3, a3_sub, monkeypatch):
     cat, o = a3
     sub = AddSubcat(cat, a3_sub.generators, label=a3_sub.label)
     f = cat.hom_basis(o["P2"], o["S2"])[0]
-    qf = qt.QMor(sub, f)
-    same = qt.QMor(sub, cat.combine([f], np.array([1]), o["P2"], o["S2"]))  # equal bytes, another object
-    kernel, cokernel = qt.q_kernel(qf), qt.q_cokernel(qf)
-    assert qt.q_kernel(same) is kernel and qt.q_cokernel(same) is cokernel
-    zero = qt.q_is_zero(qf)
+    same = cat.combine([f], np.array([1]), o["P2"], o["S2"])  # equal bytes, another object
+    kernel, cokernel = qt.q_kernel(sub, f), qt.q_cokernel(sub, f)
+    assert qt.q_kernel(sub, same) is kernel and qt.q_cokernel(sub, same) is cokernel
+    zero = qt.q_is_zero(sub, f)
     calls = []
     monkeypatch.setattr(sub, "is_ideal_member", lambda g: calls.append(g))
-    assert qt.q_is_zero(same) == zero and calls == []
+    assert qt.q_is_zero(sub, same) == zero and calls == []
     # another morphism is decided afresh
-    qt.q_is_zero(qt.QMor(sub, cat.zero_mor(o["P2"], o["S2"])))
+    qt.q_is_zero(sub, cat.zero_mor(o["P2"], o["S2"]))
     assert len(calls) == 1
 
 
@@ -653,17 +663,17 @@ def test_memoized_constructions_match_a_fresh_subcategory(spec):
         for y in sample:
             for f in enumerate_hom(cat, x, y, 64)[0]:
                 key = (x.key, y.key, f.vec.tobytes())
-                for built, op in ((qt._kernel, qt.q_kernel), (qt._cokernel, qt.q_cokernel)):
-                    if key not in memo_store(sub, built):
+                for op in (qt.q_kernel, qt.q_cokernel):
+                    if key not in memo_store(sub, op):
                         continue
                     hits += 1
-                    kept, made = op(qt.QMor(sub, f)).rep, op(qt.QMor(fresh, f)).rep
+                    kept, made = op(sub, f), op(fresh, f)
                     assert kept.src.key == made.src.key
                     assert kept.dst.key == made.dst.key
                     assert kept.vec.tobytes() == made.vec.tobytes()
-                if key in memo_store(sub, qt._is_zero):
+                if key in memo_store(sub, qt.q_is_zero):
                     hits += 1
-                    assert qt.q_is_zero(qt.QMor(sub, f)) == qt.q_is_zero(qt.QMor(fresh, f))
+                    assert qt.q_is_zero(sub, f) == qt.q_is_zero(fresh, f)
     assert hits > len(sample) ** 2
 
 
@@ -672,7 +682,7 @@ def test_memoized_constructions_match_a_fresh_subcategory(spec):
 FAULT_MAIN = """
 import sys
 from exactcat import cli, quotient
-quotient._two_sided_inverse = lambda cat, f: None
+quotient.two_sided_inverse = lambda cat, f: None
 sys.exit(cli.main(["iso-agreement", sys.argv[1], "--out", sys.argv[2]]))
 """
 

@@ -78,7 +78,7 @@ def test_f3_conflation_category(a2_f3):
 def test_f3_quotient_and_iso_agreement(a2_f3):
     cat, o = a2_f3
     sub = AddSubcat(cat, [o["P1"]], label="addP1")
-    assert qt.qhom(sub, o["S2"], o["S2"]).dim == 1
+    assert qt.qhom(sub, o["S2"], o["S2"]) == 1
     assert qt.iso_agreement_sweep(sub, list(o.values())).verdict == "pass"
 
 
