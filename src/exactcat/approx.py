@@ -50,7 +50,7 @@ class AddSubcat(Subcategory):
         super().__init__(cat, label)
         self.generators = list(generators)
         sums = self.generators if self.generators else [cat.zero_obj()]
-        self.sum, self._sum_injs, self._sum_projs = cat.direct_sum(sums)
+        self.sum = cat.direct_sum(sums)[0]
 
     @property
     def is_trivial(self) -> bool:

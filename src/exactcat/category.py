@@ -1,13 +1,14 @@
 """The base class of the one host category, and linear algebra over hom-spaces.
 
-The host is `repcat.RepCategory`, the representations of a quiver over F_p;
-the category of conflations is the same host on Q x A3 with relations
-(`conflcat.ConflCategory`), so the quotient, approximation and class
-machinery runs unchanged on both.  Its base class `Category` holds the
-memoized hom bases, the flat-vector morphism arithmetic and the limits
-built from kernels and cokernels: pullback, pushout and image, on the
-canonical biproducts of `stack`/`costack`.  Every per-owner cache is an
-`fflinalg.memo` store on its owner, living as long as the owner.
+The host is `repcat.RepCategory`, the representations of a quiver over F_p,
+bound by the quiver's relations; the category of conflations is the same
+host on the bound quiver Q x A3 (`conflcat.ConflCategory`), so the
+quotient, approximation and class machinery runs unchanged on both.  Its
+base class `Category` holds the memoized hom bases, the flat-vector
+morphism arithmetic and the limits built from kernels and cokernels:
+pullback, pushout and image, on the canonical biproducts of
+`stack`/`costack`.  Every per-owner cache is an `fflinalg.memo` store on
+its owner, living as long as the owner.
 
 Objects and morphisms are read by their attributes: `x.key`, `x.label`,
 `x.dimv` (dims tuple), `x.total_dim`; `f.src`, `f.dst` and the coordinate
@@ -76,6 +77,11 @@ class HomBasis(Sequence):
     `Category.compose_flat`, `precompose_flat` and `combine` work through the
     parts (on the rows of nested parts), and .rows and the morphisms are
     assembled only when asked for, then cached.
+
+    Both forms stay because neither is faster everywhere: with every basis
+    dense, the large precovers of `check-pct` take about twice the time and
+    memory, while the small sums of the conflation and class sweeps run a
+    little faster (see README, the small-matrix kernel).
     """
 
     __slots__ = ("cat", "x", "y", "parts", "into", "_len", "_rows", "_mors", "_placements")

@@ -5,11 +5,11 @@ representation of the product quiver Q x A3 (vertices v@t, arrows a@t and
 differentials d_t(v)) bound by the relations d_t a = a d_t and d2 d1 = 0,
 whose rows are short exact; a chain map is a morphism of such
 representations, and the degreewise exact structure is the vertex-wise
-one.  So `ConflCategory` is a `RepCategory` on Q x A3: it inherits the hom
-solve, kernels, cokernels, direct sums and the conflation check, and adds
-the degree views, the row-exactness check of each object, the free hom
-bases out of and into canonical split conflations, and one equation per
-relation in the extension glue system.
+one.  So `ConflCategory` is a `RepCategory` on the bound quiver Q x A3: it
+inherits the hom solve, kernels, cokernels, direct sums, the conflation
+check and the extension enumeration (one equation per relation), and adds
+the degree views, the row-exactness check of each object and the free hom
+bases out of and into canonical split conflations.
 
 Four named substructures (splitting in selected degrees) stratify the
 degreewise structure.  The subcategory of split conflations has explicit
@@ -74,14 +74,15 @@ def _d(t: int, v: str) -> str:
     return f"d{t}({v})"
 
 
-def conflation_quiver(q: Quiver) -> tuple[Quiver, list]:
-    """Q x A3 and its relations.
+def conflation_quiver(q: Quiver) -> Quiver:
+    """Q x A3, bound by its relations.
 
     The vertices are v@t, degree then vertex, which is the flat layout of a
     chain map; the arrows are a@t in each degree, then the differentials
     d_t(v): v@t -> v@(t+1).  A relation is a list of signed paths
     (sign, alpha, beta), alpha then beta, summing to zero: the commuting
-    squares d_t(j) a@t = a@(t+1) d_t(i) for a: i -> j and d2(v) d1(v) = 0.
+    squares d_t(j) a@t = a@(t+1) d_t(i) for a: i -> j, d2(v) d1(v) = 0 and
+    the relations of Q in each degree.
     """
     vertices = tuple(_at(v, t) for t in DEGREES for v in q.vertices)
     arrows = tuple(Arrow(_at(a.name, t), _at(a.src, t), _at(a.dst, t)) for t in DEGREES for a in q.arrows)
@@ -90,7 +91,8 @@ def conflation_quiver(q: Quiver) -> tuple[Quiver, list]:
         [(1, _d(t, a.src), _at(a.name, t + 1)), (-1, _at(a.name, t), _d(t, a.dst))] for t in (1, 2) for a in q.arrows
     ]
     relations += [[(1, _d(1, v), _d(2, v))] for v in q.vertices]
-    return Quiver(vertices, arrows), relations
+    relations += [[(sign, _at(a, t), _at(b, t)) for sign, a, b in r] for t in DEGREES for r in q.relations]
+    return Quiver(vertices, arrows, relations)
 
 
 class ConflObj(RepObj):
@@ -240,15 +242,14 @@ _TAG_DEGREES = {
 class ConflCategory(RepCategory):
     """Degreewise exact structure on conflations of a base category: the
     representations of Q x A3 whose rows are exact, so hom solving, kernels,
-    cokernels, direct sums and the conflation check are those of
-    `RepCategory`, vertex-wise on the product quiver."""
+    cokernels, direct sums, the conflation check and the extensions are
+    those of `RepCategory`, vertex-wise on the bound product quiver."""
 
     _mor = staticmethod(ConflMor._trusted)
 
     def __init__(self, base: RepCategory):
         self.base = base
-        quiver, self.relations = conflation_quiver(base.quiver)
-        super().__init__(quiver, base.p)
+        super().__init__(conflation_quiver(base.quiver), base.p)
         # the one subcategory of split conflations, shared by every harness
         self.split_sub = SplitConflationSubcat(self)
 
@@ -406,26 +407,9 @@ class ConflCategory(RepCategory):
         out.sort(key=lambda f: (f.src.total_dim, f.vec.tobytes()))
         return out
 
-    def enumerate_extensions(self, z: ConflObj, x: ConflObj, cap: int = 4096) -> list[Conflation]:
-        """All degreewise extensions 0 -> x -> Y -> z -> 0 in standard coordinates.
-
-        The glue blocks of `RepCategory` on Q x A3 (the middle terms' arrows
-        and the middle differentials), bound by one equation per relation:
-        the glued composite Y_beta Y_alpha has the corner x_beta e_alpha +
-        e_beta z_alpha, so sum sign (x_beta e_alpha + e_beta z_alpha) = 0.
-        All constraints are linear, so every extension class appears among
-        the kernel-space solutions.
-        """
-        system = self._glue_system(z, x)
-        for relation in self.relations:
-            system.equation(
-                *(
-                    term
-                    for sign, alpha, beta in relation
-                    for term in ((sign, x.maps[beta].a, alpha, None), (sign, None, beta, z.maps[alpha].a))
-                )
-            )
-        return self._glued_extensions(system, z, x, cap)
+    # defined once on RepCategory; aliased here because Tracer.install
+    # (perfbench/layertrace.py) wraps only what the traced class itself defines
+    enumerate_extensions = RepCategory.enumerate_extensions
 
 
 def _factor_mono(cat: Category, m, g):
@@ -630,7 +614,8 @@ def nonsplit_with_split_ends(ecat: ConflCategory) -> Conflation:
     structure but not in the degree-0-splitting one.
     """
     b = ecat.base
-    mid = _smallest_nonsplit(b)
+    candidates = (o.ses for bound in (1, 2) for o in ecat.enumerate_objects(bound))
+    mid = next((ses for ses in candidates if conflation_split(b, ses) is None), None)
     if mid is None:
         raise ValueError("base category has no nonsplit conflation at small dimensions")
     x1, x2, x3 = mid.incl.src, mid.incl.dst, mid.defl.dst
@@ -645,18 +630,6 @@ def nonsplit_with_split_ends(ecat: ConflCategory) -> Conflation:
     verify(substructure_member(ecat, dses, SubstructureTag.FULL), "obstruction is not a degreewise conflation")
     verify(not substructure_member(ecat, dses, SubstructureTag.SPLIT0), "obstruction splits in degree 0")
     return dses
-
-
-def _smallest_nonsplit(b: RepCategory) -> Optional[Conflation]:
-    for bound in (1, 2):
-        for x in b.enumerate_objects(bound):
-            for z in b.enumerate_objects(bound):
-                if any(x.dims[v] + z.dims[v] > bound for v in b.quiver.vertices):
-                    continue
-                for ses in b.enumerate_extensions(z, x):
-                    if conflation_split(b, ses) is None:
-                        return ses
-    return None
 
 
 @dataclass

@@ -7,14 +7,13 @@ so kernels and cokernels are computed vertex-wise with induced arrow maps;
 pullbacks, pushouts and images are the generic ones of `Category`, built
 from them.
 
+A quiver may carry relations, each a signed sum of paths of length 2.
 `RepCategory` builds every object through `self.obj` and every morphism
-through `self._mor`/`self.mor`, so a subclass that binds the quiver by
-relations inherits the whole host: the category of conflations
-(`conflcat.ConflCategory`) is the representations of Q x A3 whose rows are
-exact.  Extensions are enumerated as glue blocks on the split coordinates:
-`_glue_system` declares one block per arrow, a bound quiver adds one
-equation per relation, and `_glued_extensions` builds one conflation per
-solution, checking each middle and the pair's maps once.
+through `self._mor`/`self.mor`, so a subclass inherits the whole host: the
+category of conflations (`conflcat.ConflCategory`) is the representations
+of the bound quiver Q x A3 whose rows are exact.  Extensions are enumerated
+as glue blocks on the split coordinates, one block per arrow and one
+equation per relation of the quiver, one conflation per solution.
 """
 from __future__ import annotations
 
@@ -38,8 +37,13 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Quiver:
+    """Vertices, arrows and relations.  A relation is a list of signed paths
+    (sign, alpha, beta), the arrow alpha then the arrow beta, summing to
+    zero; every path of a relation runs between the same two vertices."""
+
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    relations: tuple = ()
     # coordinate layouts and composition plans of the vertex-wise maps between
     # its representations (and of chain maps between conflations of them)
     blocks: ff.BlockMaps = field(default_factory=ff.BlockMaps, init=False, repr=False, compare=False)
@@ -54,6 +58,14 @@ class Quiver:
         for a in self.arrows:
             if a.src not in vs or a.dst not in vs:
                 raise ValueError(f"arrow {a.name} references unknown vertex")
+        # stored as tuples, so that a bound quiver stays hashable
+        relations = tuple(tuple(tuple(t) for t in r) for r in self.relations)
+        object.__setattr__(self, "relations", relations)
+        by_name = {a.name: a for a in self.arrows}
+        for r in relations:
+            paths = [(by_name.get(alpha), by_name.get(beta)) for _, alpha, beta in r]
+            if not all(a and b and a.dst == b.src for a, b in paths) or len({(a.src, b.dst) for a, b in paths}) > 1:
+                raise ValueError(f"relation {r} is not a sum of parallel paths of length 2")
 
 
 def a_n(n: int) -> Quiver:
@@ -387,25 +399,28 @@ class RepCategory(Category):
     def enumerate_extensions(self, z: RepObj, x: RepObj, cap: int = 4096) -> list[Conflation]:
         """All middle structures 0 -> x -> Y -> z -> 0 on the split coordinates.
 
-        Every equivalence class of extensions appears (any extension is
-        equivalent to one with canonical inclusion/projection and a glue
-        block per arrow); the split one is the all-zero glue.
+        One glue block e_a: z_i -> x_j per arrow a: i -> j, and one equation
+        per relation: Y_beta Y_alpha has the corner x_beta e_alpha + e_beta
+        z_alpha, so the signed sum of these corners is zero.  Every
+        equivalence class of extensions appears (any extension is equivalent
+        to one with canonical inclusion/projection and a glue block per
+        arrow); the split one is the all-zero glue, and the rest follow the
+        coefficient tuples on the kernel basis.  Each middle and its squares
+        are checked; the canonical maps are the pair's vectors
+        (`BlockMaps.summand_maps`), so the pair is checked as a conflation
+        once, on the first.
         """
-        return self._glued_extensions(self._glue_system(z, x), z, x, cap)
-
-    def _glue_system(self, z: RepObj, x: RepObj) -> ff.BlockSystem:
-        """One unknown glue block x_j x z_i per arrow a: i -> j, in arrow order."""
         system = ff.BlockSystem(self.p)
         for a in self.quiver.arrows:
             system.unknown(a.name, x.dims[a.dst], z.dims[a.src])
-        return system
-
-    def _glued_extensions(self, system: ff.BlockSystem, z: RepObj, x: RepObj, cap: int) -> list[Conflation]:
-        """One conflation x -> Y -> z per solution of the glue system, in the
-        order of the coefficient tuples on its kernel basis.  Each middle and
-        its squares are checked; its canonical maps are the pair's vectors
-        (`BlockMaps.summand_maps`), all that `check_conflation` reads besides
-        the dims, so the pair is checked as a conflation once, on the first."""
+        for relation in self.quiver.relations:
+            system.equation(
+                *(
+                    term
+                    for sign, alpha, beta in relation
+                    for term in ((sign, x.maps[beta].a, alpha, None), (sign, None, beta, z.maps[alpha].a))
+                )
+            )
         null = system.kernel()
         count = self.p**null.cols
         if count > cap:
@@ -437,10 +452,11 @@ class RepCategory(Category):
 
 
 def opposite(cat: RepCategory) -> RepCategory:
-    """The opposite representation category: arrows reversed."""
+    """The opposite representation category: arrows and relation paths reversed."""
     q = cat.quiver
     arrows = tuple(Arrow(a.name, a.dst, a.src) for a in q.arrows)
-    return RepCategory(Quiver(q.vertices, arrows), cat.p)
+    relations = tuple(tuple((sign, beta, alpha) for sign, alpha, beta in r) for r in q.relations)
+    return RepCategory(Quiver(q.vertices, arrows, relations), cat.p)
 
 
 def op_obj(opcat: RepCategory, x: RepObj) -> RepObj:

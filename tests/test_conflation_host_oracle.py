@@ -12,6 +12,7 @@ assembly, and the chain-map check.  On the A2 and A3 fixtures at bound 1
 and on A2 over F_3 both sides must agree byte for byte, and in the same
 order.
 """
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -283,13 +284,28 @@ def test_extension_lists_match_the_explicit_system(host):
 
 @pytest.mark.parametrize("dropped", range(4))
 def test_dropping_a_relation_is_detected(dropped):
-    """Mutation check of the comparison: the A2 host without one of its four
-    relations no longer reproduces the explicit extension system."""
+    """Mutation check of the comparison: the A2 host whose quiver lacks one
+    of its four relations no longer reproduces the explicit extension
+    system."""
     ecat = ConflCategory(fixture_cat("a2_base"))
-    assert len(ecat.relations) == 4
+    relations = ecat.quiver.relations
+    assert len(relations) == 4
     objs = ecat.enumerate_objects(1)
-    ecat.relations = ecat.relations[:dropped] + ecat.relations[dropped + 1 :]
+    ecat.quiver = replace(ecat.quiver, relations=relations[:dropped] + relations[dropped + 1 :])
     assert extension_mismatch(ecat, [(z, x) for z in objs for x in objs]) is not None
+
+
+def test_subobjects_are_one_per_middle_subobject_and_inflations():
+    """Each exact subcomplex of a bound-1 conflation on A2 is determined by
+    its middle term: one per subrepresentation of x2, each an inflation."""
+    ecat = ConflCategory(fixture_cat("a2_base"))
+    total = 0
+    for x in ecat.enumerate_objects(1):
+        subs = ecat.enumerate_subobjects(x)
+        assert len(subs) == len(ecat.base.enumerate_subobjects(x.t2))
+        assert all(ecat.is_inflation(m) and m.dst is x for m in subs)
+        total += len(subs)
+    assert total == 34
 
 
 def test_a_broken_chain_map_square_is_rejected():

@@ -316,17 +316,13 @@ conflcat.ConflCategory.degree_splits = lambda self, c, d: d != 1 and real(self, 
         "errors",
         "split precover conflation does not split in degrees -1 and 0",
     ),
-    # the obstruction's middle degree is a split conflation
+    # the obstruction's middle degree is a split conflation: its search,
+    # and nothing else, takes every conflation for nonsplit
     "obstruction": (
         """
-real = conflcat._smallest_nonsplit
-
-def split_instead(b):
-    mid = real(b)
-    _, injs, projs = b.direct_sum([mid.incl.src, mid.defl.dst])
-    return Conflation(injs[0], projs[1])
-
-conflcat._smallest_nonsplit = split_instead
+search = conflcat.nonsplit_with_split_ends
+never_split = dict(search.__globals__, conflation_split=lambda b, c: None)
+conflcat.nonsplit_with_split_ends = type(search)(search.__code__, never_split)
 """,
         "errors",
         "obstruction splits in degree 0",

@@ -11,7 +11,7 @@ from exactcat.category import (
     solve_postcompose,
     solve_precompose,
 )
-from exactcat.conflcat import ConflCategory
+from exactcat.conflcat import ConflCategory, conflation_quiver
 from exactcat.fflinalg import FpMatrix
 from exactcat.repcat import Arrow, Quiver, RepCategory, RepMor, RepObj, a_n, op_conflation, opposite, square_defect
 
@@ -452,6 +452,52 @@ def test_opposite_transport(a3, a3_nonsplit):
     assert conflation_split(opcat, op_s) is None
     # dimensions swap ends
     assert op_s.incl.src.dimv == s.defl.dst.dimv
+
+
+# kA3/rad^2: the path a1 then a2 is zero
+RAD2 = [(1, "a1", "a2")]
+
+
+def satisfies(x, relation):
+    """Does the representation x satisfy the relation (its signed paths sum to zero)?"""
+    total = sum(sign * (x.maps[beta].a @ x.maps[alpha].a) for sign, alpha, beta in relation)
+    return not (total % x.p).any()
+
+
+def test_bound_quiver_extensions_are_the_free_ones_satisfying_the_relations():
+    """Over kA3/rad^2 (F_2) the glue system bound by the relation yields
+    exactly the free host's middles that satisfy it, in the same order, on
+    every pair of bound-1 ends that satisfy it."""
+    free = RepCategory(a_n(3), 2)
+    bound = RepCategory(Quiver(free.quiver.vertices, free.quiver.arrows, (RAD2,)), 2)
+    ends = [x for x in free.enumerate_objects(1) if satisfies(x, RAD2)]
+    assert len(ends) == 12
+    middles = 0
+    for z in ends:
+        for x in ends:
+            got = [c.incl.dst.key for c in bound.enumerate_extensions(z, x)]
+            want = [c.incl.dst.key for c in free.enumerate_extensions(z, x) if satisfies(c.incl.dst, RAD2)]
+            assert got == want
+            middles += len(got)
+    assert middles == 241
+
+
+def test_relations_are_paths_of_the_quiver_and_reverse_in_the_opposite():
+    q = a_n(3)
+    with pytest.raises(ValueError, match="parallel paths"):
+        Quiver(q.vertices, q.arrows, ([(1, "a2", "a1")],))
+    with pytest.raises(ValueError, match="parallel paths"):
+        Quiver(q.vertices, q.arrows + (Arrow("b", "2", "1"),), ([(1, "a1", "a2"), (1, "a1", "b")],))
+    assert opposite(RepCategory(Quiver(q.vertices, q.arrows, (RAD2,)))).quiver.relations == (((1, "a2", "a1"),),)
+
+
+def test_the_conflation_quiver_carries_its_relations_and_the_base_ones():
+    """d_t a = a d_t per arrow and degree pair, d2 d1 = 0 per vertex, and
+    the relations of the base in each of the three degrees."""
+    q = a_n(3)
+    assert len(conflation_quiver(q).relations) == 2 * len(q.arrows) + len(q.vertices)
+    bound = Quiver(q.vertices, q.arrows, (RAD2,))
+    assert conflation_quiver(bound).relations[-3:] == tuple(((1, f"a1@{t}", f"a2@{t}"),) for t in (1, 2, 3))
 
 
 from hypothesis import given, settings
