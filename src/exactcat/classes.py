@@ -20,7 +20,13 @@ factors its map; no hom-space is solved for them.
 
 The crosscheck harness ties the classes to the quotient's abelianness:
 the subcategory is self-orthogonal for class S over a bounded universe of
-extensions exactly when the bounded abelianness sweep passes.
+extensions exactly when the bounded abelianness sweep passes.  It works on
+glue rows (`RepCategory.extension_glues`): every cocycle of a pair is
+counted, the split ones are decided from the glue by the coboundary test
+(`RepCategory.split_glues`, a checked preimage under the coboundary map for
+a split row, a checked functional that separates a nonsplit row from the
+coboundaries), and only a nonsplit row gets a middle term, built and
+checked (`RepCategory.glued_extension`), and a class-S search.
 """
 from __future__ import annotations
 
@@ -34,7 +40,6 @@ from .category import (
     Category,
     Conflation,
     Subcategory,
-    conflation_split,
     solve_precompose_pair,
     verify,
 )
@@ -206,7 +211,9 @@ def abelianness_crosscheck(
 
     Verdict A: every enumerated conflation between bounded subcategory
     objects that lies in class S splits.  Verdict B: the bounded
-    regular-implies-iso sweep passes.  The two must agree.
+    regular-implies-iso sweep passes.  The two must agree.  Every cocycle
+    counts as examined; only the nonsplit ones (`split_glues`) get a middle
+    and a class-S search.
     """
     cat = sub.cat
     universe = sub.sample_objects(bound)
@@ -220,12 +227,14 @@ def abelianness_crosscheck(
             if z.total_dim + x.total_dim > bound:
                 continue
             pairs += 1
-            for s in cat.enumerate_extensions(z, x, cap):
-                examined += 1
-                if not (sub.contains(s.incl.src) and sub.contains(s.defl.dst)):
-                    continue
-                if conflation_split(cat, s) is not None:
-                    continue
+            glues, rows = cat.extension_glues(z, x, cap)
+            examined += len(rows)
+            if not (sub.contains(x) and sub.contains(z)):
+                continue
+            # a split conflation cannot falsify verdict A: only the nonsplit
+            # glues get a middle
+            for i, row in enumerate(rows[~cat.split_glues(z, x, rows)]):
+                s = cat.glued_extension(z, x, glues, row, check_pair=i == 0)
                 search = in_class_s(s, sub, subobject_bound)
                 if search.is_member:
                     verdict_a = False

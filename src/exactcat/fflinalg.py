@@ -643,8 +643,10 @@ class BlockSystem:
         self._equations.append((r * c, parts))
         self._rows += r * c
 
-    def kernel(self) -> FpMatrix:
-        """Columns: the canonical basis of the solution space (see kernel_basis)."""
+    def matrix(self) -> FpMatrix:
+        """The linear map of the system: one row per scalar equation, the
+        equations in order, each block of rows row-major in its r x c
+        result; one column per coordinate of the flat unknown vector."""
         system = np.zeros((self._rows, self.n), dtype=np.int64)
         r0 = 0
         for rows, parts in self._equations:
@@ -652,7 +654,11 @@ class BlockSystem:
                 system[r0 : r0 + rows, o : o + block.shape[1]] += block
             r0 += rows
         system %= self.p
-        return kernel_basis(from_reduced(self.p, system))
+        return from_reduced(self.p, system)
+
+    def kernel(self) -> FpMatrix:
+        """Columns: the canonical basis of the solution space (see kernel_basis)."""
+        return kernel_basis(self.matrix())
 
     def blocks(self, vec: np.ndarray) -> dict:
         """A flat unknown vector split into its matrix blocks, by key."""

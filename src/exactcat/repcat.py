@@ -11,9 +11,18 @@ A quiver may carry relations, each a signed sum of paths of length 2.
 `RepCategory` builds every object through `self.obj` and every morphism
 through `self._mor`/`self.mor`, so a subclass inherits the whole host: the
 category of conflations (`conflcat.ConflCategory`) is the representations
-of the bound quiver Q x A3 whose rows are exact.  Extensions are enumerated
-as glue blocks on the split coordinates, one block per arrow and one
-equation per relation of the quiver, one conflation per solution.
+of the bound quiver Q x A3 whose rows are exact.  `enumerate_objects`
+keeps the representations that satisfy every relation.
+
+Extensions are glued on the split coordinates in two steps.
+`extension_glues` solves for the glue, one block per arrow and one
+equation per relation, and returns every cocycle as one row;
+`glued_extension` builds the middle term of one row and checks it, and
+`enumerate_extensions` maps it over the rows.  `split_glues` decides which
+rows split without building a middle: a glue splits iff it is a coboundary.
+Both verdicts carry a checked certificate, a functional on the glues that
+kills every coboundary but not the row (nonsplit), or a preimage under the
+coboundary map (split); a failed check raises VerificationError.
 """
 from __future__ import annotations
 
@@ -396,44 +405,93 @@ class RepCategory(Category):
         out.sort(key=lambda m: (m.src.total_dim, m.src.key, m.vec.tobytes()))
         return out
 
-    def enumerate_extensions(self, z: RepObj, x: RepObj, cap: int = 4096) -> list[Conflation]:
-        """All middle structures 0 -> x -> Y -> z -> 0 on the split coordinates.
+    def extension_glues(self, z: RepObj, x: RepObj, cap: int = 4096) -> tuple[ff.BlockSystem, np.ndarray]:
+        """(glues, rows): the glue layout of the extensions 0 -> x -> Y -> z -> 0
+        on the split coordinates, and every cocycle as one row of its flat
+        unknown vector.
 
         One glue block e_a: z_i -> x_j per arrow a: i -> j, and one equation
         per relation: Y_beta Y_alpha has the corner x_beta e_alpha + e_beta
         z_alpha, so the signed sum of these corners is zero.  Every
         equivalence class of extensions appears (any extension is equivalent
         to one with canonical inclusion/projection and a glue block per
-        arrow); the split one is the all-zero glue, and the rest follow the
-        coefficient tuples on the kernel basis.  Each middle and its squares
-        are checked; the canonical maps are the pair's vectors
-        (`BlockMaps.summand_maps`), so the pair is checked as a conflation
-        once, on the first.
+        arrow).  The rows are the combinations of the kernel basis over the
+        coefficient tuples in product order, from one product; the first is
+        the all-zero glue, the split extension.
         """
-        system = ff.BlockSystem(self.p)
+        glues = ff.BlockSystem(self.p)
         for a in self.quiver.arrows:
-            system.unknown(a.name, x.dims[a.dst], z.dims[a.src])
+            glues.unknown(a.name, x.dims[a.dst], z.dims[a.src])
         for relation in self.quiver.relations:
-            system.equation(
+            glues.equation(
                 *(
                     term
                     for sign, alpha, beta in relation
                     for term in ((sign, x.maps[beta].a, alpha, None), (sign, None, beta, z.maps[alpha].a))
                 )
             )
-        null = system.kernel()
+        null = glues.kernel()
         count = self.p**null.cols
         if count > cap:
             raise EnumerationBound(f"extension enumeration needs cap >= {count}", count)
-        out = []
-        for coeffs in product(range(self.p), repeat=null.cols):
-            vec = null.a @ np.array(coeffs, dtype=np.int64) % self.p
-            _, inc, prj = self.glued_middle(x, z, system.blocks(vec))
-            out.append(Conflation(inc, prj) if out else self.conflation(inc, prj))
-        return out
+        coeffs = np.array(list(product(range(self.p), repeat=null.cols)), dtype=np.int64).reshape(count, null.cols)
+        return glues, coeffs @ null.a.T % self.p
+
+    def glued_extension(
+        self, z: RepObj, x: RepObj, glues: ff.BlockSystem, row: np.ndarray, check_pair: bool = False
+    ) -> Conflation:
+        """The conflation x -> Y -> z of one glue row (`extension_glues`).
+
+        The middle and its squares are checked (`glued_middle`).  The
+        canonical maps are the pair's vectors (`BlockMaps.summand_maps`),
+        the same for every row, so a caller checks them as a conflation
+        (check_pair) on the first row it builds of a pair.
+        """
+        _, inc, prj = self.glued_middle(x, z, glues.blocks(row))
+        return self.conflation(inc, prj) if check_pair else Conflation(inc, prj)
+
+    def enumerate_extensions(self, z: RepObj, x: RepObj, cap: int = 4096) -> list[Conflation]:
+        """All middle structures 0 -> x -> Y -> z -> 0 on the split coordinates:
+        one conflation per row of `extension_glues`, in its order."""
+        glues, rows = self.extension_glues(z, x, cap)
+        return [self.glued_extension(z, x, glues, row, check_pair=i == 0) for i, row in enumerate(rows)]
+
+    def split_glues(self, z: RepObj, x: RepObj, rows: np.ndarray) -> np.ndarray:
+        """Which glue rows (`extension_glues` of z, x) give split extensions,
+        one bool per row, with no middle built.
+
+        The extension of a glue e splits iff e = δh for some h = (h_v: z_v ->
+        x_v), δh_a = h_j z_a - x_a h_i for every arrow a: i -> j ([h; 1] is
+        then a section of the deflation), so Ext¹ = Z¹/B¹ with B¹ the image
+        of δ.  δ is a BlockSystem, one unknown per vertex and one equation
+        per arrow, so its rows are laid out as the glue blocks.  The rows of
+        Φ, a basis of the left kernel of δ, cut out B¹: e splits iff Φe = 0.
+        Both verdicts carry a checked certificate.  Φδ = 0 is checked, so a
+        row φ of Φ with φe != 0 proves a nonsplit e outside B¹; the split
+        rows E are solved at once, δH = E, and that preimage is checked.  A
+        failed check raises VerificationError.
+        """
+        p = self.p
+        coboundary = ff.BlockSystem(p)
+        for v in self.quiver.vertices:
+            coboundary.unknown(v, x.dims[v], z.dims[v])
+        for a in self.quiver.arrows:
+            coboundary.equation((1, None, a.dst, z.maps[a.name].a), (-1, x.maps[a.name].a, a.src, None))
+        d = coboundary.matrix()
+        functionals = ff.kernel_basis(d.transpose()).a.T
+        verify(not (functionals @ d.a % p).any(), "split_glues: a functional does not vanish on the coboundaries")
+        split = ~(rows @ functionals.T % p).any(axis=1)
+        e = rows[split].T
+        h = ff.solve_right(d, ff.from_reduced(p, e.copy()))
+        verify(
+            h is not None and not ((d.a @ h.a - e) % p).any(),
+            "split_glues: a glue marked split has no preimage under the coboundary",
+        )
+        return split
 
     def enumerate_objects(self, max_dim: int, cap: int = 100_000) -> list[RepObj]:
-        """All representations with every vertex dimension <= max_dim."""
+        """All representations with every vertex dimension <= max_dim that
+        satisfy the relations of the quiver."""
         vs = list(self.quiver.vertices)
         out = []
         for dims_tuple in product(range(max_dim + 1), repeat=len(vs)):
@@ -445,6 +503,11 @@ class RepCategory(Category):
                 raise EnumerationBound("object enumeration cap exceeded", self.p**layout.n)
             for vals in product(range(self.p), repeat=layout.n):
                 blocks = layout.blocks(np.array(vals, dtype=np.int64))
+                if any(
+                    np.any(sum(sign * (blocks[beta] @ blocks[alpha]) for sign, alpha, beta in relation) % self.p)
+                    for relation in self.quiver.relations
+                ):
+                    continue
                 out.append(self.obj(dims, {a: FpMatrix(self.p, m) for a, m in blocks.items()}))
                 if len(out) > cap:
                     raise EnumerationBound("object enumeration cap exceeded", len(out))

@@ -218,6 +218,47 @@ def test_class_searches_solve_nothing_and_enumerate_each_term_once(monkeypatch, 
     assert enumerations[0] == len(terms) < 20
 
 
+@pytest.mark.parametrize("spec", [GOLDEN / "seeded_classes_p2.json", FIXTURES / "a3_projinj.json"])
+def test_crosscheck_builds_a_middle_for_each_nonsplit_extension_only(monkeypatch, tmp_path, spec):
+    """The crosscheck examines 553 extensions and builds the middles of the
+    90 nonsplit ones, no other, with no conflation_split call: the split
+    ones are decided from their glue rows (`split_glues`).  The counts do
+    not depend on the bases, so the seeded spec and the fixture, the same
+    subcategory in other bases and another generator order, agree."""
+    inside, middles, splits, searches = [False], [0], [0], [0]
+    real_cross, real_middle, real_split, real_search = (
+        cl.abelianness_crosscheck,
+        repcat.RepCategory.glued_middle,
+        category.conflation_split,
+        cl.in_class_s,
+    )
+
+    def crosscheck(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_cross(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counted(counter, real):
+        def call(*args, **kwargs):
+            counter[0] += inside[0]
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cl, "abelianness_crosscheck", crosscheck)
+    monkeypatch.setattr(repcat.RepCategory, "glued_middle", counted(middles, real_middle))
+    for module in (approx, category, cl, cli, conflcat, quotient, repcat):
+        if hasattr(module, "conflation_split"):
+            monkeypatch.setattr(module, "conflation_split", counted(splits, real_split))
+    monkeypatch.setattr(cl, "in_class_s", counted(searches, real_search))
+    out = tmp_path / "r.json"
+    assert cli.main(["classes", str(spec), "--subcategory", "P", "--bound", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["crosscheck"]["conflations_examined"] == 553
+    assert (middles[0], searches[0], splits[0]) == (90, 90, 0)
+
+
 FAULT_MAIN = """
 import sys
 import numpy as np
@@ -246,3 +287,57 @@ def test_zeroed_cokernel_section_fails_the_classes_report(tmp_path, optimize):
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "fail" and payload["exit_code"] == 1
     assert any("class S search: the quotient maps do not factor" in e for e in payload["report"]["errors"])
+
+
+TAMPER_MAIN = """
+import sys
+import numpy as np
+from exactcat import cli, fflinalg, repcat
+real_split, real_kernel, real_solve = repcat.RepCategory.split_glues, fflinalg.kernel_basis, fflinalg.solve_right
+
+def extra_functional(a):
+    # one more left-kernel vector of the coboundary: the sum of the coordinates
+    k = real_kernel(a)
+    return fflinalg.from_reduced(k.p, np.hstack([k.a, np.ones((k.rows, 1), dtype=np.int64)]))
+
+def shifted_preimage(a, b):
+    h = real_solve(a, b)
+    return None if h is None else fflinalg.from_reduced(h.p, (h.a + 1) % h.p)
+
+name, wrong = {"functional": ("kernel_basis", extra_functional), "preimage": ("solve_right", shifted_preimage)}[sys.argv[1]]
+
+def tampered(self, z, x, rows):
+    real = getattr(fflinalg, name)
+    setattr(fflinalg, name, wrong)
+    try:
+        return real_split(self, z, x, rows)
+    finally:
+        setattr(fflinalg, name, real)
+
+repcat.RepCategory.split_glues = tampered
+sys.exit(cli.main(["classes", sys.argv[2], "--subcategory", "P", "--bound", "5", "--out", sys.argv[3]]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize(
+    "certificate, message",
+    [
+        ("functional", "split_glues: a functional does not vanish on the coboundaries"),
+        ("preimage", "split_glues: a glue marked split has no preimage under the coboundary"),
+    ],
+)
+def test_a_wrong_split_certificate_fails_the_classes_report(tmp_path, certificate, message, optimize):
+    """A wrong functional (one that does not kill the coboundaries) or a
+    wrong preimage of the split glues inside split_glues is caught by its
+    explicit check: `classes` fails with exit 1 and no traceback, under
+    python -O too."""
+    out = tmp_path / "classes.json"
+    spec = GOLDEN / "seeded_classes_p2.json"
+    argv = [sys.executable] + (["-O"] if optimize else []) + ["-c", TAMPER_MAIN, certificate, str(spec), str(out)]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail" and payload["exit_code"] == 1
+    assert payload["report"]["errors"] == [message]

@@ -467,11 +467,10 @@ def satisfies(x, relation):
 def test_bound_quiver_extensions_are_the_free_ones_satisfying_the_relations():
     """Over kA3/rad^2 (F_2) the glue system bound by the relation yields
     exactly the free host's middles that satisfy it, in the same order, on
-    every pair of bound-1 ends that satisfy it."""
+    every pair of bound-1 modules of the bound quiver."""
     free = RepCategory(a_n(3), 2)
     bound = RepCategory(Quiver(free.quiver.vertices, free.quiver.arrows, (RAD2,)), 2)
-    ends = [x for x in free.enumerate_objects(1) if satisfies(x, RAD2)]
-    assert len(ends) == 12
+    ends = bound.enumerate_objects(1)
     middles = 0
     for z in ends:
         for x in ends:
@@ -480,6 +479,18 @@ def test_bound_quiver_extensions_are_the_free_ones_satisfying_the_relations():
             assert got == want
             middles += len(got)
     assert middles == 241
+
+
+def test_enumerated_objects_satisfy_the_relations():
+    """kA3/rad^2 over F_2 has 12 modules at bound 1: the 13 representations
+    of A3 less the one with a2 a1 != 0.  A free quiver keeps all 13."""
+    free = RepCategory(a_n(3), 2)
+    bound = RepCategory(Quiver(free.quiver.vertices, free.quiver.arrows, (RAD2,)), 2)
+    reps = free.enumerate_objects(1)
+    mods = bound.enumerate_objects(1)
+    assert (len(reps), len(mods)) == (13, 12)
+    assert all(satisfies(x, RAD2) for x in mods)
+    assert [x.key for x in mods] == [x.key for x in reps if satisfies(x, RAD2)]
 
 
 def test_relations_are_paths_of_the_quiver_and_reverse_in_the_opposite():
